@@ -8,8 +8,10 @@
 namespace fmbs::channel {
 
 AwgnSource::AwgnSource(units::Dbm noise_in_ref_bw, units::Hertz reference_bandwidth,
-                       double sample_rate, std::uint64_t seed)
+                       double sample_rate, std::uint64_t seed,
+                       std::vector<float> shaping_taps)
     : rng_(seed), dist_(0.0F, 1.0F) {
+  if (!shaping_taps.empty()) shaper_.emplace(std::move(shaping_taps));
   if (reference_bandwidth.raw() <= 0.0 || sample_rate <= 0.0) {
     throw std::invalid_argument("AwgnSource: bad bandwidth or rate");
   }
@@ -19,10 +21,21 @@ AwgnSource::AwgnSource(units::Dbm noise_in_ref_bw, units::Hertz reference_bandwi
 }
 
 void AwgnSource::add_to(std::span<dsp::cfloat> block) {
-  for (auto& v : block) {
-    v += dsp::cfloat(sigma_per_component_ * dist_(rng_),
-                     sigma_per_component_ * dist_(rng_));
+  if (!shaper_) {
+    for (auto& v : block) {
+      v += dsp::cfloat(sigma_per_component_ * dist_(rng_),
+                       sigma_per_component_ * dist_(rng_));
+    }
+    return;
   }
+  white_.resize(block.size());
+  for (auto& v : white_) {
+    v = dsp::cfloat(sigma_per_component_ * dist_(rng_),
+                    sigma_per_component_ * dist_(rng_));
+  }
+  shaped_.resize(block.size());
+  shaper_->process_into(white_, shaped_);
+  for (std::size_t i = 0; i < block.size(); ++i) block[i] += shaped_[i];
 }
 
 }  // namespace fmbs::channel

@@ -930,12 +930,17 @@ ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
   std::vector<dsp::cvec> iq(sc.receivers.size());
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
     const ScenarioReceiver& rx = sc.receivers[r];
-    noise.emplace_back(receiver_noise_floor(rx),
-                       units::Hertz{fm::kChannelSpacingHz}, fm::kRfRate,
-                       plan.receiver_noise_seed[r]);
     rx::TunerConfig tuner_cfg;
     tuner_cfg.offset_hz = rx.tune_offset.raw();
     tuners.emplace_back(tuner_cfg);
+    // Receiver noise is drawn at the tuned MPX rate and added after the
+    // channel filter (equivalent-baseband model), colored by the filter's
+    // aliased response: the same in-channel noise as drawing it at the RF
+    // rate ahead of the tuner, at a tenth of the Gaussian draws.
+    noise.emplace_back(receiver_noise_floor(rx),
+                       units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
+                       plan.receiver_noise_seed[r],
+                       tuners.back().noise_shaping_taps());
     iq[r].reserve(padded);
   }
 
@@ -1031,8 +1036,8 @@ ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
         if (!tag_active[t]) continue;
         channel::accumulate_scaled(rf, reflected[t], plan.g_back[seg][r][t]);
       }
-      noise[r].add_to(rf);
-      const dsp::cvec tuned = tuners[r].process(rf);
+      dsp::cvec tuned = tuners[r].process(rf);
+      noise[r].add_to(tuned);
       iq[r].insert(iq[r].end(), tuned.begin(), tuned.end());
     }
   }

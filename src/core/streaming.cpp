@@ -435,12 +435,14 @@ ScenarioResult StreamingEngine::run(const Scenario& sc) const {
   std::size_t decode_buffer_bytes = 0;
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
     const ScenarioReceiver& rx = sc.receivers[r];
-    noise.emplace_back(receiver_noise_floor(rx),
-                       units::Hertz{fm::kChannelSpacingHz}, fm::kRfRate,
-                       plan.receiver_noise_seed[r]);
     rx::TunerConfig tuner_cfg;
     tuner_cfg.offset_hz = rx.tune_offset.raw();
     tuners.emplace_back(tuner_cfg);
+    // Tuned-rate noise after the channel filter, exactly as the batch engine.
+    noise.emplace_back(receiver_noise_floor(rx),
+                       units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
+                       plan.receiver_noise_seed[r],
+                       tuners.back().noise_shaping_taps());
 
     fm::StereoDecoderConfig sdc = rx.stereo_decoder;
     sdc.mpx_rate = fm::kMpxRate;
@@ -760,8 +762,8 @@ ScenarioResult StreamingEngine::run(const Scenario& sc) const {
           if (!tag_active[t]) continue;
           channel::accumulate_scaled(rf, reflected[t], plan.g_back[seg][r][t]);
         }
-        noise[r].add_to(rf);
         slot->iq[r] = tuners[r].process(rf);
+        noise[r].add_to(slot->iq[r]);
       }
       ring.producer_publish();
     }

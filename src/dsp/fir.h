@@ -146,6 +146,7 @@ class FirDecimator {
   }
 
   std::size_t factor() const { return factor_; }
+  const std::vector<float>& taps() const { return taps_; }
 
   std::vector<Sample> process(std::span<const Sample> in) {
     if (in.size() % factor_ != 0) {

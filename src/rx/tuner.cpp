@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 namespace fmbs::rx {
@@ -34,13 +35,59 @@ std::vector<float> design_channel_filter(const TunerConfig& cfg) {
                                         cfg.stopband_attenuation_db);
 }
 
+/// Zero-phase square root of the channel filter's aliased power response at
+/// the output rate. White noise of variance sigma^2 at the RF rate leaves the
+/// decimator with autocorrelation sigma^2 * r_h[m * factor] (r_h: the taps'
+/// autocorrelation), so its spectrum, relative to white noise of the same
+/// density drawn at the output rate, is
+///   P(w) = factor * sum_m r_h[m * factor] * exp(-j w m),
+/// unity at DC and rolling off only where the transition band reaches the
+/// output Nyquist edge. The shaper samples sqrt(P) on a grid, inverts it to a
+/// symmetric impulse response and truncates it with a Hann taper.
+std::vector<float> design_noise_shaper(const std::vector<float>& h,
+                                       std::size_t factor) {
+  std::vector<double> r;  // factor * r_h at lags 0, factor, 2 * factor, ...
+  for (std::size_t lag = 0; lag < h.size(); lag += factor) {
+    double acc = 0.0;
+    for (std::size_t n = 0; n + lag < h.size(); ++n) {
+      acc += static_cast<double>(h[n]) * h[n + lag];
+    }
+    r.push_back(static_cast<double>(factor) * acc);
+  }
+  constexpr std::size_t kGrid = 256;
+  constexpr int kHalf = 15;  // 31 taps: within ~0.05 dB of sqrt(P)
+  std::vector<double> amp(kGrid);
+  for (std::size_t i = 0; i < kGrid; ++i) {
+    const double w = 2.0 * std::numbers::pi * static_cast<double>(i) / kGrid;
+    double p = r[0];
+    for (std::size_t m = 1; m < r.size(); ++m) {
+      p += 2.0 * r[m] * std::cos(w * static_cast<double>(m));
+    }
+    amp[i] = std::sqrt(std::max(p, 0.0));
+  }
+  std::vector<float> taps;
+  taps.reserve(2 * kHalf + 1);
+  for (int n = -kHalf; n <= kHalf; ++n) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < kGrid; ++i) {
+      acc += amp[i] * std::cos(2.0 * std::numbers::pi * static_cast<double>(i) *
+                               n / kGrid);
+    }
+    const double taper =
+        0.5 + 0.5 * std::cos(std::numbers::pi * n / (kHalf + 1.0));
+    taps.push_back(static_cast<float>(taper * acc / kGrid));
+  }
+  return taps;
+}
+
 }  // namespace
 
 Tuner::Tuner(const TunerConfig& config)
     : cfg_(config),
       factor_(compute_factor(config)),
       mixer_(-config.offset_hz, config.rf_rate),
-      decimator_(design_channel_filter(config), factor_) {}
+      decimator_(design_channel_filter(config), factor_),
+      noise_shaper_(design_noise_shaper(decimator_.taps(), factor_)) {}
 
 dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
   if (rf.size() % factor_ != 0) {

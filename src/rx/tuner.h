@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "dsp/fir.h"
 #include "dsp/nco.h"
@@ -31,6 +32,14 @@ class Tuner {
 
   std::size_t decimation() const { return factor_; }
 
+  /// Taps, at the output rate, that color white noise drawn there into the
+  /// noise this tuner would emit for white noise of the same density at the
+  /// RF rate: the channel filter's aliased power response (unity in band,
+  /// a fraction of a dB down at the output Nyquist edge). The scenario
+  /// engines add receiver noise after the tuner through these taps, a tenth
+  /// of the Gaussian draws of noising the RF stream.
+  const std::vector<float>& noise_shaping_taps() const { return noise_shaper_; }
+
   /// Processes an RF block; block length must be a multiple of decimation().
   dsp::cvec process(std::span<const dsp::cfloat> rf);
 
@@ -41,6 +50,7 @@ class Tuner {
   std::size_t factor_;
   dsp::Mixer mixer_;
   dsp::FirDecimator<dsp::cfloat> decimator_;
+  std::vector<float> noise_shaper_;
   dsp::cvec work_;
 };
 
