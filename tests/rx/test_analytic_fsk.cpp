@@ -119,19 +119,19 @@ TEST(AnalyticFsk, PinnedCalibrationConstants) {
   // demodulator; see the file header before editing these.
   const AnalyticFskCalibration c100 =
       analytic_fsk_calibration(tag::DataRate::k100bps);
-  EXPECT_NEAR(c100.gamma_offset_db, 7.16855, 1e-9);
-  EXPECT_NEAR(c100.gamma_slope, 1.0, 1e-9);
+  EXPECT_NEAR(c100.gamma_offset_db, 17.4372, 1e-9);
+  EXPECT_NEAR(c100.gamma_slope, 1.47118, 1e-9);
   EXPECT_NEAR(c100.ber_floor, 0.0, 1e-12);
   const AnalyticFskCalibration c1600 =
       analytic_fsk_calibration(tag::DataRate::k1600bps);
-  EXPECT_NEAR(c1600.gamma_offset_db, 8.88947, 1e-9);
-  EXPECT_NEAR(c1600.gamma_slope, 1.16737, 1e-9);
+  EXPECT_NEAR(c1600.gamma_offset_db, 8.64209, 1e-9);
+  EXPECT_NEAR(c1600.gamma_slope, 1.14629, 1e-9);
   EXPECT_NEAR(c1600.ber_floor, 0.0, 1e-12);
   const AnalyticFskCalibration c3200 =
       analytic_fsk_calibration(tag::DataRate::k3200bps);
-  EXPECT_NEAR(c3200.gamma_offset_db, 9.56851, 1e-9);
-  EXPECT_NEAR(c3200.gamma_slope, 1.9745, 1e-9);
-  EXPECT_NEAR(c3200.ber_floor, 0.0234375, 1e-12);  // 12 errors / 512 bits
+  EXPECT_NEAR(c3200.gamma_offset_db, 9.4391, 1e-9);
+  EXPECT_NEAR(c3200.gamma_slope, 2.00891, 1e-9);
+  EXPECT_NEAR(c3200.ber_floor, 0.0231323, 1e-12);  // 379 / 16384 bits
 }
 
 }  // namespace
