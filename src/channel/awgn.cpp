@@ -28,14 +28,13 @@ void AwgnSource::add_to(std::span<dsp::cfloat> block) {
     }
     return;
   }
-  white_.resize(block.size());
-  for (auto& v : white_) {
+  colored_.resize(block.size());
+  for (auto& v : colored_) {
     v = dsp::cfloat(sigma_per_component_ * dist_(rng_),
                     sigma_per_component_ * dist_(rng_));
   }
-  shaped_.resize(block.size());
-  shaper_->process_into(white_, shaped_);
-  for (std::size_t i = 0; i < block.size(); ++i) block[i] += shaped_[i];
+  shaper_->process_into(colored_, colored_);  // stages its input first
+  for (std::size_t i = 0; i < block.size(); ++i) block[i] += colored_[i];
 }
 
 }  // namespace fmbs::channel

@@ -40,8 +40,7 @@ class AwgnSource {
   std::mt19937_64 rng_;
   std::normal_distribution<float> dist_;
   std::optional<dsp::FirFilter<dsp::cfloat>> shaper_;
-  dsp::cvec white_;
-  dsp::cvec shaped_;
+  dsp::cvec colored_;  // per-block draws, shaped in place
 };
 
 }  // namespace fmbs::channel
