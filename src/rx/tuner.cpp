@@ -1,6 +1,7 @@
 #include "rx/tuner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -43,7 +44,8 @@ std::vector<float> design_channel_filter(const TunerConfig& cfg) {
 ///   P(w) = factor * sum_m r_h[m * factor] * exp(-j w m),
 /// unity at DC and rolling off only where the transition band reaches the
 /// output Nyquist edge. The shaper samples sqrt(P) on a grid, inverts it to a
-/// symmetric impulse response and truncates it with a Hann taper.
+/// symmetric impulse response and truncates it with a Hann taper. Every
+/// cosine comes from one grid table: scenes build a tuner per receiver.
 std::vector<float> design_noise_shaper(const std::vector<float>& h,
                                        std::size_t factor) {
   std::vector<double> r;  // factor * r_h at lags 0, factor, 2 * factor, ...
@@ -55,27 +57,32 @@ std::vector<float> design_noise_shaper(const std::vector<float>& h,
     r.push_back(static_cast<double>(factor) * acc);
   }
   constexpr std::size_t kGrid = 256;
-  constexpr int kHalf = 15;  // 31 taps: within ~0.05 dB of sqrt(P)
-  std::vector<double> amp(kGrid);
+  constexpr std::size_t kHalf = 15;  // 31 taps: within ~0.05 dB of sqrt(P)
+  std::array<double, kGrid> cos_table{};
+  for (std::size_t k = 0; k < kGrid; ++k) {
+    cos_table[k] = std::cos(2.0 * std::numbers::pi * static_cast<double>(k) /
+                            static_cast<double>(kGrid));
+  }
+  std::array<double, kGrid> amp{};
   for (std::size_t i = 0; i < kGrid; ++i) {
-    const double w = 2.0 * std::numbers::pi * static_cast<double>(i) / kGrid;
     double p = r[0];
     for (std::size_t m = 1; m < r.size(); ++m) {
-      p += 2.0 * r[m] * std::cos(w * static_cast<double>(m));
+      p += 2.0 * r[m] * cos_table[(i * m) % kGrid];
     }
     amp[i] = std::sqrt(std::max(p, 0.0));
   }
-  std::vector<float> taps;
-  taps.reserve(2 * kHalf + 1);
-  for (int n = -kHalf; n <= kHalf; ++n) {
+  std::vector<float> taps(2 * kHalf + 1);
+  for (std::size_t n = 0; n <= kHalf; ++n) {
     double acc = 0.0;
     for (std::size_t i = 0; i < kGrid; ++i) {
-      acc += amp[i] * std::cos(2.0 * std::numbers::pi * static_cast<double>(i) *
-                               n / kGrid);
+      acc += amp[i] * cos_table[(i * n) % kGrid];
     }
-    const double taper =
-        0.5 + 0.5 * std::cos(std::numbers::pi * n / (kHalf + 1.0));
-    taps.push_back(static_cast<float>(taper * acc / kGrid));
+    const double taper = 0.5 + 0.5 * std::cos(std::numbers::pi *
+                                              static_cast<double>(n) /
+                                              (kHalf + 1.0));
+    const auto tap = static_cast<float>(taper * acc / kGrid);
+    taps[kHalf + n] = tap;
+    taps[kHalf - n] = tap;
   }
   return taps;
 }
