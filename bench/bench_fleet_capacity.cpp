@@ -233,9 +233,11 @@ int run_calibrate() {
   };
   std::cout << "Calibration: PHY BER vs in-channel SNR, one tag at 4 ft,\n"
                "kNews station, receiver noise floor swept, each point pooled\n"
-               "over " << kCalibrationSeeds << " seeds. Noise power is the same "
-               "coordinate the fleet\nengine's SINR denominator uses, so the "
-               "fit transfers to\ninterference-limited links.\n";
+               "over "
+            << kCalibrationSeeds
+            << " seeds. Noise power is the same coordinate the fleet\n"
+               "engine's SINR denominator uses, so the fit transfers to\n"
+               "interference-limited links.\n";
   core::SweepRunner runner;
   for (const RateSpec& spec : rates) {
     std::cout << "  " << spec.name << ":\n";

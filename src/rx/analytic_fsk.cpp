@@ -21,8 +21,8 @@ AnalyticFskCalibration analytic_fsk_calibration(tag::DataRate rate) {
   // pooled over 32 seeds; `bench_fleet_capacity --calibrate` reproduces the
   // fit) and pinned by tests/rx/test_analytic_fsk.cpp. Receiver noise is
   // added at the tuned rate. 100 bps is clean above -5 dB and falls
-  // steeply to 0.4 at -13 dB; 1600 bps runs from 1e-4 near +3 dB to chance
-  // near -9 dB. 3200 bps adds an SNR-independent residual floor of ~2.3% of
+  // steeply to 0.4 at -13 dB; 1600 bps runs from 1e-3 near +3 dB to chance
+  // below -9 dB. 3200 bps adds an SNR-independent residual floor of ~2.3% of
   // bits from timing-search edge effects at the shortest symbol.
   switch (rate) {
     case tag::DataRate::k100bps:

@@ -57,7 +57,7 @@ std::vector<float> design_noise_shaper(const std::vector<float>& h,
     r.push_back(static_cast<double>(factor) * acc);
   }
   constexpr std::size_t kGrid = 256;
-  constexpr std::size_t kHalf = 15;  // 31 taps: within ~0.05 dB of sqrt(P)
+  constexpr std::size_t kHalf = 15;  // 31 taps (tests/rx/test_tuner.cpp)
   std::array<double, kGrid> cos_table{};
   for (std::size_t k = 0; k < kGrid; ++k) {
     cos_table[k] = std::cos(2.0 * std::numbers::pi * static_cast<double>(k) /

@@ -171,7 +171,7 @@ std::map<std::string, CellCounts> run_study() {
   return cells;
 }
 
-// ---- Fixture I/O --------------------------------------------------------------
+// ---- Fixture I/O ------------------------------------------------------------
 
 void write_study(const std::string& path,
                  const std::map<std::string, CellCounts>& cells) {
@@ -234,7 +234,7 @@ std::map<std::string, CellCounts> read_study(const std::string& path,
   return cells;
 }
 
-// ---- The equivalence check ------------------------------------------------------
+// ---- The equivalence check --------------------------------------------------
 
 /// Pooled two-proportion z-test at 99%: |p_old - p_new| within kZ99 standard
 /// errors of the pooled proportion. Identical proportions (including 0 vs 0)

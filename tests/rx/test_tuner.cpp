@@ -76,7 +76,7 @@ TEST(Tuner, RateValidation) {
   EXPECT_THROW(Tuner{cfg}, std::invalid_argument);
 }
 
-// ---- Equivalent-baseband noise model -----------------------------------------
+// ---- Equivalent-baseband noise model ----------------------------------------
 // The scenario engines draw receiver noise at the tuned MPX rate and add it
 // after the channel filter. That is only legitimate if white noise drawn at
 // the RF rate and pushed through the tuner is, within the channel, the same
@@ -143,7 +143,8 @@ TEST(Tuner, RfRateNoiseThroughTunerMatchesTunedRateNoise) {
       rf_noise.add_to(rf);
       const dsp::cvec out = tuner.process(rf);
       through_tuner.insert(through_tuner.end(), out.begin(), out.end());
-      shaped.add_to(std::span<dsp::cfloat>(direct_shaped.data() + n, kBlockOut));
+      shaped.add_to(
+          std::span<dsp::cfloat>(direct_shaped.data() + n, kBlockOut));
     }
     white.add_to(direct_white);
     for (dsp::cvec* v : {&through_tuner, &direct_white, &direct_shaped}) {
