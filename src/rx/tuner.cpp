@@ -49,6 +49,7 @@ std::vector<float> design_channel_filter(const TunerConfig& cfg) {
 std::vector<float> design_noise_shaper(const std::vector<float>& h,
                                        std::size_t factor) {
   std::vector<double> r;  // factor * r_h at lags 0, factor, 2 * factor, ...
+  r.reserve(h.size() / factor + 1);
   for (std::size_t lag = 0; lag < h.size(); lag += factor) {
     double acc = 0.0;
     for (std::size_t n = 0; n + lag < h.size(); ++n) {

@@ -135,6 +135,7 @@ std::map<std::string, CellCounts> run_study() {
     core::Scenario scenario;
   };
   std::vector<Job> jobs;
+  jobs.reserve(families.size() * kSeeds);
   for (std::size_t f = 0; f < families.size(); ++f) {
     for (std::size_t k = 0; k < kSeeds; ++k) {
       jobs.push_back({f, families[f].make(k)});
