@@ -34,7 +34,7 @@ units::Db two_ray_path_loss(units::Meters distance, units::Hertz frequency,
   const std::complex<double> e_los =
       std::polar(1.0 / d_los, -k * d_los);
   const std::complex<double> e_gnd =
-      std::polar(-1.0 / d_gnd, -k * d_gnd);
+      -std::polar(1.0 / d_gnd, -k * d_gnd);
   const double field = std::abs(e_los + e_gnd);
   // Normalize against the free-space field 1/d at the same range.
   const double rel = field * d_los;

@@ -1,9 +1,13 @@
 // Numerically controlled oscillators and complex frequency mixing. The tag's
-// FM subcarrier and the receiver's tuner are both built on PhaseAccumulator.
+// FM subcarrier, the FM modulator and Oscillator are built on
+// PhaseAccumulator; Mixer, behind station offsets, tuners and RDS
+// downconversion, is a DDS with a 64-bit phase word of its own.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "dsp/math_util.h"
@@ -69,6 +73,15 @@ class Oscillator {
 
 /// Streaming complex mixer: multiplies a block by e^{j 2 pi f t}, keeping
 /// phase continuity across blocks. Negative f shifts the spectrum down.
+///
+/// A direct digital synthesizer. The phase is an unsigned 64-bit word
+/// (cycles x 2^64) that wraps mod 2 pi exactly; a call of n samples advances
+/// it with one multiply-add. One libm cos/sin pair re-seeds a double rotator
+/// from that word every kReseedInterval samples; in between, the seed steps
+/// by e^{j kSpan w} per kSpan samples and each sample multiplies it by an
+/// entry of a kSpan-long phasor table. Both boundaries sit on the absolute
+/// sample index, so output sample n is a pure function of n and the input,
+/// bit for bit, however the stream is cut into calls.
 class Mixer {
  public:
   Mixer(double frequency_hz, double sample_rate, double initial_phase = 0.0);
@@ -80,8 +93,18 @@ class Mixer {
   cvec process(std::span<const cfloat> data);
 
  private:
-  double step_;
-  PhaseAccumulator acc_;
+  static constexpr std::size_t kSpan = 16;
+  static constexpr std::size_t kReseedInterval = 1024;
+
+  std::uint64_t step_;       // phase increment per sample, cycles x 2^64
+  std::uint64_t phase_;      // phase word of sample index_
+  std::uint64_t index_ = 0;  // absolute index of the next sample
+  double seed_re_ = 1.0;     // rotator at the start of index_'s span
+  double seed_im_ = 0.0;
+  double jump_re_ = 1.0;  // e^{j kSpan w}
+  double jump_im_ = 0.0;
+  std::array<double, kSpan> table_re_{};  // e^{j k w}, k < kSpan
+  std::array<double, kSpan> table_im_{};
 };
 
 }  // namespace fmbs::dsp

@@ -8,9 +8,15 @@
 // results are bit-identical to the scalar implementations. (Vectorizing
 // across taps would reassociate the accumulation and is deliberately
 // avoided.) Baseline x86-64 SSE2 has no FMA, so there is no contraction
-// risk either. The one tolerance-pinned exception in the codebase — the
-// NCO rotator recurrence — lives in nco.cpp/subcarrier.cpp, not here, and
-// is justified at its call sites and pinned by tests.
+// risk either. Two approximations live outside this header, each justified
+// at its call site and pinned by tests:
+//  * dsp::Mixer (nco.cpp) is a DDS in plain C++ that both builds compile
+//    alike: an exact 64-bit phase word re-seeds a double rotator by one
+//    libm cos/sin pair every 1024 absolute samples, with a 16-entry phasor
+//    table in between. Its output stays within 6e-8 of an exact phasor
+//    (float rounding is 4.2e-8) over 100 simulated seconds
+//    (tests/dsp/test_nco.cpp);
+//  * the tag subcarrier's vector sincos (subcarrier.cpp, sincos_ps below).
 //
 // std::complex<float> arrays are addressed through reinterpret_cast<float*>:
 // the standard guarantees array-of-complex is layout-compatible with

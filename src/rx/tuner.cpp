@@ -101,6 +101,8 @@ dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
   if (rf.size() % factor_ != 0) {
     throw std::invalid_argument("Tuner: block not a multiple of the decimation");
   }
+  // A channel already at DC needs no shift: the 0 Hz mixer would only copy.
+  if (cfg_.offset_hz == 0.0) return decimator_.process(rf);
   work_.assign(rf.begin(), rf.end());
   mixer_.process_inplace(work_);
   return decimator_.process(work_);

@@ -69,6 +69,22 @@ TEST(TwoRay, FourthPowerFalloffFarOut) {
   EXPECT_NEAR(slope, 40.0, 6.0);
 }
 
+TEST(TwoRay, PinnedValues) {
+  // Exact values of the -1-reflection field sum across the near field, the
+  // Fresnel zone and the fourth-power regime; the ground ray is built as a
+  // negated non-negative polar so libstdc++'s precondition checks hold.
+  const units::Meters h_tx{1.5};
+  const units::Meters h_rx{1.2};
+  const auto loss = [&](double meters) {
+    return two_ray_path_loss(units::Meters{meters}, 94.9_mhz, h_tx, h_rx).raw();
+  };
+  EXPECT_EQ(loss(0.5), 6.490022517548101);
+  EXPECT_EQ(loss(3.0), 18.112269748527741);
+  EXPECT_EQ(loss(30.0), 54.034209493329151);
+  EXPECT_EQ(loss(300.0), 93.979950155749847);
+  EXPECT_EQ(loss(3000.0), 133.97940558941275);
+}
+
 TEST(TwoRay, Validation) {
   EXPECT_THROW(two_ray_path_loss(units::Meters{0.0}, 94.9_mhz,
                                  units::Meters{1.5}, units::Meters{1.2}),

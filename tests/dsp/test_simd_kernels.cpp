@@ -2,9 +2,9 @@
 //  * elementwise and FIR kernels (scale/axpy, FirFilter, FirDecimator,
 //    FirInterpolator) are BIT-IDENTICAL to scalar references — they
 //    vectorize across outputs and never reassociate an accumulation;
-//  * the two tolerance-pinned exceptions (the Mixer rotator recurrence and
-//    the subcarrier's vector sincos) stay within justified bounds, with the
-//    recurrence exactly re-anchored at every renormalization point.
+//  * the tolerance-pinned exception (the subcarrier's vector sincos) stays
+//    within its justified bound. The Mixer's rotator is one plain C++ path
+//    in every build; tests/dsp/test_nco.cpp pins its accuracy.
 // With FMBS_SIMD off this file still passes (both sides run the same scalar
 // code), so the suite is valid in either build configuration.
 #include <gtest/gtest.h>
@@ -171,37 +171,6 @@ TEST(SimdKernels, SincosMatchesLibmWithinTolerance) {
   }
 }
 #endif
-
-TEST(SimdKernels, MixerRecurrencePinnedToScalarReference) {
-  const double rate = 240000.0;
-  const double freq = 12345.6;
-  const dsp::cvec x = random_complex(2048, 31);
-
-  dsp::Mixer mixer(freq, rate);
-  const dsp::cvec got = mixer.process(x);
-
-  // Scalar reference: libm cos/sin per sample off the same accumulator.
-  dsp::PhaseAccumulator acc;
-  const double step = dsp::kTwoPi * freq / rate;
-  ASSERT_EQ(got.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double ph = acc.advance(step);
-    const dsp::cfloat ref =
-        x[i] * dsp::cfloat(static_cast<float>(std::cos(ph)),
-                           static_cast<float>(std::sin(ph)));
-    if (i % 16 == 0) {
-      // Renormalization points re-seed from the exact accumulator phase and
-      // must be bit-identical in every build configuration.
-      EXPECT_EQ(got[i], ref) << "renorm point i=" << i;
-    } else {
-      // Between renorms the double recurrence carries ~1e-15 rad of rounding
-      // — invisible at float resolution apart from the rare half-ulp
-      // boundary case.
-      EXPECT_NEAR(got[i].real(), ref.real(), 1e-5F) << "i=" << i;
-      EXPECT_NEAR(got[i].imag(), ref.imag(), 1e-5F) << "i=" << i;
-    }
-  }
-}
 
 // Scalar double-precision reference for SubcarrierGenerator::process — the
 // pre-vectorization loop, verbatim.
