@@ -312,6 +312,13 @@ std::pair<double, double> ScenarioPlan::segment_bounds(std::size_t k) const {
 }
 
 ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
+  // units.h checks finiteness only with assert(), so a Release build lets
+  // NaN and +-inf through to here; every comparison below is false on NaN.
+  if (!std::isfinite(sc.duration.raw()) || !std::isfinite(sc.settle.raw()) ||
+      !std::isfinite(sc.timeline.segment.raw())) {
+    throw std::invalid_argument(
+        "ScenarioEngine: duration, settle and segment must be finite");
+  }
   if (sc.duration.raw() <= 0.0) {
     throw std::invalid_argument("ScenarioEngine: duration must be > 0");
   }

@@ -2,11 +2,13 @@
 // including polyphase decimators and interpolators used by the RF <-> MPX
 // <-> audio rate-conversion chain.
 //
-// The float and complex<float> inner loops dispatch to the SSE2 kernels in
-// dsp/simd.h when FMBS_SIMD is on. Those kernels vectorize across OUTPUTS
-// (each lane accumulates its taps serially, in the scalar order), so the
-// filtered blocks are bit-identical to the scalar fallback — pinned by
-// tests/dsp/test_simd_kernels.cpp.
+// Every float and complex<float> inner loop (any input or output stride)
+// dispatches to the SSE2 kernels in dsp/simd.h when FMBS_SIMD is on. Those
+// kernels vectorize across OUTPUTS and are register-blocked: four
+// independent accumulator vectors per step, 16 real or 8 complex outputs,
+// each lane accumulating its own taps serially in the scalar order. The
+// filtered blocks are therefore bit-identical to the scalar fallback —
+// pinned by tests/dsp/test_simd_kernels.cpp.
 #pragma once
 
 #include <cstddef>
@@ -63,10 +65,8 @@ inline void fir_apply(const Sample* x, std::size_t in_stride,
                       std::size_t out_stride, std::size_t n) {
 #if FMBS_SIMD_ENABLED
   if constexpr (std::is_same_v<Sample, float>) {
-    if (in_stride == 1) {
-      simd::fir_f32(x, rt, nt, out, out_stride, n);
-      return;
-    }
+    simd::fir_f32(x, in_stride, rt, nt, out, out_stride, n);
+    return;
   } else if constexpr (std::is_same_v<Sample, cfloat>) {
     simd::fir_cx(reinterpret_cast<const float*>(x), in_stride, rt, nt,
                  reinterpret_cast<float*>(out), out_stride, n);

@@ -8,8 +8,16 @@
 // results are bit-identical to the scalar implementations. (Vectorizing
 // across taps would reassociate the accumulation and is deliberately
 // avoided.) Baseline x86-64 SSE2 has no FMA, so there is no contraction
-// risk either. Two approximations live outside this header, each justified
-// at its call site and pinned by tests:
+// risk either.
+//
+// The FIR kernels are register-blocked: four independent accumulator
+// vectors per step (16 real or 8 complex outputs), so they run at
+// multiply/add throughput instead of waiting out each add's latency.
+// Blocking changes which outputs share a step, never the order of any one
+// output's sum.
+//
+// Two approximations live outside this header, each justified at its call
+// site and pinned by tests:
 //  * dsp::Mixer (nco.cpp) is a DDS in plain C++ that both builds compile
 //    alike: an exact 64-bit phase word re-seeds a double rotator by one
 //    libm cos/sin pair every 1024 absolute samples, with a 16-entry phasor
@@ -62,69 +70,145 @@ inline void axpy_f32(float* dst, const float* src, float gain,
   for (; i < n; ++i) dst[i] += gain * src[i];
 }
 
-/// Real FIR across outputs: out[i * out_stride] = sum_t x[i + t] * rt[t]
+namespace detail {
+
+/// Four real samples x[0], x[stride], x[2 * stride], x[3 * stride]: one
+/// vector's lanes at one tap.
+inline __m128 load_f32x4(const float* x, std::size_t stride) {
+  if (stride == 1) return _mm_loadu_ps(x);
+  return _mm_setr_ps(x[0], x[stride], x[2 * stride], x[3 * stride]);
+}
+
+/// Stores the four lanes of v to out[0], out[stride], ..., out[3 * stride].
+inline void store_f32x4(float* out, std::size_t stride, __m128 v) {
+  if (stride == 1) {
+    _mm_storeu_ps(out, v);
+    return;
+  }
+  alignas(16) float lanes[4];
+  _mm_store_ps(lanes, v);
+  out[0] = lanes[0];
+  out[stride] = lanes[1];
+  out[2 * stride] = lanes[2];
+  out[3 * stride] = lanes[3];
+}
+
+/// Two interleaved complex samples, at complex offsets 0 and stride.
+inline __m128 load_cx2(const float* x, std::size_t stride) {
+  if (stride == 1) return _mm_loadu_ps(x);
+  const __m128 lo = _mm_loadl_pi(_mm_setzero_ps(),
+                                 reinterpret_cast<const __m64*>(x));
+  return _mm_loadh_pi(lo, reinterpret_cast<const __m64*>(x + 2 * stride));
+}
+
+/// Stores two complex lanes of v at complex offsets 0 and stride.
+inline void store_cx2(float* out, std::size_t stride, __m128 v) {
+  if (stride == 1) {
+    _mm_storeu_ps(out, v);
+    return;
+  }
+  _mm_storel_pi(reinterpret_cast<__m64*>(out), v);
+  _mm_storeh_pi(reinterpret_cast<__m64*>(out + 2 * stride), v);
+}
+
+}  // namespace detail
+
+/// Real FIR across outputs:
+///   out[i * out_stride] = sum_t x[i * in_stride + t] * rt[t]
 /// for i in [0, n), with rt the REVERSED tap vector (rt[t] = taps[nt-1-t])
 /// so the scalar loop `acc += x[t] * taps[nt-1-t]` reads rt in ascending
-/// order. Four outputs per vector; each lane accumulates taps serially.
-inline void fir_f32(const float* x, const float* rt, std::size_t nt,
-                    float* out, std::size_t out_stride, std::size_t n) {
+/// order. in_stride > 1 is the polyphase decimator.
+///
+/// Register-blocked: the main loop keeps four independent accumulator
+/// vectors, 16 outputs per step, so consecutive taps' adds do not wait on
+/// each other. A one-vector loop and a scalar tail take the remainder. Every
+/// lane accumulates its own output's taps serially, in ascending order.
+inline void fir_f32(const float* x, std::size_t in_stride, const float* rt,
+                    std::size_t nt, float* out, std::size_t out_stride,
+                    std::size_t n) {
+  const std::size_t xv = 4 * in_stride;  // input distance between vectors
+  const std::size_t ov = 4 * out_stride;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 acc = _mm_setzero_ps();
-    const float* xi = x + i;
+  for (; i + 16 <= n; i += 16) {
+    const float* xi = x + i * in_stride;
+    __m128 a0 = _mm_setzero_ps();
+    __m128 a1 = a0;
+    __m128 a2 = a0;
+    __m128 a3 = a0;
     for (std::size_t t = 0; t < nt; ++t) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(xi + t),
+      const __m128 h = _mm_set1_ps(rt[t]);
+      const float* xt = xi + t;
+      a0 = _mm_add_ps(a0, _mm_mul_ps(detail::load_f32x4(xt, in_stride), h));
+      a1 = _mm_add_ps(a1,
+                      _mm_mul_ps(detail::load_f32x4(xt + xv, in_stride), h));
+      a2 = _mm_add_ps(
+          a2, _mm_mul_ps(detail::load_f32x4(xt + 2 * xv, in_stride), h));
+      a3 = _mm_add_ps(
+          a3, _mm_mul_ps(detail::load_f32x4(xt + 3 * xv, in_stride), h));
+    }
+    float* o = out + i * out_stride;
+    detail::store_f32x4(o, out_stride, a0);
+    detail::store_f32x4(o + ov, out_stride, a1);
+    detail::store_f32x4(o + 2 * ov, out_stride, a2);
+    detail::store_f32x4(o + 3 * ov, out_stride, a3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    const float* xi = x + i * in_stride;
+    __m128 acc = _mm_setzero_ps();
+    for (std::size_t t = 0; t < nt; ++t) {
+      acc = _mm_add_ps(acc, _mm_mul_ps(detail::load_f32x4(xi + t, in_stride),
                                        _mm_set1_ps(rt[t])));
     }
-    if (out_stride == 1) {
-      _mm_storeu_ps(out + i, acc);
-    } else {
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, acc);
-      out[i * out_stride] = lanes[0];
-      out[(i + 1) * out_stride] = lanes[1];
-      out[(i + 2) * out_stride] = lanes[2];
-      out[(i + 3) * out_stride] = lanes[3];
-    }
+    detail::store_f32x4(out + i * out_stride, out_stride, acc);
   }
   for (; i < n; ++i) {
     float acc = 0.0F;
-    const float* xi = x + i;
+    const float* xi = x + i * in_stride;
     for (std::size_t t = 0; t < nt; ++t) acc += xi[t] * rt[t];
     out[i * out_stride] = acc;
   }
 }
 
-/// Complex FIR across outputs with real taps: two complex outputs per
-/// vector. x/out are interleaved re/im float arrays; strides are in complex
-/// samples. in_stride > 1 implements the polyphase decimator (output o
-/// reads x starting at complex index o * in_stride).
+/// Complex FIR across outputs with real taps, the same contract as fir_f32
+/// on interleaved re/im float arrays; strides are in complex samples. One
+/// vector holds two complex outputs, so the register-blocked main loop
+/// computes 8 outputs per step, then a one-vector loop and a scalar tail.
 inline void fir_cx(const float* x, std::size_t in_stride, const float* rt,
                    std::size_t nt, float* out, std::size_t out_stride,
                    std::size_t n) {
+  const std::size_t xv = 4 * in_stride;  // input floats between vectors
+  const std::size_t ov = 4 * out_stride;
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128 acc = _mm_setzero_ps();
-    const float* x0 = x + 2 * (i * in_stride);
-    const float* x1 = x + 2 * ((i + 1) * in_stride);
+  for (; i + 8 <= n; i += 8) {
+    const float* xi = x + 2 * (i * in_stride);
+    __m128 a0 = _mm_setzero_ps();
+    __m128 a1 = a0;
+    __m128 a2 = a0;
+    __m128 a3 = a0;
     for (std::size_t t = 0; t < nt; ++t) {
-      __m128 xv;
-      if (in_stride == 1) {
-        xv = _mm_loadu_ps(x0 + 2 * t);
-      } else {
-        xv = _mm_loadl_pi(_mm_setzero_ps(),
-                          reinterpret_cast<const __m64*>(x0 + 2 * t));
-        xv = _mm_loadh_pi(xv, reinterpret_cast<const __m64*>(x1 + 2 * t));
-      }
-      acc = _mm_add_ps(acc, _mm_mul_ps(xv, _mm_set1_ps(rt[t])));
+      const __m128 h = _mm_set1_ps(rt[t]);
+      const float* xt = xi + 2 * t;
+      a0 = _mm_add_ps(a0, _mm_mul_ps(detail::load_cx2(xt, in_stride), h));
+      a1 = _mm_add_ps(a1, _mm_mul_ps(detail::load_cx2(xt + xv, in_stride), h));
+      a2 = _mm_add_ps(a2,
+                      _mm_mul_ps(detail::load_cx2(xt + 2 * xv, in_stride), h));
+      a3 = _mm_add_ps(a3,
+                      _mm_mul_ps(detail::load_cx2(xt + 3 * xv, in_stride), h));
     }
-    if (out_stride == 1) {
-      _mm_storeu_ps(out + 2 * i, acc);
-    } else {
-      _mm_storel_pi(reinterpret_cast<__m64*>(out + 2 * (i * out_stride)), acc);
-      _mm_storeh_pi(
-          reinterpret_cast<__m64*>(out + 2 * ((i + 1) * out_stride)), acc);
+    float* o = out + 2 * (i * out_stride);
+    detail::store_cx2(o, out_stride, a0);
+    detail::store_cx2(o + ov, out_stride, a1);
+    detail::store_cx2(o + 2 * ov, out_stride, a2);
+    detail::store_cx2(o + 3 * ov, out_stride, a3);
+  }
+  for (; i + 2 <= n; i += 2) {
+    const float* xi = x + 2 * (i * in_stride);
+    __m128 acc = _mm_setzero_ps();
+    for (std::size_t t = 0; t < nt; ++t) {
+      acc = _mm_add_ps(acc, _mm_mul_ps(detail::load_cx2(xi + 2 * t, in_stride),
+                                       _mm_set1_ps(rt[t])));
     }
+    detail::store_cx2(out + 2 * (i * out_stride), out_stride, acc);
   }
   for (; i < n; ++i) {
     float re = 0.0F;

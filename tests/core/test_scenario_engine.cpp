@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "audio/tone.h"
+#include "core/streaming.h"
 #include "fm/station_cache.h"
 #include "tag/baseband.h"
 #include "tag/channel_plan.h"
@@ -523,6 +526,38 @@ TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
   ok.duration = units::Seconds{0.2};
   ok.settle = units::Seconds{0.05};
   EXPECT_NO_THROW(resolve_scenario_plan(ok));
+}
+
+// units.h checks finiteness only with assert(), so a Release build hands a
+// NaN or infinite time straight to the engines. NaN slipped past every `<=`
+// check (a NaN duration gave total_seconds = nan, a NaN segment silently
+// became one segment). std::bit_cast skips the asserting constructor, so
+// Debug builds reach the engines' check too.
+TEST(ScenarioEngine, RejectsNonFiniteTimesInBothEngines) {
+  Scenario base;
+  base.receivers.emplace_back();
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  const ScenarioEngine batch;
+  const StreamingEngine streaming;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const auto bad = std::bit_cast<units::Seconds>(v);
+    Scenario duration = base;
+    duration.duration = bad;
+    Scenario settle = base;
+    settle.settle = bad;
+    Scenario segment = base;
+    segment.timeline.segment = bad;
+    for (const auto& [field, sc] : {std::pair{"duration", &duration},
+                                    std::pair{"settle", &settle},
+                                    std::pair{"segment", &segment}}) {
+      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Pins the FMBS_SIMD contract from dsp/simd.h:
-//  * elementwise and FIR kernels (scale/axpy, FirFilter, FirDecimator,
-//    FirInterpolator) are BIT-IDENTICAL to scalar references — they
-//    vectorize across outputs and never reassociate an accumulation;
+//  * elementwise and FIR kernels (scale/axpy, fir_apply at every block edge
+//    and stride, FirFilter, FirDecimator, FirInterpolator) are
+//    BIT-IDENTICAL to scalar references — they vectorize across outputs and
+//    never reassociate an accumulation;
 //  * the tolerance-pinned exception (the subcarrier's vector sincos) stays
 //    within its justified bound. The Mixer's rotator is one plain C++ path
 //    in every build; tests/dsp/test_nco.cpp pins its accuracy.
@@ -62,21 +63,77 @@ TEST(SimdKernels, AccumulateScaledBitIdenticalToScalar) {
   }
 }
 
-// Scalar FIR reference matching the library's accumulation order exactly:
-// out[i] = sum_t work[i + t] * rtaps[t], rtaps reversed, t ascending.
+// Scalar FIR reference in the library's accumulation order:
+// out[i] = sum_t x[i * in_stride + t] * rt[t], t ascending.
+template <typename Sample>
+std::vector<Sample> fir_reference(std::span<const Sample> x,
+                                  std::size_t in_stride,
+                                  const std::vector<float>& rt,
+                                  std::size_t n) {
+  std::vector<Sample> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Sample acc{};
+    for (std::size_t t = 0; t < rt.size(); ++t) {
+      acc += x[i * in_stride + t] * rt[t];
+    }
+    out[i] = acc;
+  }
+  return out;
+}
+
+// The streaming filters' view: taps reversed, nt-1 zeros of history ahead
+// of the block, one output per input sample.
 template <typename Sample>
 std::vector<Sample> fir_reference(const std::vector<Sample>& in,
                                   const std::vector<float>& taps) {
   const std::vector<float> rt(taps.rbegin(), taps.rend());
   std::vector<Sample> work(taps.size() - 1, Sample{});
   work.insert(work.end(), in.begin(), in.end());
-  std::vector<Sample> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    Sample acc{};
-    for (std::size_t t = 0; t < taps.size(); ++t) acc += work[i + t] * rt[t];
-    out[i] = acc;
+  return fir_reference(std::span<const Sample>(work), 1, rt, in.size());
+}
+
+// Every block edge of the register-blocked kernels: output counts around
+// the main step (16 real or 8 complex outputs), the one-vector loop (4 real
+// or 2 complex) and the scalar tail, at the decimators' input strides and
+// the interpolator's output stride. Output slots between strided outputs
+// and past the last one must keep their sentinel.
+template <typename Sample>
+void expect_fir_apply_matches_reference(std::span<const Sample> pool) {
+  const Sample sentinel(42.0F);
+  for (const std::size_t nt : {1U, 17U, 31U, 127U}) {
+    const std::vector<float> rt = random_floats(nt, static_cast<unsigned>(nt));
+    for (const std::size_t n :
+         {0U, 1U, 2U, 3U, 7U, 8U, 9U, 15U, 16U, 17U, 33U}) {
+      for (const std::size_t in_stride : {1U, 5U, 10U}) {
+        for (const std::size_t out_stride : {1U, 10U}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "nt=" << nt << " n=" << n << " in_stride="
+                       << in_stride << " out_stride=" << out_stride);
+          ASSERT_LE(n * in_stride + nt, pool.size());
+          const std::vector<Sample> ref =
+              fir_reference(pool, in_stride, rt, n);
+          std::vector<Sample> out(n * out_stride + out_stride, sentinel);
+          dsp::detail::fir_apply(pool.data(), in_stride, rt.data(), nt,
+                                 out.data(), out_stride, n);
+          for (std::size_t k = 0; k < out.size(); ++k) {
+            const bool is_output = k % out_stride == 0 && k / out_stride < n;
+            ASSERT_EQ(out[k], is_output ? ref[k / out_stride] : sentinel)
+                << "slot " << k;
+          }
+        }
+      }
+    }
   }
-  return out;
+}
+
+TEST(SimdKernels, FirApplyBlockEdgesFloat) {
+  const std::vector<float> pool = random_floats(512, 31);
+  expect_fir_apply_matches_reference(std::span<const float>(pool));
+}
+
+TEST(SimdKernels, FirApplyBlockEdgesComplex) {
+  const dsp::cvec pool = random_complex(512, 32);
+  expect_fir_apply_matches_reference(std::span<const dsp::cfloat>(pool));
 }
 
 TEST(SimdKernels, FirFilterFloatBitIdentical) {
@@ -114,6 +171,23 @@ TEST(SimdKernels, FirDecimatorBitIdentical) {
   ASSERT_EQ(got.size(), x.size() / 5);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], full[i * 5]) << "i=" << i;
+  }
+}
+
+// The stereo decoder's audio decimator shape (127 taps, 240 kHz -> 48 kHz),
+// across two blocks so the history seam is covered too.
+TEST(SimdKernels, FirDecimatorFloatBitIdentical) {
+  const std::size_t factor = 5;
+  const auto taps = dsp::fir_design_lowpass(127, 0.45 / factor);
+  const auto x = random_floats(1685, 25);
+  dsp::FirDecimator<float> dec(taps, factor);
+  auto got = dec.process(std::span<const float>(x.data(), 485));
+  const auto second = dec.process(std::span<const float>(x).subspan(485));
+  got.insert(got.end(), second.begin(), second.end());
+  const auto full = fir_reference(x, taps);
+  ASSERT_EQ(got.size(), x.size() / factor);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], full[i * factor]) << "i=" << i;
   }
 }
 
