@@ -352,8 +352,8 @@ int main(int argc, char** argv) {
 
   // ---- 2. Shared-channel ALOHA vs the analytic model -----------------------
   // Each load point pools several independent schedules (run in parallel by
-  // run_many) so the PHY estimate has enough attempts behind it; the
-  // `sched` column applies the analytic vulnerability rule to the exact
+  // run_scenario_sweep) so the PHY estimate has enough attempts behind it;
+  // the `sched` column applies the analytic vulnerability rule to the exact
   // same schedules, separating sampling noise from PHY disagreement.
   constexpr double kWindow = 1.8;
   constexpr std::size_t kSchedulesPerLoad = 3;

@@ -7,24 +7,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "audio/tone.h"
-#include "channel/awgn.h"
-#include "channel/superpose.h"
-#include "dsp/fir.h"
-#include "dsp/math_util.h"
-#include "dsp/nco.h"
+#include "core/scene_render.h"
 #include "fm/rds.h"
-#include "fm/station_cache.h"
-#include "rx/tuner.h"
-#include "tag/baseband.h"
+#include "fm/receiver.h"
 
 namespace fmbs::core {
 
 namespace {
-
-constexpr std::size_t kBlockMpx = 24000;  // 0.1 s at 240 kHz, as in simulate()
-constexpr double kBlockSeconds =
-    static_cast<double>(kBlockMpx) / fm::kMpxRate;
 
 /// derive_seed index streams so tag content, tag fading, receiver noise and
 /// scene-station content are mutually independent processes per entity.
@@ -33,11 +22,6 @@ constexpr std::uint64_t kTagFadingStream = 0x2000;
 constexpr std::uint64_t kReceiverNoiseStream = 0x3000;
 constexpr std::uint64_t kStationSeedStream = 0x4000;
 constexpr std::uint64_t kSurveyRdsStream = 0x5000;
-
-/// Capture kept past an RDS burst's nominal end when decoding it out of a
-/// receiver's post-demod MPX: covers the front-end group delay, like the
-/// FSK router's tail slack.
-constexpr double kRdsDecodeSlackSeconds = 0.02;
 
 double pair_distance_m(const ScenarioTag& tag, const ScenePosition& tag_at,
                        const ScenePosition& rx_at) {
@@ -49,25 +33,6 @@ double pair_distance_m(const ScenarioTag& tag, const ScenePosition& tag_at,
   return std::max(1e-3, std::hypot(tag_at.x_m - rx_at.x_m,
                                    tag_at.y_m - rx_at.y_m));
 }
-
-/// Per-tag rendering state for one engine run.
-struct TagState {
-  dsp::rvec baseband;           // FM_back at the MPX rate, padded
-  std::size_t active_begin = 0;  // switch-on window, MPX samples
-  std::size_t active_end = 0;
-  std::vector<std::uint8_t> bits;  // empty for custom-baseband and RDS tags
-  std::vector<unsigned char> rds_bits;  // serialized groups of an RDS tag
-  double burst_start_seconds = 0.0;
-  double burst_seconds = 0.0;  // payload on-air time (0 for custom tags)
-  bool transmitted = true;     // false: the MAC never let the burst out
-  std::unique_ptr<tag::SubcarrierGenerator> subcarrier;
-  std::unique_ptr<channel::FadingProcess> fading;
-  /// Root of the tag's fading streams. Single-segment runs construct one
-  /// process from it directly (the historical, bit-identical path);
-  /// segmented runs re-derive a stream per segment in the block loop.
-  std::uint64_t fading_seed = 0;
-  std::size_t fading_segment = static_cast<std::size_t>(-1);
-};
 
 }  // namespace
 
@@ -757,420 +722,57 @@ ScenePruning resolve_scene_pruning(const Scenario& sc, const ScenarioPlan& plan,
 }
 
 ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
-  // Everything decided before a sample exists — validation, timeline,
-  // geometry, station selection, the MAC schedule, the link tables — lives
-  // in the shared pre-render plan; this engine adds the signal level:
-  // synthesis, superposition, demodulation.
+  // Everything decided before a sample exists lives in the shared pre-render
+  // plan, and the shared renderer turns it into per-receiver IQ; this engine
+  // keeps each receiver's whole-run capture and decodes it in one shot.
   const ScenarioPlan plan = resolve_scenario_plan(sc);
-  const double total_seconds = plan.total_seconds;
-  const std::size_t num_segments = plan.num_segments;
-  const bool multi = plan.multi;
-  const std::size_t num_stations = plan.num_stations;
-  const std::vector<double>& station_offset = plan.station_offset;
-  const std::vector<std::vector<int>>& sel = plan.selected_station;
-  const std::size_t blocks_per_segment =
-      plan.segment_seconds > 0.0
-          ? static_cast<std::size_t>(
-                std::llround(plan.segment_seconds / kBlockSeconds))
-          : 0;
-
+  SceneRenderer scene(sc, plan, config_.scene_rendering, std::nullopt);
   ScenarioResult result;
-  // Pin every scene render for the duration of the run: a scene wider than
-  // the cache capacity must not thrash/evict its own stations mid-run. Each
-  // needed station is rendered ONCE for the whole run and reused across
-  // every timeline segment — segmentation changes geometry, never the
-  // broadcast. Station 0 (the scene center, the legacy `station` field) is
-  // rendered up front; the rest render lazily once demand-driven pruning
-  // below knows which ones any receiver can actually hear.
-  fm::StationCache::SceneScope scope(fm::StationCache::instance());
-  result.station_renders.assign(num_stations, nullptr);
-  result.station_renders[0] = scope.render(
-      multi ? sc.stations[0].config : sc.station, units::Seconds{total_seconds});
-  result.station = result.station_renders[0];
-  const std::size_t station_len = result.station->iq.size();
-  const std::size_t padded =
-      (station_len + kBlockMpx - 1) / kBlockMpx * kBlockMpx;
+  scene.report(result);
 
-  result.selected_station = sel[0];
-  result.segments.resize(num_segments);
-  for (std::size_t k = 0; k < num_segments; ++k) {
-    const auto [s0, s1] = plan.segment_bounds(k);
-    result.segments[k].start_seconds = s0;
-    result.segments[k].end_seconds = s1;
-    result.segments[k].selected_station = sel[k];
-  }
-
-  // ---- Per-tag state: generators, payload bits, burst waveforms. -----------
-  std::vector<TagState> tags(sc.tags.size());
-  for (std::size_t i = 0; i < sc.tags.size(); ++i) {
-    const ScenarioTag& t = sc.tags[i];
-    const ScenarioTagPlan& tp = plan.tags[i];
-    TagState& st = tags[i];
-    st.subcarrier = std::make_unique<tag::SubcarrierGenerator>(t.subcarrier);
-    if (t.fading) {
-      st.fading_seed = tp.fading_seed;
-      // A single-segment run streams one process seeded exactly as the
-      // historical engine did (bit-identical); segmented runs re-derive the
-      // stream per segment inside the block loop, so segment geometry
-      // changes actually decorrelate the fade instead of riding one
-      // coherent realization across the whole walk.
-      if (num_segments == 1) {
-        st.fading = std::make_unique<channel::FadingProcess>(
-            *t.fading, fm::kRfRate, st.fading_seed);
-      }
-    }
-    if (tp.custom_baseband) {
-      st.baseband = t.custom_baseband;
-      st.baseband.resize(padded, 0.0F);
-      st.active_begin = 0;
-      st.active_end = padded;
-      continue;
-    }
-    st.burst_seconds = tp.burst_seconds;
-    if (tp.rds) {
-      st.rds_bits = tp.rds_bits;
-      continue;
-    }
-    st.bits = tag::random_bits(t.num_bits, tp.content_seed);
-  }
-
-  // ---- Demand-driven scene pruning (shared with the streaming engine). -----
-  const ScenePruning pruning =
-      resolve_scene_pruning(sc, plan, config_.scene_rendering);
-  const std::vector<char>& station_needed = pruning.station_needed;
-  const std::vector<char>& tag_needed = pruning.tag_needed;
-  for (std::size_t s = 1; s < num_stations; ++s) {
-    if (!station_needed[s]) continue;
-    result.station_renders[s] =
-        scope.render(sc.stations[s].config, units::Seconds{total_seconds});
-    if (result.station_renders[s]->iq.size() != station_len) {
-      throw std::logic_error("ScenarioEngine: station render length mismatch");
-    }
-  }
-  result.scene.stations_total = num_stations;
-  result.scene.tags_total = sc.tags.size();
-  for (std::size_t s = 0; s < num_stations; ++s) {
-    result.scene.stations_rendered += station_needed[s] ? 1U : 0U;
-  }
-  for (std::size_t t = 0; t < sc.tags.size(); ++t) {
-    result.scene.tags_rendered += tag_needed[t] ? 1U : 0U;
-  }
-
-  // ---- Compose each transmitted burst's baseband at its resolved start. ----
-  result.mac.resize(sc.tags.size());
-  for (std::size_t i = 0; i < sc.tags.size(); ++i) {
-    const ScenarioTag& t = sc.tags[i];
-    const ScenarioTagPlan& tp = plan.tags[i];
-    TagState& st = tags[i];
-    if (tp.custom_baseband) continue;  // always on; default MAC report
-    result.mac[i].transmitted = tp.transmitted;
-    result.mac[i].deferrals = tp.deferrals;
-    result.mac[i].start_seconds = tp.start_seconds;
-    result.mac[i].last_sensed_dbm = tp.last_sensed_dbm;
-    st.transmitted = tp.transmitted;
-    if (!tp.transmitted) {
-      st.active_begin = 0;
-      st.active_end = 0;  // the switch never turns on: no reflection at all
-      continue;
-    }
-    st.burst_start_seconds = tp.start_seconds;
-    if (!tag_needed[i]) {
-      // No receiver can hear this tag's channel: the MAC outcome above is
-      // still reported, but the burst waveform itself is never composed.
-      st.active_begin = 0;
-      st.active_end = 0;
-      continue;
-    }
-    if (!st.rds_bits.empty()) {
-      // RDS burst: generated directly at the MPX rate and dropped into the
-      // burst window (the biphase/BPSK waveform needs no audio-rate stage).
-      const auto nsamp = static_cast<std::size_t>(
-          std::ceil(st.burst_seconds * fm::kMpxRate));
-      const dsp::rvec wave =
-          tag::compose_rds_baseband(st.rds_bits, nsamp, t.rds_level);
-      st.baseband.assign(padded, 0.0F);
-      const auto s0 = static_cast<std::size_t>(st.burst_start_seconds *
-                                               fm::kMpxRate);
-      const std::size_t n =
-          std::min(wave.size(), s0 < padded ? padded - s0 : 0);
-      std::copy(wave.begin(),
-                wave.begin() + static_cast<std::ptrdiff_t>(n),
-                st.baseband.begin() + static_cast<std::ptrdiff_t>(s0));
-    } else {
-      const audio::MonoBuffer lead_in =
-          audio::make_silence(st.burst_start_seconds, fm::kAudioRate);
-      st.baseband = tag::compose_overlay_baseband(
-          audio::concat(lead_in,
-                        tag::modulate_fsk(st.bits, t.rate, fm::kAudioRate)),
-          t.level, fm::kMpxRate);
-      st.baseband.resize(padded, 0.0F);
-    }
-    st.active_begin = static_cast<std::size_t>(
-        std::max(0.0, st.burst_start_seconds - kBurstGuardSeconds) * fm::kMpxRate);
-    st.active_end = std::min(
-        padded, static_cast<std::size_t>(
-                    (st.burst_start_seconds + st.burst_seconds +
-                     kBurstGuardSeconds) *
-                    fm::kMpxRate));
-  }
-
-  // ---- Per-station and per-receiver front ends. ----------------------------
-  // Streaming state (interpolators, mixers, noise, tuners) is never reset at
-  // a segment boundary — only the geometry scalars switch.
-  const auto up_factor = static_cast<std::size_t>(fm::kMpxToRfFactor);
-  const std::vector<float> up_taps = dsp::fir_design_lowpass(
-      (16 * up_factor) | 1U, 0.45 / static_cast<double>(up_factor));
-  std::vector<std::optional<dsp::FirInterpolator<dsp::cfloat>>> upsamplers(
-      num_stations);
-  std::vector<std::optional<dsp::Mixer>> mixers(num_stations);
-  for (std::size_t s = 0; s < num_stations; ++s) {
-    if (!station_needed[s]) continue;  // never enters the scene
-    upsamplers[s].emplace(up_taps, up_factor);
-    if (station_offset[s] != 0.0) {
-      mixers[s].emplace(station_offset[s], fm::kRfRate);
-    }
-  }
-  std::vector<channel::AwgnSource> noise;
-  std::vector<rx::Tuner> tuners;
-  noise.reserve(sc.receivers.size());
-  tuners.reserve(sc.receivers.size());
   std::vector<dsp::cvec> iq(sc.receivers.size());
-  for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-    const ScenarioReceiver& rx = sc.receivers[r];
-    rx::TunerConfig tuner_cfg;
-    tuner_cfg.offset_hz = rx.tune_offset.raw();
-    tuners.emplace_back(tuner_cfg);
-    // Receiver noise is drawn at the tuned MPX rate and added after the
-    // channel filter (equivalent-baseband model), colored by the filter's
-    // aliased response: the same in-channel noise as drawing it at the RF
-    // rate ahead of the tuner, at a tenth of the Gaussian draws.
-    noise.emplace_back(receiver_noise_floor(rx),
-                       units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
-                       plan.receiver_noise_seed[r],
-                       tuners.back().noise_shaping_taps());
-    iq[r].reserve(padded);
-  }
-
-  // ---- The shared RF scene, block by block. --------------------------------
-  // Full blocks stream as spans straight out of the cached renders (shared,
-  // read-only — no per-station copies); only the final partial block is
-  // staged into one shared scratch, reused arena-style across stations. The
-  // tail past the render holds the final sample: the FM carrier continues at
-  // its last phase (the discriminator sees silence), where the old padded
-  // copies snapped to the unrelated constant (1, 0) and clicked at the seam.
-  std::vector<dsp::cvec> st_rf(num_stations);
-  std::vector<dsp::cvec> reflected(sc.tags.size());
-  std::vector<char> tag_active(sc.tags.size(), 0);
-  dsp::cvec scratch;
-  if (padded != station_len) scratch.resize(kBlockMpx);
-  result.scene.scene_scratch_bytes = scratch.size() * sizeof(dsp::cfloat);
-  dsp::cvec rf;
-  std::size_t block_index = 0;
-  for (std::size_t start = 0; start < padded; start += kBlockMpx, ++block_index) {
-    // The segment owning this block (blocks past the nominal end — padding —
-    // stay on the last segment's geometry).
-    const std::size_t seg =
-        num_segments == 1
-            ? 0
-            : std::min(num_segments - 1, block_index / blocks_per_segment);
-    for (std::size_t s = 0; s < num_stations; ++s) {
-      if (!station_needed[s]) continue;
-      const dsp::cvec& src = result.station_renders[s]->iq;
-      std::span<const dsp::cfloat> st_block(scratch);
-      if (start + kBlockMpx <= station_len) {
-        st_block = std::span<const dsp::cfloat>(src.data() + start, kBlockMpx);
-      } else {
-        // The last block is partial: stage the remaining render samples and
-        // hold the final one through the pad.
-        const std::size_t have = station_len - start;
-        std::copy(src.begin() + static_cast<std::ptrdiff_t>(start), src.end(),
-                  scratch.begin());
-        std::fill(scratch.begin() + static_cast<std::ptrdiff_t>(have),
-                  scratch.end(), src.back());
-      }
-      st_rf[s] = upsamplers[s]->process(st_block);
-      if (mixers[s]) mixers[s]->process_inplace(st_rf[s]);
-    }
-
-    for (std::size_t t = 0; t < tags.size(); ++t) {
-      TagState& st = tags[t];
-      if (!tag_needed[t]) continue;  // stays zero in tag_active
-      tag_active[t] =
-          start < st.active_end && start + kBlockMpx > st.active_begin;
-      if (!tag_active[t]) continue;
-      const std::span<const float> bb_block(st.baseband.data() + start, kBlockMpx);
-      const dsp::cvec& incident =
-          st_rf[static_cast<std::size_t>(sel[seg][t])];
-      dsp::cvec& b = reflected[t];
-      b = st.subcarrier->process(bb_block);
-      // reflected = B(t) x incident (the tag's selected station in this
-      // segment — a handoff moves the reflection to the new station's
-      // carrier), with motion fading on the tag path.
-      for (std::size_t i = 0; i < incident.size(); ++i) b[i] *= incident[i];
-      if (sc.tags[t].fading) {
-        if (num_segments > 1 && st.fading_segment != seg) {
-          // Segmented timelines re-derive the fading stream per segment
-          // (derive_seed(fseed, segment)): the walk's geometry change is
-          // what decorrelates the fade — one process streaming across the
-          // whole run would keep a long walk on a single coherent fade.
-          st.fading = std::make_unique<channel::FadingProcess>(
-              *sc.tags[t].fading, fm::kRfRate,
-              derive_seed(st.fading_seed, seg));
-          st.fading_segment = seg;
-        }
-        st.fading->apply(b);
-      }
-      // The switch is off outside the burst window: no reflection at all.
-      const std::size_t lo =
-          st.active_begin > start ? (st.active_begin - start) * up_factor : 0;
-      const std::size_t hi = st.active_end < start + kBlockMpx
-                                 ? (st.active_end - start) * up_factor
-                                 : b.size();
-      std::fill(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(lo),
-                dsp::cfloat(0.0F, 0.0F));
-      std::fill(b.begin() + static_cast<std::ptrdiff_t>(hi), b.end(),
-                dsp::cfloat(0.0F, 0.0F));
-    }
-
-    rf.resize(st_rf[0].size());
-    for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-      channel::scale_into(rf, st_rf[0], plan.g_direct[seg][r][0]);
-      for (std::size_t s = 1; s < num_stations; ++s) {
-        if (!station_needed[s]) continue;
-        channel::accumulate_scaled(rf, st_rf[s], plan.g_direct[seg][r][s]);
-      }
-      for (std::size_t t = 0; t < tags.size(); ++t) {
-        if (!tag_active[t]) continue;
-        channel::accumulate_scaled(rf, reflected[t], plan.g_back[seg][r][t]);
-      }
-      dsp::cvec tuned = tuners[r].process(rf);
-      noise[r].add_to(tuned);
-      iq[r].insert(iq[r].end(), tuned.begin(), tuned.end());
+  for (dsp::cvec& v : iq) v.reserve(scene.padded_samples());
+  std::vector<dsp::cvec> block;
+  for (std::size_t b = 0; b < scene.num_blocks(); ++b) {
+    scene.render_block(b, block);
+    for (std::size_t r = 0; r < iq.size(); ++r) {
+      iq[r].insert(iq[r].end(), block[r].begin(), block[r].end());
     }
   }
 
-  // ---- Demodulation and per-tag routing. -----------------------------------
+  // ---- Demodulation of every routed burst. ---------------------------------
   result.receivers.resize(sc.receivers.size());
-  std::vector<TagLinkReport> best(sc.tags.size());
-  std::vector<char> heard(sc.tags.size(), 0);
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
     const ScenarioReceiver& rx = sc.receivers[r];
+    const ReceiverRoute& route = scene.routes()[r];
     fm::ReceiverConfig rx_cfg;
     rx_cfg.stereo = rx.stereo_decoder;
     ReceiverCapture capture = finish_receiver_capture(
         fm::receive_fm(iq[r], rx_cfg), rx.kind, rx.phone, rx.cabin);
 
     ScenarioReceiverResult& rr = result.receivers[r];
-    std::vector<std::size_t> routed;  // tag index per burst, demod order
-    std::vector<std::size_t> routed_seg;  // segment owning each burst
     std::vector<rx::BurstSpec> bursts;
-    for (std::size_t t = 0; t < sc.tags.size(); ++t) {
-      const ScenarioTag& tcfg = sc.tags[t];
-      if (tags[t].bits.empty()) continue;  // custom baseband: no BER to score
-      if (!tags[t].transmitted) continue;  // the MAC kept this burst silent
-      // The burst lives on the channel of the station its tag reflected
-      // while on the air: route by the segment holding the burst midpoint.
-      const std::size_t burst_seg = plan.segment_of_time(
-          tags[t].burst_start_seconds + 0.5 * tags[t].burst_seconds);
-      if (!tag_audible_at(
-              tcfg,
-              units::Hertz{
-                  station_offset[static_cast<std::size_t>(sel[burst_seg][t])]},
-              rx.tune_offset)) {
-        continue;
-      }
-      rx::BurstSpec burst;
-      burst.rate = tcfg.rate;
-      burst.bits = tags[t].bits;
-      burst.start_seconds = tags[t].burst_start_seconds;
-      burst.packet_bits = tcfg.packet_bits;
-      routed.push_back(t);
-      routed_seg.push_back(burst_seg);
-      bursts.push_back(std::move(burst));
-    }
+    bursts.reserve(route.fsk.size());
+    for (const RoutedFsk& f : route.fsk) bursts.push_back(f.burst);
     const std::vector<rx::BurstReport> reports =
         rx::demodulate_bursts(capture.mono, bursts);
     for (std::size_t b = 0; b < reports.size(); ++b) {
-      const std::size_t t = routed[b];
-      TagLinkReport link;
-      link.tag_index = t;
-      link.receiver_index = r;
-      link.burst = reports[b];
-      link.backscatter_rx_power_dbm = plan.rx_power_dbm[routed_seg[b]][r][t];
-      link.goodput_bps = static_cast<double>(link.burst.bits_delivered) /
-                         sc.duration.raw();
-      if (!heard[t] || link.burst.ber.ber < best[t].burst.ber.ber) {
-        best[t] = link;
-        heard[t] = 1;
-      }
-      rr.links.push_back(std::move(link));
+      rr.links.push_back(
+          fsk_link_report(sc, plan, r, route.fsk[b], reports[b]));
     }
-
-    // RDS tag links: each audible RadioText burst is decoded out of this
-    // receiver's post-demod MPX over its on-air window only (so the
-    // reflected station's continuous RDS outside the burst cannot steal
-    // carrier/timing lock). BLER plays the role FSK BER plays in best-link
-    // selection, and goodput counts the info bits of clean blocks.
-    for (std::size_t t = 0; t < sc.tags.size(); ++t) {
-      const TagState& st = tags[t];
-      if (st.rds_bits.empty() || !st.transmitted) continue;
-      const std::size_t burst_seg = plan.segment_of_time(
-          st.burst_start_seconds + 0.5 * st.burst_seconds);
-      if (!tag_audible_at(
-              sc.tags[t],
-              units::Hertz{
-                  station_offset[static_cast<std::size_t>(sel[burst_seg][t])]},
-              rx.tune_offset)) {
-        continue;
-      }
-      TagLinkReport link;
-      link.tag_index = t;
-      link.receiver_index = r;
-      link.rds = rx::decode_rds_link(
-          capture.fm.mpx, fm::kMpxRate, st.burst_start_seconds,
-          st.burst_seconds + kRdsDecodeSlackSeconds);
-      link.burst.ber.ber = link.rds->bler;
-      link.burst.bits_delivered = link.rds->blocks_ok * 16;
-      link.backscatter_rx_power_dbm = plan.rx_power_dbm[burst_seg][r][t];
-      link.goodput_bps = static_cast<double>(link.burst.bits_delivered) /
-                         sc.duration.raw();
-      if (!heard[t] || link.burst.ber.ber < best[t].burst.ber.ber) {
-        best[t] = link;
-        heard[t] = 1;
-      }
-      rr.links.push_back(std::move(link));
+    for (const RoutedRds& d : route.rds) {
+      rr.links.push_back(rds_link_report(
+          sc, plan, r, d,
+          rx::decode_rds_link(capture.fm.mpx, fm::kMpxRate, d.start_seconds,
+                              d.window_seconds)));
     }
-
-    // The tuned channel's own broadcast RDS: the scene-station PS name any
-    // unmodified RDS radio parked on this channel displays.
-    const fm::StationConfig* tuned_station = nullptr;
-    if (multi) {
-      for (std::size_t s = 0; s < num_stations; ++s) {
-        if (std::abs(station_offset[s] - rx.tune_offset.raw()) < 1.0) {
-          tuned_station = &sc.stations[s].config;
-          break;
-        }
-      }
-    } else if (std::abs(rx.tune_offset.raw()) < 1.0) {
-      tuned_station = &sc.station;
-    }
-    if (tuned_station != nullptr && tuned_station->rds_level > 0.0) {
+    if (route.station_rds) {
       rr.station_rds = rx::decode_rds_link(capture.fm.mpx, fm::kMpxRate);
     }
     if (config_.keep_captures) rr.capture = std::move(capture);
   }
-  for (std::size_t t = 0; t < sc.tags.size(); ++t) {
-    if (!heard[t]) continue;
-    result.aggregate_goodput_bps += best[t].goodput_bps;
-    result.best_per_tag.push_back(best[t]);
-  }
+  assemble_best_links(result, sc.tags.size());
   return result;
-}
-
-std::vector<ScenarioResult> ScenarioEngine::run_many(
-    SweepRunner& runner, const std::vector<Scenario>& scenarios) const {
-  return runner.map(scenarios,
-                    [this](const Scenario& sc) { return run(sc); });
 }
 
 void apply_scenario_seed_policy(Scenario& scenario, std::size_t index,

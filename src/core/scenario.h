@@ -473,10 +473,14 @@ struct ScenarioEngineConfig {
   SceneRendering scene_rendering = SceneRendering::kSparse;
 };
 
-/// Renders and decodes scenarios. Stateless between runs; one shared station
-/// render per (StationConfig, duration) via fm::StationCache, pinned for the
-/// run through a StationCache::SceneScope so multi-station scenes never
-/// evict their own renders.
+/// Renders and decodes scenarios in one shot. The shared block renderer
+/// (core/scene_render.h, also behind StreamingEngine) produces each
+/// receiver's tuned IQ block by block; this engine appends the blocks to a
+/// whole-run capture per receiver and decodes every routed burst from it.
+/// Stateless between runs; one shared station render per (StationConfig,
+/// duration) via fm::StationCache, pinned for the run so multi-station
+/// scenes never evict their own renders. For many scenarios, use
+/// run_scenario_sweep (it applies the sweep seed policy).
 class ScenarioEngine {
  public:
   explicit ScenarioEngine(ScenarioEngineConfig config = {}) : config_(config) {}
@@ -487,12 +491,6 @@ class ScenarioEngine {
   /// scenario (no receivers, burst past the end, bad rates, station offsets
   /// outside the scene).
   ScenarioResult run(const Scenario& scenario) const;
-
-  /// Runs many scenarios across a SweepRunner pool. Ordered and
-  /// bit-identical at any thread count: each scenario carries its own seeds
-  /// and the engine shares nothing mutable across runs.
-  std::vector<ScenarioResult> run_many(SweepRunner& runner,
-                                       const std::vector<Scenario>& scenarios) const;
 
  private:
   ScenarioEngineConfig config_;

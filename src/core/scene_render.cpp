@@ -1,0 +1,426 @@
+#include "core/scene_render.h"
+
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
+
+#include "channel/superpose.h"
+#include "tag/baseband.h"
+
+namespace fmbs::core {
+
+TagLinkReport fsk_link_report(const Scenario& sc, const ScenarioPlan& plan,
+                              std::size_t receiver, const RoutedFsk& route,
+                              const rx::BurstReport& report) {
+  TagLinkReport link;
+  link.tag_index = route.tag;
+  link.receiver_index = receiver;
+  link.burst = report;
+  link.backscatter_rx_power_dbm =
+      plan.rx_power_dbm[route.seg][receiver][route.tag];
+  link.goodput_bps =
+      static_cast<double>(link.burst.bits_delivered) / sc.duration.raw();
+  return link;
+}
+
+TagLinkReport rds_link_report(const Scenario& sc, const ScenarioPlan& plan,
+                              std::size_t receiver, const RoutedRds& route,
+                              const rx::RdsLinkReport& report) {
+  TagLinkReport link;
+  link.tag_index = route.tag;
+  link.receiver_index = receiver;
+  link.rds = report;
+  link.burst.ber.ber = report.bler;
+  link.burst.bits_delivered = report.blocks_ok * 16;
+  link.backscatter_rx_power_dbm =
+      plan.rx_power_dbm[route.seg][receiver][route.tag];
+  link.goodput_bps =
+      static_cast<double>(link.burst.bits_delivered) / sc.duration.raw();
+  return link;
+}
+
+void assemble_best_links(ScenarioResult& result, std::size_t num_tags) {
+  std::vector<TagLinkReport> best(num_tags);
+  std::vector<char> heard(num_tags, 0);
+  for (const ScenarioReceiverResult& rr : result.receivers) {
+    for (const TagLinkReport& link : rr.links) {
+      const std::size_t t = link.tag_index;
+      if (!heard[t] || link.burst.ber.ber < best[t].burst.ber.ber) {
+        best[t] = link;
+        heard[t] = 1;
+      }
+    }
+  }
+  for (std::size_t t = 0; t < num_tags; ++t) {
+    if (!heard[t]) continue;
+    result.aggregate_goodput_bps += best[t].goodput_bps;
+    result.best_per_tag.push_back(best[t]);
+  }
+}
+
+SceneRenderer::SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
+                             SceneRendering mode,
+                             std::optional<units::Seconds> station_horizon)
+    : sc_(sc),
+      plan_(plan),
+      pruning_(resolve_scene_pruning(sc, plan, mode)),
+      loop_mode_(station_horizon &&
+                 plan.total_seconds > station_horizon->raw()),
+      blocks_per_segment_(
+          plan.segment_seconds > 0.0
+              ? static_cast<std::size_t>(
+                    std::llround(plan.segment_seconds / kBlockSeconds))
+              : 0),
+      scope_(fm::StationCache::instance()) {
+  const std::size_t num_stations = plan.num_stations;
+  auto station_config = [&](std::size_t s) -> const fm::StationConfig& {
+    return plan.multi ? sc.stations[s].config : sc.station;
+  };
+
+  // ---- Stations: renders and front ends. ----------------------------------
+  // Renders stay pinned for the renderer's lifetime: every block re-reads
+  // them, so mid-run eviction would be a use-after-free, not just a cache
+  // miss. Each needed station renders ONCE and is reused across every
+  // timeline segment (segmentation changes geometry, never the broadcast),
+  // and its upsampler and mixer are never reset at segment boundaries.
+  // Station 0, the scene center, is always needed.
+  const units::Seconds render_seconds =
+      loop_mode_ ? *station_horizon : units::Seconds{plan.total_seconds};
+  const auto up_factor = static_cast<std::size_t>(fm::kMpxToRfFactor);
+  const std::vector<float> up_taps = dsp::fir_design_lowpass(
+      (16 * up_factor) | 1U, 0.45 / static_cast<double>(up_factor));
+  stations_.resize(num_stations);
+  for (std::size_t s = 0; s < num_stations; ++s) {
+    if (!pruning_.station_needed[s]) continue;  // never enters the scene
+    StationSource& src = stations_[s];
+    src.render = scope_.render(station_config(s), render_seconds);
+    if (src.render->iq.size() != stations_[0].render->iq.size()) {
+      throw std::logic_error("SceneRenderer: station render length mismatch");
+    }
+    src.up.emplace(up_taps, up_factor);
+    if (plan.station_offset[s] != 0.0) {
+      src.mixer.emplace(plan.station_offset[s], fm::kRfRate);
+    }
+    if (loop_mode_) {
+      src.loop_mod.emplace(station_config(s).deviation, fm::kMpxRate);
+    }
+  }
+  content_len_ = stations_[0].render->iq.size();
+  const std::size_t run_len =
+      loop_mode_
+          ? static_cast<std::size_t>(plan.total_seconds * fm::kMpxRate + 0.5)
+          : content_len_;
+  num_blocks_ = (run_len + kBlockMpx - 1) / kBlockMpx;
+  const std::size_t padded = padded_samples();
+  if (loop_mode_) {
+    loop_mpx_.resize(kBlockMpx);
+  } else if (padded != content_len_) {
+    scratch_.resize(kBlockMpx);
+  }
+
+  // ---- Per-tag state and compact burst waveforms. --------------------------
+  tag_bb_.resize(kBlockMpx);
+  tags_.resize(sc.tags.size());
+  std::vector<std::vector<std::uint8_t>> bits(sc.tags.size());
+  for (std::size_t i = 0; i < sc.tags.size(); ++i) {
+    const ScenarioTag& t = sc.tags[i];
+    const ScenarioTagPlan& tp = plan.tags[i];
+    TagSource& st = tags_[i];
+    st.subcarrier = std::make_unique<tag::SubcarrierGenerator>(t.subcarrier);
+    // A single-segment run streams one fading process from the tag's seed;
+    // segmented runs re-derive the stream per segment in render_block, so
+    // segment geometry changes actually decorrelate the fade instead of
+    // riding one coherent realization across the whole walk.
+    if (t.fading && plan.num_segments == 1) {
+      st.fading = std::make_unique<channel::FadingProcess>(
+          *t.fading, fm::kRfRate, tp.fading_seed);
+    }
+    if (tp.custom_baseband) {
+      // Always on; the block stager zero-fills past the baseband's end.
+      st.custom = &t.custom_baseband;
+      st.active_end = padded;
+      continue;
+    }
+    if (!tp.rds) bits[i] = tag::random_bits(t.num_bits, tp.content_seed);
+    // A burst the MAC kept silent, or one no receiver can hear, never
+    // switches on: its waveform is never composed.
+    if (!tp.transmitted || !pruning_.tag_needed[i]) continue;
+    if (tp.rds) {
+      // Generated directly at the MPX rate (the biphase/BPSK waveform needs
+      // no audio-rate stage).
+      const auto nsamp =
+          static_cast<std::size_t>(std::ceil(tp.burst_seconds * fm::kMpxRate));
+      st.wave = tag::compose_rds_baseband(tp.rds_bits, nsamp, t.rds_level);
+      st.wave_begin = static_cast<std::size_t>(tp.start_seconds * fm::kMpxRate);
+    } else {
+      // Composing silence(start) ++ fsk through the overlay interpolator
+      // maps the silent prefix to an exact zero prefix (zero filter state),
+      // so composing the payload alone and offsetting it reproduces the
+      // padded baseband bit for bit at O(burst) memory.
+      const auto lead =
+          static_cast<std::size_t>(tp.start_seconds * fm::kAudioRate + 0.5);
+      st.wave = tag::compose_overlay_baseband(
+          tag::modulate_fsk(bits[i], t.rate, fm::kAudioRate), t.level,
+          fm::kMpxRate);
+      st.wave_begin =
+          lead * static_cast<std::size_t>(fm::kMpxRate / fm::kAudioRate);
+    }
+    st.active_begin = static_cast<std::size_t>(
+        std::max(0.0, tp.start_seconds - kBurstGuardSeconds) * fm::kMpxRate);
+    st.active_end = std::min(
+        padded, static_cast<std::size_t>((tp.start_seconds + tp.burst_seconds +
+                                          kBurstGuardSeconds) *
+                                         fm::kMpxRate));
+  }
+
+  // ---- Per-receiver front ends and routing. --------------------------------
+  tuners_.reserve(sc.receivers.size());
+  noise_.reserve(sc.receivers.size());
+  routes_.resize(sc.receivers.size());
+  for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
+    const ScenarioReceiver& rx = sc.receivers[r];
+    rx::TunerConfig tuner_cfg;
+    tuner_cfg.offset_hz = rx.tune_offset.raw();
+    tuners_.emplace_back(tuner_cfg);
+    // Receiver noise is drawn at the tuned MPX rate and added after the
+    // channel filter (equivalent-baseband model), colored by the filter's
+    // aliased response: the same in-channel noise as drawing it at the RF
+    // rate ahead of the tuner, at a tenth of the Gaussian draws.
+    noise_.emplace_back(receiver_noise_floor(rx),
+                        units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
+                        plan.receiver_noise_seed[r],
+                        tuners_.back().noise_shaping_taps());
+
+    // A burst lives on the channel of the station its tag reflected while on
+    // the air: route by the segment holding the burst midpoint.
+    ReceiverRoute& route = routes_[r];
+    for (std::size_t t = 0; t < sc.tags.size(); ++t) {
+      const ScenarioTagPlan& tp = plan.tags[t];
+      if (tp.custom_baseband || !tp.transmitted) continue;  // no BER to score
+      const std::size_t seg =
+          plan.segment_of_time(tp.start_seconds + 0.5 * tp.burst_seconds);
+      const int station = plan.selected_station[seg][t];
+      const units::Hertz station_offset{
+          plan.station_offset[static_cast<std::size_t>(station)]};
+      if (!tag_audible_at(sc.tags[t], station_offset, rx.tune_offset)) {
+        continue;
+      }
+      if (tp.rds) {
+        route.rds.push_back(
+            RoutedRds{t, seg, tp.start_seconds,
+                      tp.burst_seconds + kRdsDecodeSlackSeconds});
+        continue;
+      }
+      rx::BurstSpec burst;
+      burst.rate = sc.tags[t].rate;
+      burst.bits = bits[t];
+      burst.start_seconds = tp.start_seconds;
+      burst.packet_bits = sc.tags[t].packet_bits;
+      route.fsk.push_back(RoutedFsk{t, seg, std::move(burst)});
+    }
+    // The tuned channel's own broadcast RDS.
+    for (std::size_t s = 0; s < num_stations; ++s) {
+      if (std::abs(plan.station_offset[s] - rx.tune_offset.raw()) < 1.0) {
+        route.station_rds = station_config(s).rds_level > 0.0;
+        break;
+      }
+    }
+  }
+}
+
+void SceneRenderer::report(ScenarioResult& result) const {
+  result.station_renders.resize(stations_.size());
+  for (std::size_t s = 0; s < stations_.size(); ++s) {
+    result.station_renders[s] = stations_[s].render;
+  }
+  result.station = stations_[0].render;
+  result.selected_station = plan_.selected_station[0];
+  result.segments.resize(plan_.num_segments);
+  for (std::size_t k = 0; k < plan_.num_segments; ++k) {
+    const auto [s0, s1] = plan_.segment_bounds(k);
+    result.segments[k].start_seconds = s0;
+    result.segments[k].end_seconds = s1;
+    result.segments[k].selected_station = plan_.selected_station[k];
+  }
+  result.mac.resize(sc_.tags.size());
+  for (std::size_t i = 0; i < sc_.tags.size(); ++i) {
+    const ScenarioTagPlan& tp = plan_.tags[i];
+    if (tp.custom_baseband) continue;  // always on; default MAC report
+    result.mac[i].transmitted = tp.transmitted;
+    result.mac[i].deferrals = tp.deferrals;
+    result.mac[i].start_seconds = tp.start_seconds;
+    result.mac[i].last_sensed_dbm = tp.last_sensed_dbm;
+  }
+  result.scene.stations_total = plan_.num_stations;
+  result.scene.tags_total = sc_.tags.size();
+  for (const char needed : pruning_.station_needed) {
+    result.scene.stations_rendered += needed ? 1U : 0U;
+  }
+  for (const char needed : pruning_.tag_needed) {
+    result.scene.tags_rendered += needed ? 1U : 0U;
+  }
+  result.scene.scene_scratch_bytes = scratch_.size() * sizeof(dsp::cfloat);
+}
+
+std::size_t SceneRenderer::buffer_bytes() const {
+  std::size_t bytes = kBlockRf * sizeof(dsp::cfloat);  // RF compose
+  bytes += kBlockMpx * sizeof(float);                  // tag baseband staging
+  for (const StationSource& src : stations_) {
+    if (!src.render) continue;
+    bytes += kBlockRf * sizeof(dsp::cfloat);  // src.rf
+    if (loop_mode_) {
+      bytes += src.render->mpx.size() * sizeof(float);
+      bytes += src.render->iq.size() * sizeof(dsp::cfloat);
+      bytes += kBlockMpx * sizeof(dsp::cfloat);  // re-modulated block
+    }
+  }
+  bytes += loop_mpx_.size() * sizeof(float);
+  // A tag's reflected block lives only across its active blocks, so charge
+  // the worst-case number of *simultaneously* active tags, not the tag
+  // count: a long run of staggered bursts buffers like a single burst.
+  std::vector<std::pair<std::size_t, int>> active_edges;
+  for (std::size_t t = 0; t < tags_.size(); ++t) {
+    const TagSource& st = tags_[t];
+    if (!pruning_.tag_needed[t] || st.active_end <= st.active_begin) continue;
+    active_edges.emplace_back(st.active_begin / kBlockMpx, +1);
+    active_edges.emplace_back((st.active_end + kBlockMpx - 1) / kBlockMpx, -1);
+  }
+  std::sort(active_edges.begin(), active_edges.end());
+  std::ptrdiff_t concurrent = 0;
+  std::ptrdiff_t peak_concurrent = 0;
+  for (const auto& [block, edge] : active_edges) {
+    concurrent += edge;
+    peak_concurrent = std::max(peak_concurrent, concurrent);
+  }
+  bytes += static_cast<std::size_t>(peak_concurrent) * kBlockRf *
+           sizeof(dsp::cfloat);
+  for (const TagSource& st : tags_) bytes += st.wave.size() * sizeof(float);
+  return bytes + scratch_.size() * sizeof(dsp::cfloat);
+}
+
+void SceneRenderer::render_block(std::size_t block_index,
+                                 std::vector<dsp::cvec>& out) {
+  const std::size_t start = block_index * kBlockMpx;
+  const auto up_factor = static_cast<std::size_t>(fm::kMpxToRfFactor);
+  // The segment owning this block (blocks past the nominal end — padding —
+  // stay on the last segment's geometry).
+  const std::size_t seg =
+      plan_.num_segments == 1
+          ? 0
+          : std::min(plan_.num_segments - 1, block_index / blocks_per_segment_);
+
+  // ---- Stations: upsample to the RF rate and mix onto the carrier. --------
+  for (StationSource& src : stations_) {
+    if (!src.render) continue;
+    std::span<const dsp::cfloat> st_block;
+    if (loop_mode_) {
+      // Cycle the horizon's MPX through the persistent modulator: the
+      // carrier phase rides straight across the content seam.
+      const dsp::rvec& mpx = src.render->mpx;
+      std::size_t pos = src.loop_pos;
+      for (std::size_t i = 0; i < kBlockMpx; ++i) {
+        loop_mpx_[i] = mpx[pos];
+        if (++pos == mpx.size()) pos = 0;
+      }
+      src.loop_pos = pos;
+      src.loop_iq = src.loop_mod->process(loop_mpx_);
+      st_block = std::span<const dsp::cfloat>(src.loop_iq);
+    } else if (start + kBlockMpx <= content_len_) {
+      // Full blocks stream as spans straight out of the shared, read-only
+      // cached render.
+      st_block = std::span<const dsp::cfloat>(src.render->iq.data() + start,
+                                              kBlockMpx);
+    } else {
+      // The last block is partial: stage the remaining render samples and
+      // hold the final one through the pad — the FM carrier continues at its
+      // last phase, so the discriminator sees silence, not a click.
+      const dsp::cvec& iq = src.render->iq;
+      std::copy(iq.begin() + static_cast<std::ptrdiff_t>(start), iq.end(),
+                scratch_.begin());
+      std::fill(scratch_.begin() +
+                    static_cast<std::ptrdiff_t>(content_len_ - start),
+                scratch_.end(), iq.back());
+      st_block = std::span<const dsp::cfloat>(scratch_);
+    }
+    src.rf = src.up->process(st_block);
+    if (src.mixer) src.mixer->process_inplace(src.rf);
+  }
+
+  // ---- Tags: reflected = B(t) x incident, switched by the burst window. ---
+  for (std::size_t t = 0; t < tags_.size(); ++t) {
+    TagSource& st = tags_[t];
+    if (!pruning_.tag_needed[t]) continue;  // never active
+    st.active = start < st.active_end && start + kBlockMpx > st.active_begin;
+    if (!st.active) {
+      if (!st.reflected.empty()) dsp::cvec().swap(st.reflected);
+      continue;
+    }
+    // Stage this block's slice of the baseband: the compact burst waveform
+    // (or the custom baseband) inside its range, zeros outside.
+    std::fill(tag_bb_.begin(), tag_bb_.end(), 0.0F);
+    const dsp::rvec& wave = st.custom != nullptr ? *st.custom : st.wave;
+    const std::size_t lo = std::max(start, st.wave_begin);
+    const std::size_t hi =
+        std::min(start + kBlockMpx, st.wave_begin + wave.size());
+    if (lo < hi) {
+      std::copy(wave.begin() + static_cast<std::ptrdiff_t>(lo - st.wave_begin),
+                wave.begin() + static_cast<std::ptrdiff_t>(hi - st.wave_begin),
+                tag_bb_.begin() + static_cast<std::ptrdiff_t>(lo - start));
+    }
+    // The tag reflects its selected station in this segment: a handoff moves
+    // the reflection to the new station's carrier.
+    const dsp::cvec& incident =
+        stations_[static_cast<std::size_t>(plan_.selected_station[seg][t])].rf;
+    dsp::cvec& b = st.reflected;
+    b = st.subcarrier->process(tag_bb_);
+    for (std::size_t i = 0; i < incident.size(); ++i) b[i] *= incident[i];
+    if (sc_.tags[t].fading) {
+      if (plan_.num_segments > 1 && st.fading_segment != seg) {
+        st.fading = std::make_unique<channel::FadingProcess>(
+            *sc_.tags[t].fading, fm::kRfRate,
+            derive_seed(plan_.tags[t].fading_seed, seg));
+        st.fading_segment = seg;
+      }
+      st.fading->apply(b);
+    }
+    // The switch is off outside the burst window: no reflection at all.
+    const std::size_t on =
+        st.active_begin > start ? (st.active_begin - start) * up_factor : 0;
+    const std::size_t off = st.active_end < start + kBlockMpx
+                                ? (st.active_end - start) * up_factor
+                                : b.size();
+    std::fill(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(on),
+              dsp::cfloat(0.0F, 0.0F));
+    std::fill(b.begin() + static_cast<std::ptrdiff_t>(off), b.end(),
+              dsp::cfloat(0.0F, 0.0F));
+  }
+
+  // ---- Receivers: superpose, tune, add tuned-rate noise. -------------------
+  out.resize(sc_.receivers.size());
+  rf_.resize(stations_[0].rf.size());
+  for (std::size_t r = 0; r < sc_.receivers.size(); ++r) {
+    const std::vector<float>& g_direct = plan_.g_direct[seg][r];
+    const std::vector<float>& g_back = plan_.g_back[seg][r];
+    channel::scale_into(rf_, stations_[0].rf, g_direct[0]);
+    for (std::size_t s = 1; s < stations_.size(); ++s) {
+      if (!stations_[s].render) continue;
+      channel::accumulate_scaled(rf_, stations_[s].rf, g_direct[s]);
+    }
+    for (std::size_t t = 0; t < tags_.size(); ++t) {
+      if (!tags_[t].active) continue;
+      channel::accumulate_scaled(rf_, tags_[t].reflected, g_back[t]);
+    }
+    out[r] = tuners_[r].process(rf_);
+    noise_[r].add_to(out[r]);
+  }
+  if (block_index + 1 == num_blocks_) {
+    // Nothing renders after the last block: return the RF-rate block buffers
+    // before the engines' final decode, which allocates its own peak.
+    for (StationSource& src : stations_) dsp::cvec().swap(src.rf);
+    for (TagSource& st : tags_) dsp::cvec().swap(st.reflected);
+    dsp::cvec().swap(rf_);
+  }
+}
+
+}  // namespace fmbs::core

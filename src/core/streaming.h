@@ -1,7 +1,7 @@
-// Streaming scenario engine: the batch ScenarioEngine's block renderer
-// refactored into a producer/consumer pipeline with O(1) memory in the run
-// duration. One producer thread renders the shared RF scene a 0.1 s block at
-// a time into a fixed ring of reusable per-receiver IQ buffers
+// Streaming scenario engine: a producer/consumer pipeline with O(1) memory in
+// the run duration. One producer thread drives the shared scene renderer
+// (core/scene_render.h, the same one behind the batch ScenarioEngine) a 0.1 s
+// block at a time into a fixed ring of reusable per-receiver IQ buffers
 // (dsp::RingBuffer); consumer threads demodulate blocks incrementally
 // through persistent per-link state (fm::StereoStreamDecoder,
 // rx::StreamingBurstDemodulator, rx::RdsStreamDecoder, the streaming device
@@ -57,13 +57,15 @@ struct StreamingConfig {
   /// Ring capacity in 0.1 s blocks: how far the producer may run ahead of
   /// the slowest consumer. Memory is ring_blocks * receivers * 192 KB.
   std::size_t ring_blocks = 8;
-  /// Station render horizon. Runs no longer than this use one exact render
-  /// per station (bit-identical to the batch engine); longer runs render the
-  /// horizon once and loop its MPX through a persistent modulator.
+  /// Station render horizon (finite, > 0). Runs no longer than this use one
+  /// exact render per station (bit-identical to the batch engine); longer
+  /// runs render the horizon once and loop its MPX through a persistent
+  /// modulator.
   units::Seconds station_horizon{2.0};
   /// Bound on the buffered global decisions (stereo pilot detect; the tuned
-  /// station's capture-wide RDS window). <= 0 buffers the whole run, exactly
-  /// like the batch engine — and unbounded memory on long runs.
+  /// station's capture-wide RDS window); must be finite. <= 0 buffers the
+  /// whole run, exactly like the batch engine — and unbounded memory on long
+  /// runs.
   units::Seconds decision_window{4.0};
   /// Demand-driven (kSparse) vs exhaustive (kDense) scene synthesis, exactly
   /// as in ScenarioEngineConfig.
@@ -84,6 +86,8 @@ struct StreamingConfig {
 /// buffering that replaced them.
 class StreamingEngine {
  public:
+  /// Throws std::invalid_argument on zero consumer threads or ring blocks, a
+  /// non-positive horizon, or a non-finite horizon or decision window.
   explicit StreamingEngine(StreamingConfig config = {});
 
   const StreamingConfig& config() const { return config_; }

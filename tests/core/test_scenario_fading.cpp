@@ -1,4 +1,4 @@
-// Regression suite for the per-segment fading re-derivation (scenario.cpp):
+// Regression suite for the per-segment fading re-derivation (scene_render.cpp):
 // a walking tag's channel::FadingProcess used to be constructed once with
 // one seed and stream across the whole run, so segment geometry changes
 // never decorrelated the fade — a long walk rode one coherent realization.

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -135,6 +137,25 @@ TEST(StreamingThreads, RejectsDegenerateConfig) {
   StreamingConfig zero_ring;
   zero_ring.ring_blocks = 0;
   EXPECT_THROW(StreamingEngine{zero_ring}, std::invalid_argument);
+  // Non-finite bounds: NaN passed the `<= 0` horizon check, and an infinite
+  // decision window reached a float-to-size_t cast (undefined behaviour).
+  // std::bit_cast skips units.h's asserting constructor, so Debug builds
+  // reach the engine's check too.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    StreamingConfig horizon;
+    horizon.station_horizon = std::bit_cast<units::Seconds>(v);
+    EXPECT_THROW(StreamingEngine{horizon}, std::invalid_argument)
+        << "station_horizon = " << v;
+    StreamingConfig window;
+    window.decision_window = std::bit_cast<units::Seconds>(v);
+    EXPECT_THROW(StreamingEngine{window}, std::invalid_argument)
+        << "decision_window = " << v;
+  }
+  // A non-positive finite window still means "buffer the whole run".
+  StreamingConfig whole_run;
+  whole_run.decision_window = units::Seconds{0.0};
+  EXPECT_NO_THROW(StreamingEngine{whole_run});
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // just block by block with bounded buffering, so the comparison is
 // EXPECT_EQ, not EXPECT_NEAR: a single flipped bit anywhere means some
 // streaming decoder's state diverged from its one-shot twin and is a bug.
+// Two extra scenes cover renderer branches no golden reaches: an always-on
+// custom_baseband tag and a fading tag on a segmented timeline.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "audio/tone.h"
 #include "core/streaming.h"
 #include "golden_scenarios.h"
+#include "tag/baseband.h"
 
 namespace fmbs::golden {
 namespace {
@@ -126,6 +130,66 @@ void expect_equivalent_all_thread_counts(const core::Scenario& sc) {
   expect_equivalent(sc, 8);
 }
 
+/// The legacy bridge's always-on custom_baseband tag (the path
+/// scenario_from_system and core::simulate take). Its tone is shorter than
+/// the run, so the renderer zero-fills past its end; an FSK tag on the same
+/// channel carries the custom reflection into decoded numbers, and the
+/// bridge's ambient receiver decodes the station's RDS.
+core::Scenario custom_baseband_bridge() {
+  core::SystemConfig cfg;
+  cfg.station.program.genre = audio::ProgramGenre::kNews;
+  cfg.station.program.stereo = false;
+  cfg.station.seed = 61;
+  cfg.station.rds_level = 0.05;
+  cfg.station.rds_ps_name = "BRIDGEFM";
+  cfg.scene.tag_power = units::Dbm{-30.0};
+  cfg.scene.tag_rx_distance = units::Feet{5.0};
+  cfg.scene.noise_seed = 61;
+  cfg.capture_ambient_receiver = true;
+  const audio::MonoBuffer tone =
+      audio::make_tone(3000.0, 0.8, 0.15, fm::kAudioRate);
+  core::Scenario sc = core::scenario_from_system(
+      cfg, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{0.3});
+  sc.name = "custom_baseband_bridge";
+  core::ScenarioTag data;
+  data.name = "fsk-neighbor";
+  data.subcarrier = sc.tags[0].subcarrier;
+  data.rate = tag::DataRate::k1600bps;
+  data.num_bits = 128;
+  data.packet_bits = 64;
+  data.tag_power = units::Dbm{-25.0};
+  data.distance_override = units::Feet{4.0};
+  data.start = units::Seconds{0.05};
+  sc.tags.push_back(std::move(data));
+  return sc;
+}
+
+/// A running tag with motion fading on a four-segment timeline: its burst
+/// spans three segments, so the renderer re-derives the fading stream at
+/// two segment boundaries mid-burst.
+core::Scenario fading_segments() {
+  core::Scenario sc;
+  sc.name = "fading_segments";
+  sc.station.program.genre = audio::ProgramGenre::kNews;
+  sc.station.program.stereo = false;
+  sc.station.seed = 67;
+  sc.seed = 67;
+  sc.duration = units::Seconds{0.3};  // 0.38 s with settle -> 4 segments
+  sc.timeline.segment = units::Seconds{0.1};
+  core::ScenarioTag t;
+  t.name = "walker";
+  t.rate = tag::DataRate::k1600bps;
+  t.num_bits = 320;
+  t.packet_bits = 80;
+  t.tag_power = units::Dbm{-25.0};
+  t.distance_override = units::Feet{4.0};
+  t.fading = channel::fading_for_mobility(channel::Mobility::kRunning);
+  sc.tags.push_back(std::move(t));
+  sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));
+  return sc;
+}
+
 TEST(StreamingEquivalence, SoloPoster) {
   expect_equivalent_all_thread_counts(solo_poster());
 }
@@ -143,6 +207,16 @@ TEST(StreamingEquivalence, MobileHandoff) {
 }
 TEST(StreamingEquivalence, RdsCity) {
   expect_equivalent_all_thread_counts(rds_city());
+}
+TEST(StreamingEquivalence, CustomBasebandBridge) {
+  const core::Scenario sc = custom_baseband_bridge();
+  ASSERT_EQ(sc.receivers.size(), 2U);  // backscatter + ambient
+  expect_equivalent_all_thread_counts(sc);
+}
+TEST(StreamingEquivalence, FadingAcrossSegments) {
+  const core::Scenario sc = fading_segments();
+  ASSERT_EQ(core::resolve_scenario_plan(sc).num_segments, 4U);
+  expect_equivalent_all_thread_counts(sc);
 }
 
 // Live events must agree with the assembled result: every decoded link
