@@ -50,19 +50,6 @@ MonoBuffer make_multitone(const std::vector<double>& frequencies_hz,
   return MonoBuffer(std::move(s), sample_rate);
 }
 
-MonoBuffer make_chirp(double lo_hz, double hi_hz, double amplitude,
-                      double duration_seconds, double sample_rate) {
-  const std::size_t n = sample_count(duration_seconds, sample_rate);
-  std::vector<float> s(n);
-  const double k = n > 1 ? (hi_hz - lo_hz) / duration_seconds : 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / sample_rate;
-    const double phase = kTwoPi * (lo_hz * t + 0.5 * k * t * t);
-    s[i] = static_cast<float>(amplitude * std::sin(phase));
-  }
-  return MonoBuffer(std::move(s), sample_rate);
-}
-
 MonoBuffer make_noise(double rms, double duration_seconds, double sample_rate,
                       std::uint64_t seed) {
   const std::size_t n = sample_count(duration_seconds, sample_rate);

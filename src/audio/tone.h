@@ -18,10 +18,6 @@ MonoBuffer make_multitone(const std::vector<double>& frequencies_hz,
                           double amplitude, double duration_seconds,
                           double sample_rate);
 
-/// Linear chirp sweeping lo->hi Hz over the duration.
-MonoBuffer make_chirp(double lo_hz, double hi_hz, double amplitude,
-                      double duration_seconds, double sample_rate);
-
 /// Gaussian white noise with the given RMS.
 MonoBuffer make_noise(double rms, double duration_seconds, double sample_rate,
                       std::uint64_t seed);

@@ -25,7 +25,7 @@ constexpr std::uint64_t kFleetSubsceneStream = 0x6000;
 /// sub-scene receivers still need their own filter/AGC/pilot lead-in.
 constexpr double kSubsceneSettleSeconds = 0.08;
 /// Demod look-past slack after a cluster's last guard edge (covers the
-/// receiver pipeline group delay, like rx::demodulate_burst's window slack).
+/// receiver pipeline group delay, like rx::kBurstTailSlackSeconds).
 constexpr double kSubsceneTailSeconds = 0.06;
 
 /// One transmitted burst of the plan, with everything classification needs.

@@ -5,11 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "core/receiver_decode.h"
 #include "core/scene_render.h"
 #include "fm/rds.h"
-#include "fm/receiver.h"
 
 namespace fmbs::core {
 
@@ -32,6 +33,29 @@ double pair_distance_m(const ScenarioTag& tag, const ScenePosition& tag_at,
   // near-field bound inside friis_path_loss; just keep the value positive.
   return std::max(1e-3, std::hypot(tag_at.x_m - rx_at.x_m,
                                    tag_at.y_m - rx_at.y_m));
+}
+
+/// Rejects a receiver whose stereo decoder or device chain cannot run. NaN
+/// fails every comparison, so each check passes only on good values.
+void validate_receiver_chain(const ScenarioReceiver& rx) {
+  const double rate = rx.stereo_decoder.audio_rate;
+  const double ratio = fm::kMpxRate / rate;
+  const auto corner = [rate](double hz) { return hz > 0.0 && hz < rate / 2.0; };
+  const auto level = [](double v) { return v >= 0.0 && std::isfinite(v); };
+  const rx::CabinConfig& cab = rx.cabin;
+  const bool chain_ok =
+      rx.kind == ReceiverKind::kCar
+          ? corner(cab.mic_highpass_hz) && corner(cab.mic_lowpass_hz) &&
+                level(cab.engine_noise_rms) &&
+                level(cab.reflection1_delay_s) && level(cab.reflection2_delay_s)
+          : corner(rx.phone.cutoff_hz) && level(rx.phone.codec_noise_rms);
+  if (!(ratio >= 1.0 && std::abs(ratio - std::round(ratio)) <= 1e-9) ||
+      !chain_ok) {
+    throw std::invalid_argument(
+        "ScenarioEngine: receiver \"" + rx.name +
+        "\" needs an audio rate dividing the MPX rate, filter corners in "
+        "(0, Nyquist) and finite, non-negative noise levels and cabin delays");
+  }
 }
 
 }  // namespace
@@ -293,6 +317,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   if (sc.receivers.empty()) {
     throw std::invalid_argument("ScenarioEngine: scenario needs a receiver");
   }
+  for (const ScenarioReceiver& rx : sc.receivers) validate_receiver_chain(rx);
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
   const double total_seconds = plan.total_seconds;
@@ -723,53 +748,35 @@ ScenePruning resolve_scene_pruning(const Scenario& sc, const ScenarioPlan& plan,
 
 ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
   // Everything decided before a sample exists lives in the shared pre-render
-  // plan, and the shared renderer turns it into per-receiver IQ; this engine
-  // keeps each receiver's whole-run capture and decodes it in one shot.
+  // plan; the shared renderer turns it into per-receiver IQ blocks and the
+  // shared receiver decoders consume them one block at a time, making every
+  // global decision (pilot detect, the station's RDS) over the whole capture.
   const ScenarioPlan plan = resolve_scenario_plan(sc);
   SceneRenderer scene(sc, plan, config_.scene_rendering, std::nullopt);
   ScenarioResult result;
   scene.report(result);
 
-  std::vector<dsp::cvec> iq(sc.receivers.size());
-  for (dsp::cvec& v : iq) v.reserve(scene.padded_samples());
+  std::vector<ReceiverDecoder> decoders;
+  decoders.reserve(sc.receivers.size());
+  for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
+    decoders.emplace_back(sc, plan, r, scene.routes()[r],
+                          scene.padded_samples(), units::Seconds{0.0},
+                          units::Seconds{0.0}, nullptr,
+                          config_.keep_captures);
+  }
   std::vector<dsp::cvec> block;
   for (std::size_t b = 0; b < scene.num_blocks(); ++b) {
     scene.render_block(b, block);
-    for (std::size_t r = 0; r < iq.size(); ++r) {
-      iq[r].insert(iq[r].end(), block[r].begin(), block[r].end());
+    const double now = static_cast<double>(b + 1) * kBlockSeconds;
+    for (std::size_t r = 0; r < decoders.size(); ++r) {
+      decoders[r].push(block[r], now);
     }
   }
 
-  // ---- Demodulation of every routed burst. ---------------------------------
   result.receivers.resize(sc.receivers.size());
-  for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-    const ScenarioReceiver& rx = sc.receivers[r];
-    const ReceiverRoute& route = scene.routes()[r];
-    fm::ReceiverConfig rx_cfg;
-    rx_cfg.stereo = rx.stereo_decoder;
-    ReceiverCapture capture = finish_receiver_capture(
-        fm::receive_fm(iq[r], rx_cfg), rx.kind, rx.phone, rx.cabin);
-
-    ScenarioReceiverResult& rr = result.receivers[r];
-    std::vector<rx::BurstSpec> bursts;
-    bursts.reserve(route.fsk.size());
-    for (const RoutedFsk& f : route.fsk) bursts.push_back(f.burst);
-    const std::vector<rx::BurstReport> reports =
-        rx::demodulate_bursts(capture.mono, bursts);
-    for (std::size_t b = 0; b < reports.size(); ++b) {
-      rr.links.push_back(
-          fsk_link_report(sc, plan, r, route.fsk[b], reports[b]));
-    }
-    for (const RoutedRds& d : route.rds) {
-      rr.links.push_back(rds_link_report(
-          sc, plan, r, d,
-          rx::decode_rds_link(capture.fm.mpx, fm::kMpxRate, d.start_seconds,
-                              d.window_seconds)));
-    }
-    if (route.station_rds) {
-      rr.station_rds = rx::decode_rds_link(capture.fm.mpx, fm::kMpxRate);
-    }
-    if (config_.keep_captures) rr.capture = std::move(capture);
+  const double end = static_cast<double>(scene.num_blocks()) * kBlockSeconds;
+  for (std::size_t r = 0; r < decoders.size(); ++r) {
+    decoders[r].finish(end, result.receivers[r]);
   }
   assemble_best_links(result, sc.tags.size());
   return result;

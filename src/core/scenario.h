@@ -473,10 +473,14 @@ struct ScenarioEngineConfig {
   SceneRendering scene_rendering = SceneRendering::kSparse;
 };
 
-/// Renders and decodes scenarios in one shot. The shared block renderer
-/// (core/scene_render.h, also behind StreamingEngine) produces each
-/// receiver's tuned IQ block by block; this engine appends the blocks to a
-/// whole-run capture per receiver and decodes every routed burst from it.
+/// Renders and decodes scenarios serially. The shared block renderer
+/// (core/scene_render.h) produces each receiver's tuned IQ block by block
+/// and the shared receiver decoders (core/receiver_decode.h) consume each
+/// block as it is rendered — the same two pieces StreamingEngine drives
+/// from its threads. Global decisions (stereo pilot detect, the tuned
+/// station's RDS) are made over the whole capture, and no receiver's
+/// whole-run IQ is ever held; keep_captures taps the decode chain into a
+/// whole-run ReceiverCapture per receiver.
 /// Stateless between runs; one shared station render per (StationConfig,
 /// duration) via fm::StationCache, pinned for the run so multi-station
 /// scenes never evict their own renders. For many scenarios, use

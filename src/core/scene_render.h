@@ -5,8 +5,9 @@
 // active tag multiplies its selected station by its switch pattern (with
 // motion fading on the tag path), the per-segment link gains superpose the
 // result per receiver, and each receiver's tuner and tuned-rate noise finish
-// the block. ScenarioEngine appends the blocks to whole-run captures;
-// StreamingEngine publishes them into its ring. The renderer also owns the
+// the block. ScenarioEngine hands each block straight to its receivers'
+// decoders (core/receiver_decode.h); StreamingEngine publishes it into its
+// ring for its consumer threads to decode. The renderer also owns the
 // per-receiver routing both engines decode from: which FSK and RDS bursts a
 // receiver can hear, and whether its tune lands on a station broadcasting
 // RDS.

@@ -8,23 +8,6 @@
 
 namespace fmbs::core {
 
-ReceiverCapture finish_receiver_capture(const fm::ReceiverOutput& out,
-                                        ReceiverKind kind,
-                                        const rx::PhoneChainConfig& phone,
-                                        const rx::CabinConfig& cabin) {
-  ReceiverCapture cap;
-  cap.fm = out;
-  if (kind == ReceiverKind::kCar) {
-    // Car: audio is re-recorded with a microphone in the running cabin.
-    cap.mono = rx::apply_cabin_acoustics(out.mono(), cabin);
-    cap.stereo = audio::StereoBuffer::dual_mono(cap.mono);
-  } else {
-    cap.mono = rx::apply_phone_chain(out.mono(), phone);
-    cap.stereo = rx::apply_phone_chain(out.audio, phone);
-  }
-  return cap;
-}
-
 SimulationResult simulate(const SystemConfig& config, const dsp::rvec& tag_baseband,
                           units::Seconds duration) {
   if (duration.raw() <= 0.0) {

@@ -4,12 +4,22 @@
 //        |                               |
 //        |        tag baseband --> subcarrier B(t) --> reflected = B x RF
 //        |                               |
-//        +--> direct path ---------------+--> + AWGN --> tuner(s) --> FM rx
+//        +--> direct path ---------------+--> tuner(s) --> + AWGN (240 kHz)
+//                                                              |
+//        +-----------------------------------------------------+
+//        |
+//        +--> discriminator --> MPX --> RDS windows
+//                                |
+//                                +--> pilot-gated stereo --> L/R
+//                                                             |
+//                      FSK bursts <-- device chain <-- mono <-+
 //
 // The backscatter multiplication happens sample-by-sample on the RF signal,
 // exactly as the tag's switch does it; no audio-domain shortcut is taken.
-// Processing is block-streamed (0.1 s blocks) so long captures never hold
-// the 2.4 MHz stream in memory.
+// Rendering and decoding are block-streamed (0.1 s blocks): the scene
+// renderer (core/scene_render.h) hands each receiver's tuned IQ block to
+// that receiver's decode chain (core/receiver_decode.h), so long captures
+// never hold the 2.4 MHz stream, or the receiver's IQ, in memory.
 //
 // Since the multi-station refactor there is exactly ONE physics path:
 // simulate() is a thin bridge that builds a one-tag, one-station
@@ -52,13 +62,5 @@ struct SimulationResult {
 /// station duration. Throws std::invalid_argument on inconsistent rates.
 SimulationResult simulate(const SystemConfig& config, const dsp::rvec& tag_baseband,
                           units::Seconds duration);
-
-/// Applies the receiving device's audio chain (phone record path or car
-/// cabin acoustics) to a raw FM receiver output. Shared by the single-tag
-/// simulator and the multi-tag core::ScenarioEngine.
-ReceiverCapture finish_receiver_capture(const fm::ReceiverOutput& out,
-                                        ReceiverKind kind,
-                                        const rx::PhoneChainConfig& phone,
-                                        const rx::CabinConfig& cabin);
 
 }  // namespace fmbs::core

@@ -1,17 +1,19 @@
 // Streaming scenario engine: a producer/consumer pipeline with O(1) memory in
 // the run duration. One producer thread drives the shared scene renderer
-// (core/scene_render.h, the same one behind the batch ScenarioEngine) a 0.1 s
-// block at a time into a fixed ring of reusable per-receiver IQ buffers
-// (dsp::RingBuffer); consumer threads demodulate blocks incrementally
-// through persistent per-link state (fm::StereoStreamDecoder,
-// rx::StreamingBurstDemodulator, rx::RdsStreamDecoder, the streaming device
-// chains) — no full-run capture ever exists.
+// (core/scene_render.h) a 0.1 s block at a time into a fixed ring of
+// reusable per-receiver IQ buffers (dsp::RingBuffer); consumer threads push
+// each block through the receivers' shared decode chains
+// (core/receiver_decode.h) — no full-run capture ever exists. The batch
+// ScenarioEngine runs the same renderer and the same decoders serially, so
+// this engine adds only the ring, its threads, real-time pacing and the
+// buffer ledger.
 //
 // Equivalence contract: for every committed golden scenario the streaming
 // engine's decoded ScenarioResult is byte-identical to ScenarioEngine::run
 // (pinned by tests/golden/test_streaming_equivalence.cpp), at any consumer
-// thread count. Two documented divergences exist only on runs longer than
-// the configured bounds, which no golden reaches:
+// thread count. The two engines differ only in the bounds they hand the
+// shared code, so two documented divergences exist only on runs longer than
+// those bounds, which no golden reaches:
 //   * global decisions (stereo pilot detect, the tuned station's whole-run
 //     RDS decode) are made from the first `decision_window` of the
 //     run instead of all of it;

@@ -39,24 +39,6 @@ std::vector<float> fir_design_lowpass(std::size_t num_taps, double cutoff,
   return windowed_sinc(num_taps, cutoff, make_window(window, num_taps));
 }
 
-std::vector<float> fir_design_highpass(std::size_t num_taps, double cutoff,
-                                       WindowType window) {
-  if (num_taps % 2 == 0) {
-    // An even length has no well-defined Nyquist response. The historical
-    // silent bump to the next odd count left callers that size history or
-    // group delay from the requested count off by one sample — reject loudly
-    // so the requested count is always the delivered count.
-    throw std::invalid_argument(
-        "fir_design_highpass: num_taps must be odd (an even-length high-pass "
-        "has no well-defined Nyquist response)");
-  }
-  std::vector<float> lp = fir_design_lowpass(num_taps, cutoff, window);
-  // Spectral inversion: delta at center minus low-pass.
-  for (auto& t : lp) t = -t;
-  lp[(num_taps - 1) / 2] += 1.0F;
-  return lp;
-}
-
 std::vector<float> fir_design_bandpass(std::size_t num_taps, double low,
                                        double high, WindowType window) {
   if (num_taps == 0) throw std::invalid_argument("fir design: num_taps must be > 0");

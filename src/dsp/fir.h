@@ -28,15 +28,6 @@ namespace fmbs::dsp {
 std::vector<float> fir_design_lowpass(std::size_t num_taps, double cutoff,
                                       WindowType window = WindowType::kHamming);
 
-/// Designs a high-pass FIR (spectral inversion of the low-pass). num_taps
-/// must be odd: an even count has no well-defined Nyquist response, and the
-/// historical behavior of silently bumping to the next odd count left every
-/// caller that sized history or group delay from the REQUESTED count off by
-/// one sample. Throws std::invalid_argument on an even num_taps, so the tap
-/// count the caller reasons about is always the tap count it gets.
-std::vector<float> fir_design_highpass(std::size_t num_taps, double cutoff,
-                                       WindowType window = WindowType::kHamming);
-
 /// Designs a band-pass FIR passing [low, high] (normalized, 0 < low < high < 0.5).
 std::vector<float> fir_design_bandpass(std::size_t num_taps, double low,
                                        double high,
@@ -166,8 +157,6 @@ class FirDecimator {
     return out;
   }
 
-  void reset() { std::fill(history_.begin(), history_.end(), Sample{}); }
-
  private:
   std::vector<float> taps_;
   std::vector<float> rtaps_;
@@ -230,8 +219,6 @@ class FirInterpolator {
     }
     return out;
   }
-
-  void reset() { std::fill(history_.begin(), history_.end(), Sample{}); }
 
  private:
   std::size_t factor_;

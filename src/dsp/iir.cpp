@@ -61,13 +61,6 @@ BiquadCoeffs biquad_notch(double frequency, double q) {
                    1.0 - r.alpha);
 }
 
-BiquadCoeffs biquad_peak(double frequency, double q, double gain_db) {
-  const auto r = rbj(frequency, q);
-  const double a = std::pow(10.0, gain_db / 40.0);
-  return normalize(1.0 + r.alpha * a, -2.0 * r.cw, 1.0 - r.alpha * a,
-                   1.0 + r.alpha / a, -2.0 * r.cw, 1.0 - r.alpha / a);
-}
-
 std::vector<float> Biquad::process(std::span<const float> in) {
   std::vector<float> out(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
@@ -91,10 +84,6 @@ std::vector<float> BiquadCascade::process(std::span<const float> in) {
   std::vector<float> out(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
   return out;
-}
-
-void BiquadCascade::reset() {
-  for (auto& s : sections_) s.reset();
 }
 
 OnePoleLowpass OnePoleLowpass::from_time_constant(double tau_seconds,
@@ -122,28 +111,6 @@ std::vector<float> OnePoleLowpass::process(std::span<const float> in) {
   std::vector<float> out(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
   return out;
-}
-
-DcBlocker::DcBlocker(double r) : r_(r) {
-  if (r <= 0.0 || r >= 1.0) throw std::invalid_argument("DcBlocker: r in (0,1)");
-}
-
-float DcBlocker::process_sample(float x) {
-  const double y = static_cast<double>(x) - prev_x_ + r_ * prev_y_;
-  prev_x_ = x;
-  prev_y_ = y;
-  return static_cast<float>(y);
-}
-
-std::vector<float> DcBlocker::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
-}
-
-void DcBlocker::reset() {
-  prev_x_ = 0.0;
-  prev_y_ = 0.0;
 }
 
 }  // namespace fmbs::dsp

@@ -19,7 +19,6 @@ BiquadCoeffs biquad_lowpass(double frequency, double q);
 BiquadCoeffs biquad_highpass(double frequency, double q);
 BiquadCoeffs biquad_bandpass(double frequency, double q);
 BiquadCoeffs biquad_notch(double frequency, double q);
-BiquadCoeffs biquad_peak(double frequency, double q, double gain_db);
 
 /// Streaming transposed-direct-form-II biquad.
 class Biquad {
@@ -48,7 +47,6 @@ class BiquadCascade {
   explicit BiquadCascade(const std::vector<BiquadCoeffs>& sections);
   float process_sample(float x);
   std::vector<float> process(std::span<const float> in);
-  void reset();
 
  private:
   std::vector<Biquad> sections_;
@@ -73,26 +71,11 @@ class OnePoleLowpass {
 
   std::vector<float> process(std::span<const float> in);
 
-  void reset() { state_ = 0.0; }
   double alpha() const { return alpha_; }
 
  private:
   double alpha_;
   double state_ = 0.0;
-};
-
-/// DC blocker: y[n] = x[n] - x[n-1] + r y[n-1].
-class DcBlocker {
- public:
-  explicit DcBlocker(double r = 0.995);
-  float process_sample(float x);
-  std::vector<float> process(std::span<const float> in);
-  void reset();
-
- private:
-  double r_;
-  double prev_x_ = 0.0;
-  double prev_y_ = 0.0;
 };
 
 }  // namespace fmbs::dsp

@@ -34,8 +34,6 @@ class PhaseAccumulator {
     return current;
   }
 
-  void reset(double phase = 0.0) { phase_ = phase; }
-
  private:
   double phase_;
 };

@@ -32,43 +32,6 @@ rvec downsample_keep(std::span<const float> in, std::size_t factor) {
   return out;
 }
 
-LinearResampler::LinearResampler(double ratio) : ratio_(ratio) {
-  if (ratio <= 0.0) throw std::invalid_argument("LinearResampler: ratio must be > 0");
-}
-
-rvec LinearResampler::process(std::span<const float> in) {
-  rvec out;
-  if (in.empty()) return out;
-  out.reserve(static_cast<std::size_t>(std::ceil(in.size() * ratio_)) + 2);
-  // Virtual stream: [last_sample_, in[0], in[1], ...] when primed, with
-  // position_ as fractional index into that stream.
-  const double step = 1.0 / ratio_;
-  if (!primed_) {
-    last_sample_ = in[0];
-    primed_ = true;
-  }
-  while (true) {
-    const auto idx = static_cast<std::size_t>(position_);
-    if (idx >= in.size()) break;
-    const double frac = position_ - static_cast<double>(idx);
-    const float a = idx == 0 ? last_sample_ : in[idx - 1];
-    const float b = in[idx];
-    // Interpolate between the sample before idx and the sample at idx so the
-    // boundary between blocks needs only one remembered sample.
-    out.push_back(static_cast<float>(a + (b - a) * frac));
-    position_ += step;
-  }
-  position_ -= static_cast<double>(in.size());
-  last_sample_ = in.back();
-  return out;
-}
-
-void LinearResampler::reset() {
-  position_ = 0.0;
-  last_sample_ = 0.0F;
-  primed_ = false;
-}
-
 rvec resample_rational(std::span<const float> in, std::size_t up, std::size_t down,
                        std::size_t taps_per_phase) {
   if (up == 0 || down == 0) {

@@ -1,7 +1,7 @@
 // Resampling helpers. The cooperative-backscatter receiver follows the paper
 // exactly: "we resample the signals on the two phones, in software, by a
-// factor of ten" before cross-correlating, which LinearResampler and
-// upsample_linear provide. Rational resampling covers audio-rate conversion.
+// factor of ten" before cross-correlating, which upsample_linear provides.
+// Rational resampling covers audio-rate conversion.
 #pragma once
 
 #include <cstddef>
@@ -19,24 +19,6 @@ rvec upsample_linear(std::span<const float> in, std::size_t factor);
 /// Downsamples by taking every factor-th sample (no filtering; callers must
 /// band-limit first).
 rvec downsample_keep(std::span<const float> in, std::size_t factor);
-
-/// Arbitrary-ratio linear-interpolation resampler (streaming).
-class LinearResampler {
- public:
-  /// ratio = out_rate / in_rate, must be > 0.
-  explicit LinearResampler(double ratio);
-
-  /// Resamples a block. Output length ~= in.size() * ratio.
-  rvec process(std::span<const float> in);
-
-  void reset();
-
- private:
-  double ratio_;
-  double position_ = 0.0;  // fractional read index into the virtual stream
-  float last_sample_ = 0.0F;
-  bool primed_ = false;
-};
 
 /// Rational resampler: polyphase upsample by L then decimate by M with a
 /// shared anti-alias/anti-image low-pass. One-shot (not streaming): designed

@@ -30,6 +30,4 @@ dsp::rvec QuadratureDemodulator::process(std::span<const dsp::cfloat> iq) {
   return out;
 }
 
-void QuadratureDemodulator::reset() { prev_ = dsp::cfloat(1.0F, 0.0F); }
-
 }  // namespace fmbs::fm

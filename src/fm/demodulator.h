@@ -22,8 +22,6 @@ class QuadratureDemodulator {
   /// Demodulates a block of IQ into composite baseband samples.
   dsp::rvec process(std::span<const dsp::cfloat> iq);
 
-  void reset();
-
  private:
   double gain_;
   dsp::cfloat prev_{1.0F, 0.0F};

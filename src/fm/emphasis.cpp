@@ -28,8 +28,6 @@ std::vector<float> DeEmphasis::process(std::span<const float> in) {
   return out;
 }
 
-void DeEmphasis::reset() { state_ = 0.0; }
-
 PreEmphasis::PreEmphasis(units::Seconds tau, double sample_rate)
     : alpha_(alpha_for(tau.raw(), sample_rate)) {}
 
@@ -48,11 +46,6 @@ std::vector<float> PreEmphasis::process(std::span<const float> in) {
   std::vector<float> out(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
   return out;
-}
-
-void PreEmphasis::reset() {
-  prev_in_ = 0.0;
-  prev_out_ = 0.0;
 }
 
 }  // namespace fmbs::fm

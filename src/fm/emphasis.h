@@ -16,7 +16,6 @@ class DeEmphasis {
   DeEmphasis(units::Seconds tau, double sample_rate);
   float process_sample(float x);
   std::vector<float> process(std::span<const float> in);
-  void reset();
 
  private:
   double alpha_;
@@ -30,7 +29,6 @@ class PreEmphasis {
   PreEmphasis(units::Seconds tau, double sample_rate);
   float process_sample(float x);
   std::vector<float> process(std::span<const float> in);
-  void reset();
 
  private:
   double alpha_;

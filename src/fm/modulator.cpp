@@ -28,6 +28,4 @@ dsp::cvec FmModulator::process(std::span<const float> mpx) {
   return out;
 }
 
-void FmModulator::reset() { phase_.reset(); }
-
 }  // namespace fmbs::fm

@@ -23,9 +23,6 @@ class FmModulator {
   /// Modulates a block of composite baseband into unit-amplitude IQ.
   dsp::cvec process(std::span<const float> mpx);
 
-  /// Resets the phase accumulator.
-  void reset();
-
  private:
   double deviation_hz_;
   double sample_rate_;

@@ -1,24 +1,14 @@
-// FM receiver chain: channel-filtered IQ -> discriminator -> stereo decode.
-// This is the "any FM receiver" of the paper's title: it knows nothing about
-// backscatter and decodes whatever composite baseband it sees.
+// FM receiver output record: what the "any FM receiver" of the paper's title
+// hands on after discriminator and stereo decode. It knows nothing about
+// backscatter and decodes whatever composite baseband it sees; the chain
+// itself is core::ReceiverDecoder (QuadratureDemodulator ->
+// StereoStreamDecoder).
 #pragma once
 
-#include <span>
-
 #include "audio/audio_buffer.h"
-#include "core/units.h"
 #include "dsp/types.h"
-#include "fm/constants.h"
-#include "fm/stereo_decoder.h"
 
 namespace fmbs::fm {
-
-/// Receiver options.
-struct ReceiverConfig {
-  units::Hertz deviation{kMaxDeviationHz};
-  double sample_rate = kMpxRate;  // IQ input rate (post-tuner)
-  StereoDecoderConfig stereo;
-};
 
 /// Receiver output: decoded audio plus intermediate signals that the data
 /// demodulators and the paper's measurement methodology consume.
@@ -27,18 +17,6 @@ struct ReceiverOutput {
   dsp::rvec mpx;                 // composite baseband (for diagnostics)
   bool stereo_mode = false;      // pilot detected, decoded in stereo
   double pilot_snr_db = 0.0;
-
-  /// Mono downmix convenience accessor.
-  audio::MonoBuffer mono() const { return audio.mid(); }
-
-  /// The re-derived stereo difference (L-R)/2 — the paper's stereo
-  /// backscatter recovery step ("compute the difference between these left
-  /// and right audio streams").
-  audio::MonoBuffer side() const { return audio.side(); }
 };
-
-/// One-shot demodulation of channel-filtered IQ at the MPX rate.
-ReceiverOutput receive_fm(std::span<const dsp::cfloat> iq,
-                          const ReceiverConfig& config);
 
 }  // namespace fmbs::fm

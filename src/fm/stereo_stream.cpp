@@ -11,6 +11,7 @@ namespace fmbs::fm {
 
 namespace {
 constexpr std::size_t kChannelFilterTaps = 127;  // odd -> integer group delay
+constexpr std::size_t kFlushBlock = 24000;       // 0.1 s at the MPX rate
 }
 
 StereoStreamDecoder::StereoStreamDecoder(const StereoDecoderConfig& config,
@@ -157,6 +158,19 @@ void StereoStreamDecoder::drain(dsp::rvec& left, dsp::rvec& right) {
   pend_r_.erase(pend_r_.begin(), pend_r_.begin() + static_cast<std::ptrdiff_t>(len));
 }
 
+void StereoStreamDecoder::flush_decision(dsp::rvec& left, dsp::rvec& right) {
+  decide();
+  // The chain is causal, so feeding the buffered window through it a block
+  // at a time changes no sample and keeps its scratch block-sized even when
+  // the window is the whole capture.
+  const std::span<const float> window(decision_buf_);
+  for (std::size_t at = 0; at < window.size(); at += kFlushBlock) {
+    process_chain(window.subspan(at, std::min(kFlushBlock, window.size() - at)),
+                  left, right);
+  }
+  std::vector<float>().swap(decision_buf_);  // decision memory is released
+}
+
 void StereoStreamDecoder::push(std::span<const float> mpx, dsp::rvec& left,
                                dsp::rvec& right) {
   std::size_t offset = 0;
@@ -167,9 +181,7 @@ void StereoStreamDecoder::push(std::span<const float> mpx, dsp::rvec& left,
                          mpx.begin() + static_cast<std::ptrdiff_t>(take));
     offset = take;
     if (decision_buf_.size() < decision_len_) return;
-    decide();
-    process_chain(decision_buf_, left, right);
-    std::vector<float>().swap(decision_buf_);  // decision memory is released
+    flush_decision(left, right);
   }
   process_chain(mpx.subspan(offset), left, right);
 }
@@ -178,9 +190,7 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
   if (!decided_) {
     // Capture ended inside the decision window (only possible when the
     // caller overstated the capture length): decide from what arrived.
-    decide();
-    process_chain(decision_buf_, left, right);
-    std::vector<float>().swap(decision_buf_);
+    flush_decision(left, right);
   }
   if (stereo_mode_) {
     // The one-shot decoder zero-pads the realigned side past the capture:

@@ -48,7 +48,6 @@ class StereoStreamDecoder {
   /// final audio samples. Call exactly once, after the last block.
   void finish(dsp::rvec& left, dsp::rvec& right);
 
-  bool decided() const { return decided_; }
   bool stereo_mode() const { return stereo_mode_; }
   double pilot_snr_db() const { return pilot_snr_db_; }
 
@@ -59,6 +58,7 @@ class StereoStreamDecoder {
 
  private:
   void decide();
+  void flush_decision(dsp::rvec& left, dsp::rvec& right);
   void process_chain(std::span<const float> mpx, dsp::rvec& left,
                      dsp::rvec& right);
   void drain(dsp::rvec& left, dsp::rvec& right);

@@ -80,14 +80,4 @@ BurstReport demodulate_burst(const audio::MonoBuffer& capture,
   return score_burst_window(window, burst, bounds.valid);
 }
 
-std::vector<BurstReport> demodulate_bursts(const audio::MonoBuffer& capture,
-                                           std::span<const BurstSpec> bursts) {
-  std::vector<BurstReport> reports;
-  reports.reserve(bursts.size());
-  for (const BurstSpec& burst : bursts) {
-    reports.push_back(demodulate_burst(capture, burst));
-  }
-  return reports;
-}
-
 }  // namespace fmbs::rx

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "audio/audio_buffer.h"
@@ -43,7 +42,7 @@ inline constexpr double kBurstTailSlackSeconds = 0.05;
 /// `capture_samples` at `sample_rate`: `[begin, begin + length)`, clamped to
 /// the capture. `valid` is false when the burst starts past the end of the
 /// capture (nothing demodulable — every expected bit counts as lost). Pure
-/// arithmetic, shared by the one-shot router and the streaming collector so
+/// arithmetic, shared by demodulate_burst and the streaming collector so
 /// both slice bit-identical windows.
 struct BurstWindowBounds {
   std::size_t begin = 0;
@@ -70,9 +69,5 @@ BurstReport score_burst_window(const audio::MonoBuffer& window,
 /// be demodulated; fully out-of-range bursts report all bits as errors.
 BurstReport demodulate_burst(const audio::MonoBuffer& capture,
                              const BurstSpec& burst);
-
-/// Routes every burst through demodulate_burst (reports parallel to input).
-std::vector<BurstReport> demodulate_bursts(const audio::MonoBuffer& capture,
-                                           std::span<const BurstSpec> bursts);
 
 }  // namespace fmbs::rx

@@ -108,9 +108,4 @@ dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
   return decimator_.process(work_);
 }
 
-void Tuner::reset() {
-  decimator_.reset();
-  // Mixer phase continuity is intentional; recreate the Tuner for a fresh start.
-}
-
 }  // namespace fmbs::rx

@@ -43,8 +43,6 @@ class Tuner {
   /// Processes an RF block; block length must be a multiple of decimation().
   dsp::cvec process(std::span<const dsp::cfloat> rf);
 
-  void reset();
-
  private:
   TunerConfig cfg_;
   std::size_t factor_;

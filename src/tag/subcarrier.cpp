@@ -168,9 +168,4 @@ dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
   return out;
 }
 
-void SubcarrierGenerator::reset() {
-  phase_.reset();
-  interpolator_.reset();
-}
-
 }  // namespace fmbs::tag

@@ -68,8 +68,6 @@ class SubcarrierGenerator {
   /// block.size() * (rf_rate / baseband_rate).
   dsp::cvec process(std::span<const float> baseband);
 
-  void reset();
-
  private:
   SubcarrierConfig cfg_;
   int harmonics_ = 1;

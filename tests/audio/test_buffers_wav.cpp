@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "audio/audio_buffer.h"
 #include "audio/tone.h"
@@ -9,6 +10,17 @@
 
 namespace fmbs::audio {
 namespace {
+
+/// A scratch file path unique to the running test, so ctest -j can run the
+/// file tests of this binary side by side.
+std::string test_temp_path(const char* extension) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::temp_directory_path() /
+          (std::string("fmbs_") + info->test_suite_name() + "_" +
+           info->name() + extension))
+      .string();
+}
 
 TEST(AudioBuffer, DurationAndSize) {
   MonoBuffer m(std::vector<float>(48000, 0.0F), 48000.0);
@@ -46,7 +58,7 @@ class WavRoundTrip : public ::testing::Test {
     std::error_code ec;
     std::filesystem::remove(path_, ec);
   }
-  std::string path_ = "/tmp/fmbs_test_wav.wav";
+  std::string path_ = test_temp_path(".wav");
 };
 
 TEST_F(WavRoundTrip, MonoPcm16) {
@@ -84,7 +96,7 @@ TEST(Wav, MissingFileThrows) {
 }
 
 TEST(Wav, GarbageFileThrows) {
-  const std::string path = "/tmp/fmbs_garbage.bin";
+  const std::string path = test_temp_path(".bin");
   {
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);

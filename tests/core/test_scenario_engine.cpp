@@ -10,8 +10,11 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "audio/tone.h"
 #include "core/streaming.h"
@@ -557,6 +560,68 @@ TEST(ScenarioEngine, RejectsNonFiniteTimesInBothEngines) {
       EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
           << field << " = " << v;
     }
+  }
+}
+
+// A receiver's device chain and stereo decoder are validated up front, like
+// the scene times: a NaN corner or noise level would otherwise decode to
+// silent garbage, and a negative cabin delay is an undefined double-to-size
+// cast. Every field here is a plain double, so no units.h assert stands
+// between the value and the engine's check in a Debug build.
+TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
+  Scenario base;
+  base.duration = units::Seconds{0.2};
+  base.receivers.emplace_back();
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  const ScenarioEngine batch;
+  const StreamingEngine streaming;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nyquist = fm::kAudioRate / 2.0;
+  struct Case {
+    std::string what;
+    ReceiverKind kind;
+    std::function<void(ScenarioReceiver&)> spoil;
+  };
+  std::vector<Case> cases;
+  for (const double v : {nan, inf, 0.0, -1000.0, nyquist}) {
+    const std::string at = " = " + std::to_string(v);
+    cases.push_back({"phone.cutoff_hz" + at, ReceiverKind::kPhone,
+                     [v](ScenarioReceiver& r) { r.phone.cutoff_hz = v; }});
+    cases.push_back(
+        {"cabin.mic_highpass_hz" + at, ReceiverKind::kCar,
+         [v](ScenarioReceiver& r) { r.cabin.mic_highpass_hz = v; }});
+    cases.push_back({"cabin.mic_lowpass_hz" + at, ReceiverKind::kCar,
+                     [v](ScenarioReceiver& r) { r.cabin.mic_lowpass_hz = v; }});
+  }
+  for (const double v : {nan, inf, -1e-3}) {
+    const std::string at = " = " + std::to_string(v);
+    cases.push_back(
+        {"phone.codec_noise_rms" + at, ReceiverKind::kPhone,
+         [v](ScenarioReceiver& r) { r.phone.codec_noise_rms = v; }});
+    cases.push_back(
+        {"cabin.engine_noise_rms" + at, ReceiverKind::kCar,
+         [v](ScenarioReceiver& r) { r.cabin.engine_noise_rms = v; }});
+    cases.push_back(
+        {"cabin.reflection1_delay_s" + at, ReceiverKind::kCar,
+         [v](ScenarioReceiver& r) { r.cabin.reflection1_delay_s = v; }});
+    cases.push_back(
+        {"cabin.reflection2_delay_s" + at, ReceiverKind::kCar,
+         [v](ScenarioReceiver& r) { r.cabin.reflection2_delay_s = v; }});
+  }
+  for (const double v : {nan, inf, 0.0, -48000.0, 50000.0}) {
+    cases.push_back(
+        {"stereo_decoder.audio_rate = " + std::to_string(v),
+         ReceiverKind::kPhone,
+         [v](ScenarioReceiver& r) { r.stereo_decoder.audio_rate = v; }});
+  }
+  for (const Case& c : cases) {
+    Scenario sc = base;
+    sc.receivers[0].kind = c.kind;
+    c.spoil(sc.receivers[0]);
+    EXPECT_THROW((void)batch.run(sc), std::invalid_argument) << c.what;
+    EXPECT_THROW((void)streaming.run(sc), std::invalid_argument) << c.what;
   }
 }
 

@@ -34,36 +34,6 @@ TEST(FirDesign, LowpassHalfPowerAtCutoff) {
   EXPECT_NEAR(gain_at(taps, 0.125), 0.5, 0.05);
 }
 
-TEST(FirDesign, HighpassInvertsLowpass) {
-  const auto taps = fir_design_highpass(101, 0.2);
-  EXPECT_LT(gain_at(taps, 0.0), 1e-6);
-  EXPECT_LT(gain_at(taps, 0.1), 0.02);
-  EXPECT_GT(gain_at(taps, 0.35), 0.95);
-}
-
-// Regression for the silent even->odd tap-count bump: a caller asking for
-// 100 taps used to get 101 back, so any history or group-delay bookkeeping
-// sized from the REQUESTED count was off by one sample. The design now
-// rejects even counts loudly instead of resizing behind the caller's back.
-TEST(FirDesign, HighpassRejectsEvenTapCountLoudly) {
-  EXPECT_THROW(fir_design_highpass(100, 0.2), std::invalid_argument);
-  // Odd requests deliver exactly the requested count...
-  const auto taps = fir_design_highpass(101, 0.2);
-  EXPECT_EQ(taps.size(), 101U);
-  // ...so filter alignment derived from the request is exact: the impulse
-  // peak (the spectral-inversion delta) sits at the group delay.
-  FirFilter<float> filt(taps);
-  EXPECT_DOUBLE_EQ(filt.group_delay(), 50.0);
-  std::vector<float> impulse(taps.size(), 0.0F);
-  impulse[0] = 1.0F;
-  const auto h = filt.process(impulse);
-  std::size_t peak = 0;
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (std::abs(h[i]) > std::abs(h[peak])) peak = i;
-  }
-  EXPECT_EQ(peak, 50U);
-}
-
 TEST(FirDesign, BandpassPassesCenterRejectsEdges) {
   const auto taps = fir_design_bandpass(201, 0.1, 0.2);
   EXPECT_NEAR(gain_at(taps, 0.15), 1.0, 0.02);

@@ -58,11 +58,6 @@ TEST(Biquad, NotchKillsCenter) {
   EXPECT_NEAR(measured_gain(nc, 0.02), 1.0, 0.05);
 }
 
-TEST(Biquad, PeakBoostsByGainDb) {
-  Biquad pk(biquad_peak(0.1, 2.0, 6.0));
-  EXPECT_NEAR(db_from_amplitude_ratio(measured_gain(pk, 0.1)), 6.0, 0.5);
-}
-
 TEST(Biquad, DesignValidation) {
   EXPECT_THROW(biquad_lowpass(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(biquad_lowpass(0.5, 1.0), std::invalid_argument);
@@ -102,21 +97,6 @@ TEST(OnePoleLowpass, Validation) {
                std::invalid_argument);
   EXPECT_THROW(OnePoleLowpass(0.0), std::invalid_argument);
   EXPECT_THROW(OnePoleLowpass(1.5), std::invalid_argument);
-}
-
-TEST(DcBlocker, RemovesDcKeepsAc) {
-  DcBlocker blocker;
-  double dc_out = 0.0;
-  for (int i = 0; i < 5000; ++i) dc_out = blocker.process_sample(1.0F);
-  EXPECT_NEAR(dc_out, 0.0, 0.01);
-
-  blocker.reset();
-  EXPECT_NEAR(measured_gain(blocker, 0.1), 1.0, 0.05);
-}
-
-TEST(DcBlocker, Validation) {
-  EXPECT_THROW(DcBlocker(0.0), std::invalid_argument);
-  EXPECT_THROW(DcBlocker(1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -64,44 +64,6 @@ TEST(DownsampleKeep, InverseOfUpsampleLinear) {
   }
 }
 
-TEST(LinearResampler, RatioValidation) {
-  EXPECT_THROW(LinearResampler(0.0), std::invalid_argument);
-  EXPECT_THROW(LinearResampler(-2.0), std::invalid_argument);
-}
-
-TEST(LinearResampler, OutputLengthTracksRatio) {
-  LinearResampler rs(1.5);
-  const auto x = tone(100.0, 8000.0, 800);
-  const auto y = rs.process(x);
-  EXPECT_NEAR(static_cast<double>(y.size()), 1200.0, 3.0);
-}
-
-TEST(LinearResampler, PreservesToneFrequency) {
-  LinearResampler rs(2.0);
-  const auto x = tone(500.0, 8000.0, 8000);
-  const auto y = rs.process(x);
-  // 500 Hz at 16 kHz now.
-  EXPECT_NEAR(goertzel_power(y, 500.0, 16000.0), 0.25, 0.02);
-}
-
-TEST(LinearResampler, StreamingMatchesOneShot) {
-  const auto x = tone(300.0, 8000.0, 1600);
-  LinearResampler whole(0.75);
-  const auto ref = whole.process(x);
-  LinearResampler chunked(0.75);
-  std::vector<float> got;
-  for (std::size_t start = 0; start < x.size(); start += 111) {
-    const std::size_t len = std::min<std::size_t>(111, x.size() - start);
-    const auto part = chunked.process(std::span<const float>(x.data() + start, len));
-    got.insert(got.end(), part.begin(), part.end());
-  }
-  ASSERT_NEAR(static_cast<double>(got.size()), static_cast<double>(ref.size()), 2.0);
-  const std::size_t n = std::min(got.size(), ref.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-4F) << "at " << i;
-  }
-}
-
 TEST(ResampleRational, UpsampleByTwoKeepsTone) {
   const auto x = tone(1000.0, 24000.0, 4800);
   const auto y = resample_rational(x, 2, 1);

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include "dsp/spectrum.h"
-#include "fm/receiver.h"
+#include "fm/demodulator.h"
 #include "fm/rds.h"
+#include "fm/stereo_decoder.h"
 #include "fm/transmitter.h"
 
 namespace fmbs::fm {
 namespace {
+
+/// The receiver front end: discriminator at the MPX rate.
+dsp::rvec discriminate(const dsp::cvec& iq) {
+  QuadratureDemodulator demod(units::Hertz{kMaxDeviationHz}, kMpxRate);
+  return demod.process(iq);
+}
 
 TEST(Station, RendersConsistentLengths) {
   StationConfig cfg;
@@ -53,13 +60,13 @@ TEST(StationToReceiver, FullLoopbackRecoversProgram) {
   cfg.seed = 5;
   const StationSignal sig = render_station(cfg, units::Seconds{2.0});
 
-  ReceiverConfig rcfg;
-  const ReceiverOutput out = receive_fm(sig.iq, rcfg);
-  EXPECT_TRUE(out.stereo_mode);
+  const StereoDecodeResult out =
+      decode_stereo(discriminate(sig.iq), StereoDecoderConfig{});
+  EXPECT_TRUE(out.pilot_detected);
 
   // Compare decoded mono with program mid via correlation-insensitive power
   // matching in the speech band.
-  const auto mono = out.mono();
+  const auto mono = out.audio.mid();
   const double p_out = dsp::band_power(mono.samples, kAudioRate, 200.0, 4000.0);
   const double p_in =
       dsp::band_power(sig.program.mid().samples, kAudioRate, 200.0, 4000.0);
@@ -72,15 +79,13 @@ TEST(StationToReceiver, RdsRidesAlong) {
   cfg.rds_level = 0.08;
   cfg.rds_ps_name = "KKFM 923";
   const StationSignal sig = render_station(cfg, units::Seconds{2.5});
-  ReceiverConfig rcfg;
-  const ReceiverOutput out = receive_fm(sig.iq, rcfg);
-  const auto rds = decode_rds(out.mpx, kMpxRate);
+  const auto rds = decode_rds(discriminate(sig.iq), kMpxRate);
   EXPECT_EQ(rds.ps_name, "KKFM 923");
 }
 
 TEST(Receiver, EmptyInputThrows) {
-  ReceiverConfig rcfg;
-  EXPECT_THROW(receive_fm({}, rcfg), std::invalid_argument);
+  EXPECT_THROW(decode_stereo({}, StereoDecoderConfig{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -8,17 +8,31 @@
 // EXPECT_EQ, not EXPECT_NEAR: a single flipped bit anywhere means some
 // streaming decoder's state diverged from its one-shot twin and is a bug.
 // Two extra scenes cover renderer branches no golden reaches: an always-on
-// custom_baseband tag and a fading tag on a segmented timeline.
+// custom_baseband tag and a fading tag on a segmented timeline; a third, a
+// stereo program, is the only scene whose receivers enter stereo mode.
+//
+// The capture cases pin the batch engine's receiver captures (MPX, decoded
+// L/R, pilot decision, device-chain mono and stereo) byte for byte against
+// the one-shot reference chain: the discriminator over the renderer's
+// concatenated blocks, then fm::decode_stereo, then rx::apply_phone_chain or
+// rx::apply_cabin_acoustics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "audio/tone.h"
+#include "core/scene_render.h"
 #include "core/streaming.h"
+#include "fm/demodulator.h"
+#include "fm/stereo_decoder.h"
 #include "golden_scenarios.h"
+#include "rx/car.h"
+#include "rx/phone_chain.h"
 #include "tag/baseband.h"
 
 namespace fmbs::golden {
@@ -190,6 +204,116 @@ core::Scenario fading_segments() {
   return sc;
 }
 
+/// A stereo program with a phone and a car tuned to the station itself (the
+/// car decodes in stereo, unlike car_listening_to's forced mono) and a phone
+/// on a tag channel. The two station receivers are the only ones in any
+/// scene here that pass the pilot decision and run the stereo branch.
+core::Scenario stereo_program() {
+  core::Scenario sc;
+  sc.name = "stereo_program";
+  sc.station.program.genre = audio::ProgramGenre::kPop;
+  sc.station.program.stereo = true;
+  sc.station.seed = 71;
+  sc.seed = 71;
+  sc.duration = units::Seconds{1.0};
+  core::ScenarioTag t;
+  t.name = "poster";
+  t.rate = tag::DataRate::k1600bps;
+  t.num_bits = 320;
+  t.packet_bits = 80;
+  t.tag_power = units::Dbm{-25.0};
+  t.distance_override = units::Feet{4.0};
+  t.start = units::Seconds{0.3};
+  sc.tags.push_back(std::move(t));
+  core::ScenarioReceiver phone;
+  phone.name = "station-phone";
+  phone.tune_offset = units::Hertz{0.0};
+  core::ScenarioReceiver car;
+  car.name = "station-car";
+  car.kind = core::ReceiverKind::kCar;
+  car.tune_offset = units::Hertz{0.0};
+  sc.receivers = {phone, car,
+                  core::phone_listening_to(sc.tags[0].subcarrier)};
+  return sc;
+}
+
+void expect_same_bytes(const std::vector<float>& got,
+                       const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Checks ScenarioEngine's kept captures against the one-shot reference
+/// chain, receiver by receiver. Returns how many receivers decoded in
+/// stereo mode.
+std::size_t expect_captures_match_reference(const core::Scenario& sc) {
+  SCOPED_TRACE(sc.name + " captures");
+  const core::ScenarioResult batch =
+      core::ScenarioEngine({.keep_captures = true}).run(sc);
+  const core::ScenarioPlan plan = core::resolve_scenario_plan(sc);
+  core::SceneRenderer scene(sc, plan, core::SceneRendering::kSparse,
+                            std::nullopt);
+  std::vector<dsp::cvec> iq(sc.receivers.size());
+  std::vector<dsp::cvec> block;
+  for (std::size_t b = 0; b < scene.num_blocks(); ++b) {
+    scene.render_block(b, block);
+    for (std::size_t r = 0; r < iq.size(); ++r) {
+      iq[r].insert(iq[r].end(), block[r].begin(), block[r].end());
+    }
+  }
+
+  std::size_t stereo_receivers = 0;
+  EXPECT_EQ(batch.receivers.size(), sc.receivers.size());
+  for (std::size_t r = 0; r < batch.receivers.size(); ++r) {
+    SCOPED_TRACE("receiver " + std::to_string(r));
+    const core::ScenarioReceiver& rx = sc.receivers[r];
+    fm::QuadratureDemodulator demod(units::Hertz{fm::kMaxDeviationHz},
+                                    fm::kMpxRate);
+    const dsp::rvec mpx = demod.process(iq[r]);
+    fm::StereoDecoderConfig sdc = rx.stereo_decoder;
+    sdc.mpx_rate = fm::kMpxRate;
+    const fm::StereoDecodeResult decoded = fm::decode_stereo(mpx, sdc);
+    audio::MonoBuffer mono;
+    audio::StereoBuffer stereo;
+    if (rx.kind == core::ReceiverKind::kCar) {
+      mono = rx::apply_cabin_acoustics(decoded.audio.mid(), rx.cabin);
+      stereo = audio::StereoBuffer::dual_mono(mono);
+    } else {
+      mono = rx::apply_phone_chain(decoded.audio.mid(), rx.phone);
+      stereo = rx::apply_phone_chain(decoded.audio, rx.phone);
+    }
+
+    const core::ReceiverCapture& cap = batch.receivers[r].capture;
+    expect_same_bytes(cap.fm.mpx, mpx, "mpx");
+    expect_same_bytes(cap.fm.audio.left, decoded.audio.left, "left");
+    expect_same_bytes(cap.fm.audio.right, decoded.audio.right, "right");
+    EXPECT_EQ(cap.fm.audio.sample_rate, decoded.audio.sample_rate);
+    EXPECT_EQ(cap.fm.stereo_mode, decoded.pilot_detected);
+    EXPECT_EQ(cap.fm.pilot_snr_db, decoded.pilot_snr_db);
+    expect_same_bytes(cap.mono.samples, mono.samples, "mono");
+    EXPECT_EQ(cap.mono.sample_rate, mono.sample_rate);
+    expect_same_bytes(cap.stereo.left, stereo.left, "stereo left");
+    expect_same_bytes(cap.stereo.right, stereo.right, "stereo right");
+    EXPECT_EQ(cap.stereo.sample_rate, stereo.sample_rate);
+    if (decoded.pilot_detected) ++stereo_receivers;
+  }
+  return stereo_receivers;
+}
+
+TEST(StreamingEquivalence, CapturesMatchReferenceChainOnGoldens) {
+  for (const core::Scenario& sc :
+       {solo_poster(), city_disjoint(), aloha_burst(), two_station_city(),
+        mobile_handoff(), rds_city()}) {
+    // No golden carries a stereo program.
+    EXPECT_EQ(expect_captures_match_reference(sc), 0U);
+  }
+}
+TEST(StreamingEquivalence, CapturesMatchReferenceChainInStereo) {
+  EXPECT_EQ(expect_captures_match_reference(stereo_program()), 2U);
+}
+
 TEST(StreamingEquivalence, SoloPoster) {
   expect_equivalent_all_thread_counts(solo_poster());
 }
@@ -217,6 +341,10 @@ TEST(StreamingEquivalence, FadingAcrossSegments) {
   const core::Scenario sc = fading_segments();
   ASSERT_EQ(core::resolve_scenario_plan(sc).num_segments, 4U);
   expect_equivalent_all_thread_counts(sc);
+}
+
+TEST(StreamingEquivalence, StereoProgram) {
+  expect_equivalent_all_thread_counts(stereo_program());
 }
 
 // Live events must agree with the assembled result: every decoded link
