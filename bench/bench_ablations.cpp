@@ -14,6 +14,7 @@
 #include "audio/tone.h"
 #include "core/aloha.h"
 #include "core/harvesting.h"
+#include "core/scenario.h"
 #include "core/sweep_runner.h"
 #include "dsp/spectrum.h"
 #include "rx/fsk_demod.h"
@@ -27,17 +28,19 @@ double tone_snr_for_subcarrier(const tag::SubcarrierConfig& subcarrier) {
   core::ExperimentPoint point;
   point.tag_power = units::Dbm{-30.0};
   point.distance = units::Feet{4.0};
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.station.program.genre = audio::ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-  cfg.tag.subcarrier = subcarrier;
+  point.genre = audio::ProgramGenre::kSilence;
+  point.stereo_station = false;
   const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
+  core::Scenario sc = core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{1.0});
+  sc.tags[0].subcarrier = subcarrier;
+  sc.receivers[0].tune_offset = subcarrier.shift;
+  const core::ScenarioResult r = core::ScenarioEngine().run(sc);
+  const audio::MonoBuffer& mono = r.receivers[0].capture.mono;
   const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
   return dsp::tone_snr_db(
-      std::span<const float>(sim.backscatter_rx.mono.samples)
-          .subspan(skip, sim.backscatter_rx.mono.size() - skip),
+      std::span<const float>(mono.samples).subspan(skip, mono.size() - skip),
       fm::kAudioRate, 1000.0, 100.0, 15000.0);
 }
 
@@ -140,15 +143,16 @@ int main() {
       point.tag_power = units::Dbm{-58.0};
       point.distance = units::Feet{16.0};
       point.genre = audio::ProgramGenre::kMixed;
-      core::SystemConfig cfg = core::make_system(point);
-      cfg.station.preemphasis = emphasis;
-      cfg.stereo_decoder.deemphasis = emphasis;
       const auto bits = tag::random_bits(480, 5);
       const auto wave = tag::modulate_fsk(bits, tag::DataRate::k1600bps,
                                           fm::kAudioRate);
-      const auto bb = tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-      const auto sim = core::simulate(cfg, bb, units::Seconds{wave.duration_seconds() + 0.15});
-      const auto demod = rx::demodulate_fsk(sim.backscatter_rx.mono,
+      core::Scenario sc = core::make_scenario(
+          point, tag::compose_overlay_baseband(wave, core::kOverlayLevel),
+          units::Seconds{wave.duration_seconds() + 0.15});
+      sc.station.preemphasis = emphasis;
+      sc.receivers[0].stereo_decoder.deemphasis = emphasis;
+      const core::ScenarioResult r = core::ScenarioEngine().run(sc);
+      const auto demod = rx::demodulate_fsk(r.receivers[0].capture.mono,
                                             tag::DataRate::k1600bps, bits.size());
       return rx::compare_bits(bits, demod.bits).ber;
     });

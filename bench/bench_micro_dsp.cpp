@@ -8,7 +8,7 @@
 #include "channel/awgn.h"
 #include "channel/superpose.h"
 #include "core/experiment.h"
-#include "core/simulator.h"
+#include "core/scenario.h"
 #include "core/thread_pool.h"
 #include "fm/station_cache.h"
 #include "dsp/fft.h"
@@ -213,12 +213,13 @@ void BM_EndToEndSimulationSecond(benchmark::State& state) {
   fm::StationCache::instance().set_enabled(false);
   core::ExperimentPoint point;
   point.genre = audio::ProgramGenre::kNews;
-  core::SystemConfig cfg = core::make_system(point);
   const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
+  const core::Scenario sc = core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{1.0});
   for (auto _ : state) {
-    auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
-    benchmark::DoNotOptimize(sim.backscatter_rx.mono.samples.data());
+    auto r = core::ScenarioEngine().run(sc);
+    benchmark::DoNotOptimize(r.receivers[0].capture.mono.samples.data());
   }
   fm::StationCache::instance().set_enabled(true);
 }

@@ -20,7 +20,6 @@ int main() {
   point.genre = audio::ProgramGenre::kNews;
   point.tag_power = units::Dbm{-35.0};  // typical urban ambient power (paper Fig. 2)
   point.distance = units::Feet{6.0};
-  core::SystemConfig cfg = core::make_system(point);
 
   // 2. Build the tag's transmission: frame the message, modulate 2-FSK.
   const std::string message = "HELLO FM BACKSCATTER";
@@ -34,14 +33,25 @@ int main() {
   std::printf("tag: %zu payload bytes -> %zu bits -> %.2f s on air at 100 bps\n",
               payload.size(), bits.size(), waveform.duration_seconds());
 
-  // 3. Run the physical simulation.
+  // 3. Build the one-tag scene and price its link: the plan's in-channel
+  // power at the phone, and the reflection's budget relative to the tag.
   const double duration = waveform.duration_seconds() + 0.2;
-  const core::SimulationResult sim = core::simulate(cfg, tag_baseband, units::Seconds{duration});
+  const core::Scenario scene =
+      core::make_scenario(point, tag_baseband, units::Seconds{duration});
+  const double rx_dbm =
+      core::resolve_scenario_plan(scene).rx_power_dbm[0][0][0];
+  channel::LinkBudgetConfig link = scene.receivers[0].link;
+  link.tag_antenna_gain = units::Db{scene.tags[0].antenna.effective_gain_db()};
+  link.rx_antenna_gain = core::receiver_antenna_gain(scene.receivers[0]);
+  const channel::BackscatterPath path = channel::compute_backscatter_path(
+      point.tag_power, std::nullopt, point.distance.to_meters(), link);
   std::printf("scene: backscatter reaches the phone at %.1f dBm (budget %+.1f dB)\n",
-              sim.backscatter_rx_power_dbm, sim.budget.backscatter_gain.raw());
+              rx_dbm, path.budget.backscatter_gain.raw());
 
-  // 4. Decode on the phone: FM audio out -> FSK demod -> frame decode.
-  const auto demod = rx::demodulate_fsk(sim.backscatter_rx.mono,
+  // 4. Run the physical simulation and decode on the phone: FM audio out ->
+  // FSK demod -> frame decode.
+  const core::ScenarioResult result = core::ScenarioEngine().run(scene);
+  const auto demod = rx::demodulate_fsk(result.receivers[0].capture.mono,
                                         tag::DataRate::k100bps, bits.size());
   const auto decoded = tag::decode_frame(demod.bits);
   if (!decoded) {

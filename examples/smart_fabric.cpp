@@ -34,16 +34,17 @@ bool stream_vitals(channel::Mobility mobility, const char* label,
   point.genre = audio::ProgramGenre::kNews;
   point.tag_power = units::Dbm{-37.5};  // outdoor ambient level (paper section 6.2)
   point.distance = units::Feet{2.0};    // shirt to pocket/hand
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.tag.antenna = tag::tshirt_meander_antenna(/*worn=*/true);
-  cfg.scene.fading = channel::fading_for_mobility(mobility);
 
   const auto bits = tag::encode_frame(pack(vitals));
   const auto wave = tag::modulate_fsk(bits, tag::DataRate::k100bps, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{wave.duration_seconds() + 0.2});
+  core::Scenario scene = core::make_scenario(
+      point, tag::compose_overlay_baseband(wave, core::kOverlayLevel),
+      units::Seconds{wave.duration_seconds() + 0.2});
+  scene.tags[0].antenna = tag::tshirt_meander_antenna(/*worn=*/true);
+  scene.tags[0].fading = channel::fading_for_mobility(mobility);
+  const core::ScenarioResult result = core::ScenarioEngine().run(scene);
 
-  const auto demod = rx::demodulate_fsk(sim.backscatter_rx.mono,
+  const auto demod = rx::demodulate_fsk(result.receivers[0].capture.mono,
                                         tag::DataRate::k100bps, bits.size());
   const auto frame = tag::decode_frame(demod.bits);
   if (!frame || frame->size() != 4) {

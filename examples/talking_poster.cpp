@@ -21,8 +21,6 @@ int main(int argc, char** argv) {
   point.genre = audio::ProgramGenre::kNews;
   point.tag_power = units::Dbm{-37.0};
   point.distance = units::Feet{10.0};
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.tag.antenna = tag::poster_dipole_antenna();  // the 40"x60" prototype
 
   // Content: 4 s of music, then the notification packet, looped by the tag.
   const double music_seconds = 4.0;
@@ -36,19 +34,22 @@ int main(int argc, char** argv) {
       tag::modulate_fsk(bits, tag::DataRate::k100bps, fm::kAudioRate);
 
   const audio::MonoBuffer content = audio::concat(music, packet);
-  const auto baseband = tag::compose_overlay_baseband(content, core::kOverlayLevel);
+  core::Scenario scene = core::make_scenario(
+      point, tag::compose_overlay_baseband(content, core::kOverlayLevel),
+      units::Seconds{content.duration_seconds() + 0.2});
+  // The 40"x60" prototype's copper-tape dipole.
+  scene.tags[0].antenna = tag::poster_dipole_antenna();
 
   std::printf("poster: %s, %.1f s music + %zu-bit packet\n",
-              cfg.tag.antenna.name.c_str(), music_seconds, bits.size());
+              scene.tags[0].antenna.name.c_str(), music_seconds, bits.size());
 
-  const core::SimulationResult sim =
-      core::simulate(cfg, baseband, units::Seconds{content.duration_seconds() + 0.2});
+  const core::ScenarioResult result = core::ScenarioEngine().run(scene);
+  const audio::MonoBuffer& received = result.receivers[0].capture.mono;
 
   // The phone hears the composite: station news + poster music/packet.
-  audio::write_wav(out_dir + "/talking_poster_received.wav",
-                   sim.backscatter_rx.mono);
+  audio::write_wav(out_dir + "/talking_poster_received.wav", received);
   audio::write_wav(out_dir + "/talking_poster_station_only.wav",
-                   sim.station->program.mid());
+                   result.station->program.mid());
   std::printf("wrote %s/talking_poster_received.wav (what the user hears)\n",
               out_dir.c_str());
 
@@ -57,9 +58,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(music_seconds * fm::kAudioRate);
   audio::MonoBuffer tail(
       std::vector<float>(
-          sim.backscatter_rx.mono.samples.begin() +
-              static_cast<std::ptrdiff_t>(music_samples),
-          sim.backscatter_rx.mono.samples.end()),
+          received.samples.begin() + static_cast<std::ptrdiff_t>(music_samples),
+          received.samples.end()),
       fm::kAudioRate);
   const auto demod =
       rx::demodulate_fsk(tail, tag::DataRate::k100bps, bits.size());
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
 
   // Audio quality of the overlaid music for the curious.
   const audio::MonoBuffer head(
-      std::vector<float>(sim.backscatter_rx.mono.samples.begin(),
-                         sim.backscatter_rx.mono.samples.begin() +
+      std::vector<float>(received.samples.begin(),
+                         received.samples.begin() +
                              static_cast<std::ptrdiff_t>(music_samples)),
       fm::kAudioRate);
   std::printf("overlay music PESQ-like score: %.2f (paper: ~2 is clearly audible)\n",

@@ -1,7 +1,8 @@
 // Experiment harness: the measurement procedures of the paper's evaluation
 // (section 5), packaged so each bench binary is a thin parameter sweep.
-// Every function builds a SystemConfig, runs the physical simulation and
-// applies the paper's measurement methodology for that figure.
+// Every function builds the point's one-tag scene (core::make_scenario in
+// core/scenario.h), runs it through the ScenarioEngine and applies the
+// paper's measurement methodology for that figure.
 #pragma once
 
 #include <cstdint>
@@ -12,13 +13,15 @@
 #include "audio/pesq_like.h"
 #include "audio/program.h"
 #include "channel/fading.h"
-#include "core/config.h"
-#include "core/simulator.h"
+#include "core/units.h"
 #include "rx/fsk_demod.h"
 #include "tag/coding.h"
 #include "tag/fsk.h"
 
 namespace fmbs::core {
+
+/// Which device decodes the backscatter channel.
+enum class ReceiverKind { kPhone, kCar };
 
 /// Tag content level relative to full deviation for overlay content.
 inline constexpr double kOverlayLevel = 0.95;
@@ -36,9 +39,6 @@ struct ExperimentPoint {
   /// tag content and channel noise (derived from `seed`) stay independent.
   std::uint64_t station_seed = 0;
 };
-
-/// Builds a fully-populated SystemConfig for a measurement point.
-SystemConfig make_system(const ExperimentPoint& point);
 
 // ---- Micro-benchmarks (Fig. 6 / Fig. 7 / Fig. 14a) ------------------------
 

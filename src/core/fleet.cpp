@@ -226,10 +226,8 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     b.start = plan.tags[i].start_seconds;
     b.burst = plan.tags[i].burst_seconds;
     b.seg = plan.segment_of_time(b.start + 0.5 * b.burst);
-    const double station_off =
-        plan.multi ? plan.station_offset[static_cast<std::size_t>(
-                         plan.selected_station[b.seg][i])]
-                   : 0.0;
+    const double station_off = plan.station_offset[static_cast<std::size_t>(
+        plan.selected_station[b.seg][i])];
     b.nch = tag_backscatter_channels(sc.tags[i], units::Hertz{station_off},
                                     b.ch);
     b.rds = plan.tags[i].rds;
@@ -254,10 +252,8 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
     for (std::size_t bi = 0; bi < bursts.size(); ++bi) {
       const BurstInfo& b = bursts[bi];
       const ScenarioTag& t = sc.tags[b.tag];
-      const double station_off =
-          plan.multi ? plan.station_offset[static_cast<std::size_t>(
-                           plan.selected_station[b.seg][b.tag])]
-                     : 0.0;
+      const double station_off = plan.station_offset[static_cast<std::size_t>(
+          plan.selected_station[b.seg][b.tag])];
       if (!tag_audible_at(t, units::Hertz{station_off}, rx.tune_offset)) {
         continue;
       }
@@ -412,9 +408,7 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
       tt.mac = tag::MacConfig{};
       tt.position = plan.tag_pos[b.seg][b.tag];
       tt.waypoints.clear();
-      if (plan.multi) {
-        tt.station_index = plan.selected_station[b.seg][b.tag];
-      }
+      tt.station_index = plan.selected_station[b.seg][b.tag];
       tt.seed = plan.tags[b.tag].content_seed;
       if (tt.fading) tt.fading_seed = plan.tags[b.tag].fading_seed;
       sub.tags.push_back(std::move(tt));

@@ -8,10 +8,10 @@
 //   core::ExperimentPoint point;                 // -30 dBm, 4 ft, news
 //   auto ber = core::run_overlay_ber(point, tag::DataRate::k100bps, 400);
 //
-// or drive the pieces directly: render a station (fm::render_station),
-// compose a tag baseband (tag::compose_overlay_baseband), run the physical
-// simulation (core::simulate) and decode (rx::demodulate_fsk /
-// audio::pesq_like).
+// or drive the pieces directly: compose a tag baseband
+// (tag::compose_overlay_baseband), build its one-tag scene
+// (core::make_scenario), run it (core::ScenarioEngine) and decode the
+// receiver's capture (rx::demodulate_fsk / audio::pesq_like).
 #pragma once
 
 #include "audio/metrics.h"
@@ -24,13 +24,11 @@
 #include "channel/fading.h"
 #include "channel/link_budget.h"
 #include "core/aloha.h"
-#include "core/config.h"
 #include "core/experiment.h"
 #include "core/fleet.h"
 #include "core/harvesting.h"
 #include "core/rng.h"
 #include "core/scenario.h"
-#include "core/simulator.h"
 #include "core/sweep_runner.h"
 #include "core/thread_pool.h"
 #include "fm/constants.h"

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -55,6 +56,53 @@ void validate_receiver_chain(const ScenarioReceiver& rx) {
         "ScenarioEngine: receiver \"" + rx.name +
         "\" needs an audio rate dividing the MPX rate, filter corners in "
         "(0, Nyquist) and finite, non-negative noise levels and cabin delays");
+  }
+}
+
+/// Rejects a non-finite station offset or power, tag power or distance,
+/// receiver tune, set receiver power, noise floor or antenna gain, and any
+/// non-finite position or waypoint coordinate. units.h checks finiteness only
+/// with assert(), and NaN would slip past every range check after this.
+void validate_finite_inputs(const Scenario& sc) {
+  const auto finite = [](std::initializer_list<double> values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  const auto finite_path = [&](const ScenePosition& at,
+                               std::span<const ScenePosition> waypoints) {
+    return finite({at.x_m, at.y_m}) &&
+           std::all_of(waypoints.begin(), waypoints.end(),
+                       [&](const ScenePosition& w) {
+                         return finite({w.x_m, w.y_m});
+                       });
+  };
+  const auto unset_or_finite = [](const auto& value) {
+    return !value || std::isfinite(value->raw());
+  };
+  const auto check = [](bool ok, const char* kind, const std::string& name) {
+    if (!ok) {
+      throw std::invalid_argument(
+          std::string("ScenarioEngine: ") + kind + " \"" + name +
+          "\" has a non-finite power, offset, gain, distance or coordinate");
+    }
+  };
+  for (const ScenarioStation& st : sc.stations) {
+    check(finite({st.offset.raw(), st.power.raw()}) &&
+              finite_path(st.position.value_or(ScenePosition{}), {}),
+          "station", st.name);
+  }
+  for (const ScenarioTag& t : sc.tags) {
+    check(finite({t.tag_power.raw()}) &&
+              unset_or_finite(t.distance_override) &&
+              finite_path(t.position, t.waypoints),
+          "tag", t.name);
+  }
+  for (const ScenarioReceiver& rx : sc.receivers) {
+    check(finite({rx.tune_offset.raw()}) && unset_or_finite(rx.direct_power) &&
+              unset_or_finite(rx.noise_200khz) &&
+              unset_or_finite(rx.rx_antenna_gain) &&
+              finite_path(rx.position, rx.waypoints),
+          "receiver", rx.name);
   }
 }
 
@@ -143,59 +191,13 @@ ScenarioReceiver car_listening_to(const tag::SubcarrierConfig& subcarrier) {
   rx.kind = ReceiverKind::kCar;
   rx.tune_offset = subcarrier.shift;
   rx.stereo_decoder.force_mono = true;  // car stereo used as plain mono
-  // Car ranges run near the ground where the two-ray d^4 falloff dominates
-  // (see make_system's car branch).
+  // Car ranges (20-80 ft) run near the ground where the two-ray d^4 falloff
+  // dominates; phones operate inside the two-ray crossover, so free space
+  // suffices there.
   rx.link.use_two_ray = true;
   rx.link.tag_height = units::Meters{1.52};
   rx.link.rx_height = units::Meters{1.5};
   return rx;
-}
-
-Scenario scenario_from_system(const SystemConfig& config,
-                              const dsp::rvec& tag_baseband,
-                              units::Seconds duration) {
-  Scenario sc;
-  sc.name = "legacy-bridge";
-  sc.station = config.station;
-  sc.settle = units::Seconds{0.0};
-  sc.duration = duration;
-  sc.seed = config.scene.noise_seed;
-
-  ScenarioTag t;
-  t.name = "tag";
-  t.subcarrier = config.tag.subcarrier;
-  t.antenna = config.tag.antenna;
-  // An empty legacy baseband means "unmodulated always-on switch" (the
-  // engine zero-pads to the scene length); keep one explicit zero sample so
-  // the engine does not mistake it for an FSK payload tag.
-  t.custom_baseband = tag_baseband.empty() ? dsp::rvec(1, 0.0F) : tag_baseband;
-  t.tag_power = config.scene.tag_power;
-  t.distance_override = config.scene.tag_rx_distance;
-  t.fading = config.scene.fading;
-  t.fading_seed = config.scene.noise_seed + 1;  // simulate()'s fading stream
-  sc.tags.push_back(std::move(t));
-
-  ScenarioReceiver rx;
-  rx.name = "backscatter-rx";
-  rx.kind = config.receiver;
-  rx.tune_offset = config.tag.subcarrier.shift;
-  rx.direct_power = config.scene.direct_power;
-  rx.noise_200khz = config.scene.rx_noise_200khz;
-  rx.link = config.scene.link;
-  rx.noise_seed = config.scene.noise_seed;
-  rx.phone = config.phone;
-  rx.cabin = config.cabin;
-  rx.stereo_decoder = config.stereo_decoder;
-  sc.receivers.push_back(rx);
-
-  if (config.capture_ambient_receiver) {
-    ScenarioReceiver amb = rx;
-    amb.name = "ambient-rx";
-    amb.tune_offset = units::Hertz{0.0};
-    amb.noise_seed = config.scene.noise_seed + 0x9e3779b9ULL;  // simulate()'s
-    sc.receivers.push_back(std::move(amb));
-  }
-  return sc;
 }
 
 SurveySceneReport stations_from_survey_report(
@@ -318,6 +320,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     throw std::invalid_argument("ScenarioEngine: scenario needs a receiver");
   }
   for (const ScenarioReceiver& rx : sc.receivers) validate_receiver_chain(rx);
+  validate_finite_inputs(sc);
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
   const double total_seconds = plan.total_seconds;
@@ -495,10 +498,8 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   // couples into those channels, all evaluated with the segment's geometry.
   auto channels_of = [&](std::size_t t, std::size_t seg,
                          units::Hertz (&out)[2]) -> int {
-    const units::Hertz off{multi
-                               ? plan.station_offset[static_cast<std::size_t>(
-                                     plan.selected_station[seg][t])]
-                               : 0.0};
+    const units::Hertz off{plan.station_offset[static_cast<std::size_t>(
+        plan.selected_station[seg][t])]};
     return tag_backscatter_channels(sc.tags[t], off, out);
   };
   auto sense_channel = [&](std::size_t attempt, units::Seconds w_begin,
@@ -724,13 +725,9 @@ ScenePruning resolve_scene_pruning(const Scenario& sc, const ScenarioPlan& plan,
     if (!plan.tags[t].transmitted) continue;
     for (std::size_t k = 0; k < plan.num_segments && !pr.tag_needed[t]; ++k) {
       units::Hertz ch[2];
-      const int n = tag_backscatter_channels(
-          sc.tags[t],
-          units::Hertz{
-              plan.multi
-                  ? plan.station_offset[static_cast<std::size_t>(sel[k][t])]
-                  : 0.0},
-          ch);
+      const units::Hertz station_offset{
+          plan.station_offset[static_cast<std::size_t>(sel[k][t])]};
+      const int n = tag_backscatter_channels(sc.tags[t], station_offset, ch);
       for (int c = 0; c < n; ++c) {
         if (near_some_receiver(ch[c].raw())) {
           pr.tag_needed[t] = 1;

@@ -10,6 +10,29 @@
 // adjacent-channel interference between stations and tags is physical —
 // it arrives through the receiver tuner's stopband, not through a model.
 //
+// The physical pipeline:
+//
+//   station MPX/IQ (240 kHz) --x10--> RF scene (2.4 MHz complex baseband)
+//        |                               |
+//        |        tag baseband --> subcarrier B(t) --> reflected = B x RF
+//        |                               |
+//        +--> direct path ---------------+--> tuner(s) --> + AWGN (240 kHz)
+//                                                              |
+//        +-----------------------------------------------------+
+//        |
+//        +--> discriminator --> MPX --> RDS windows
+//                                |
+//                                +--> pilot-gated stereo --> L/R
+//                                                             |
+//                      FSK bursts <-- device chain <-- mono <-+
+//
+// The backscatter multiplication happens sample-by-sample on the RF signal,
+// exactly as the tag's switch does it; no audio-domain shortcut is taken.
+// Rendering and decoding are block-streamed (0.1 s blocks): the scene
+// renderer (core/scene_render.h) hands each receiver's tuned IQ block to
+// that receiver's decode chain (core/receiver_decode.h), so long captures
+// never hold the 2.4 MHz stream, or the receiver's IQ, in memory.
+//
 // Typical use:
 //
 //   core::Scenario sc;
@@ -28,6 +51,13 @@
 //
 //   const auto cities = survey::builtin_city_spectra();
 //   sc.stations = core::stations_from_survey(cities[1], /*listen_channel=*/49);
+//
+// The paper's single-knob measurements (core/experiment.h) run one tag with
+// an explicit baseband, built by make_scenario:
+//
+//   const core::ScenarioResult r = core::ScenarioEngine().run(
+//       core::make_scenario(point, baseband, units::Seconds{1.0}));
+//   const audio::MonoBuffer& heard = r.receivers[0].capture.mono;
 #pragma once
 
 #include <cstdint>
@@ -40,14 +70,17 @@
 #include <utility>
 #include <vector>
 
+#include "audio/audio_buffer.h"
 #include "channel/fading.h"
 #include "channel/link_budget.h"
-#include "core/config.h"
-#include "core/simulator.h"
 #include "core/sweep_runner.h"
 #include "dsp/types.h"
+#include "fm/receiver.h"
+#include "fm/stereo_decoder.h"
 #include "fm/transmitter.h"
+#include "rx/car.h"
 #include "rx/multitag.h"
+#include "rx/phone_chain.h"
 #include "rx/rds_path.h"
 #include "survey/spectrum_db.h"
 #include "tag/antenna.h"
@@ -161,7 +194,7 @@ struct ScenarioTag {
   double rds_level = 0.3;
   /// ...or an explicit FM_back baseband at the MPX rate (non-empty overrides
   /// the FSK payload; the tag is then on-air for the whole scenario and
-  /// reports no BER — used for audio tags and the legacy-simulator bridge).
+  /// reports no BER — used for audio tags and make_scenario's experiments).
   dsp::rvec custom_baseband;
 
   // Link budget inputs.
@@ -187,8 +220,8 @@ struct ScenarioTag {
   /// air for the whole run and ignore this.
   tag::MacConfig mac;
   /// When set, overrides the geometric tag-to-receiver distance for every
-  /// receiver (the paper's single-knob experiments; also the bit-identity
-  /// bridge from SceneConfig::tag_rx_distance).
+  /// receiver (the paper's single-knob experiments: make_scenario sets it
+  /// from ExperimentPoint::distance).
   std::optional<units::Feet> distance_override;
   std::optional<channel::FadingConfig> fading;
 
@@ -253,6 +286,13 @@ struct Scenario {
   /// used by run_scenario_sweep's seed policy; a scenario run directly
   /// through ScenarioEngine::run keeps whatever is set here.
   std::uint64_t seed = 1;
+};
+
+/// Everything captured at one receiver.
+struct ReceiverCapture {
+  fm::ReceiverOutput fm;        // raw FM receiver output
+  audio::MonoBuffer mono;       // mono audio after the device chain
+  audio::StereoBuffer stereo;   // stereo audio after the device chain
 };
 
 /// Decode statistics of one (tag, receiver) link.
@@ -517,16 +557,20 @@ inline bool tag_audible_at(const ScenarioTag& tag, units::Hertz tune_offset) {
 ScenarioReceiver phone_listening_to(const tag::SubcarrierConfig& subcarrier);
 
 /// A car receiver tuned to a planned subcarrier channel: whip antenna, car
-/// noise floor, two-ray ground propagation and mono decode, as in
-/// make_system's car branch.
+/// noise floor, two-ray ground propagation (the poster 5 ft up, the whip on
+/// the car body) and mono decode.
 ScenarioReceiver car_listening_to(const tag::SubcarrierConfig& subcarrier);
 
-/// Bridges a legacy single-tag SystemConfig + explicit baseband into a
-/// one-tag, one-or-two-receiver Scenario whose rendered receiver capture is
-/// bit-identical to core::simulate(config, baseband, duration).
-Scenario scenario_from_system(const SystemConfig& config,
-                              const dsp::rvec& tag_baseband,
-                              units::Seconds duration);
+/// The one-tag scene of a paper measurement (core/experiment.h): the point's
+/// station at the scene center, one always-on tag reflecting `tag_baseband`
+/// (FM_back at the MPX rate, see tag/baseband.h composers; zero-padded or
+/// truncated to the run) at the point's ambient power and distance, and one
+/// receiver of the point's kind on the tag's channel. No settle window; the
+/// station, noise and fading seeds follow the point's seeds. Callers adjust
+/// the returned scene (antenna, fading, device chain, a second receiver)
+/// before running it.
+Scenario make_scenario(const ExperimentPoint& point, dsp::rvec tag_baseband,
+                       units::Seconds duration);
 
 /// Builds a multi-station scene from a surveyed city's band occupancy
 /// (survey::SpectrumDb, paper Fig. 4): every detectable channel within

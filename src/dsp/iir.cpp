@@ -86,19 +86,16 @@ std::vector<float> BiquadCascade::process(std::span<const float> in) {
   return out;
 }
 
-OnePoleLowpass OnePoleLowpass::from_time_constant(double tau_seconds,
-                                                  double sample_rate) {
-  if (tau_seconds <= 0.0 || sample_rate <= 0.0) {
-    throw std::invalid_argument("OnePoleLowpass: tau and rate must be > 0");
+OnePoleLowpass OnePoleLowpass::from_corner(double corner_hz,
+                                           double sample_rate) {
+  if (corner_hz <= 0.0 || sample_rate <= 0.0) {
+    throw std::invalid_argument("OnePoleLowpass: corner and rate must be > 0");
   }
-  // Exact discretization of the RC network: alpha = 1 - exp(-T/tau).
+  // Exact discretization of the RC network with tau = 1 / (2 pi f_c):
+  // alpha = 1 - exp(-T/tau).
+  const double tau_seconds = 1.0 / (kTwoPi * corner_hz);
   const double alpha = 1.0 - std::exp(-1.0 / (sample_rate * tau_seconds));
   return OnePoleLowpass(alpha);
-}
-
-OnePoleLowpass OnePoleLowpass::from_corner(double corner_hz, double sample_rate) {
-  if (corner_hz <= 0.0) throw std::invalid_argument("OnePoleLowpass: corner <= 0");
-  return from_time_constant(1.0 / (kTwoPi * corner_hz), sample_rate);
 }
 
 OnePoleLowpass::OnePoleLowpass(double alpha) : alpha_(alpha) {

@@ -56,9 +56,6 @@ class BiquadCascade {
 /// smoothing and the FM de-emphasis RC network.
 class OnePoleLowpass {
  public:
-  /// Builds from an RC time constant in seconds at the given sample rate.
-  static OnePoleLowpass from_time_constant(double tau_seconds, double sample_rate);
-
   /// Builds from a -3 dB corner frequency in Hz at the given sample rate.
   static OnePoleLowpass from_corner(double corner_hz, double sample_rate);
 

@@ -4,29 +4,48 @@
 
 #include <sstream>
 
+#include "core/scenario.h"
+
 namespace fmbs::core {
 namespace {
 
-TEST(MakeSystem, PhoneDefaults) {
+TEST(MakeScenario, PhoneDefaults) {
   ExperimentPoint point;
   point.tag_power = units::Dbm{-42.0};
   point.distance = units::Feet{7.0};
-  const SystemConfig cfg = make_system(point);
-  EXPECT_EQ(cfg.scene.tag_power.raw(), -42.0);
-  EXPECT_EQ(cfg.scene.tag_rx_distance.raw(), 7.0);
-  EXPECT_EQ(cfg.receiver, ReceiverKind::kPhone);
-  EXPECT_EQ(cfg.scene.rx_noise_200khz.raw(),
+  point.seed = 5;
+  const Scenario sc = make_scenario(point, {}, units::Seconds{0.5});
+  EXPECT_EQ(sc.station.seed, 5U);
+  EXPECT_EQ(sc.settle.raw(), 0.0);
+  EXPECT_EQ(sc.duration.raw(), 0.5);
+  ASSERT_EQ(sc.tags.size(), 1U);
+  EXPECT_EQ(sc.tags[0].tag_power.raw(), -42.0);
+  EXPECT_EQ(sc.tags[0].distance_override->raw(), 7.0);
+  EXPECT_EQ(sc.tags[0].custom_baseband.size(), 1U);  // always-on, silent
+  EXPECT_EQ(*sc.tags[0].fading_seed, sc.seed + 1);
+  ASSERT_EQ(sc.receivers.size(), 1U);
+  EXPECT_EQ(sc.receivers[0].kind, ReceiverKind::kPhone);
+  EXPECT_EQ(sc.receivers[0].tune_offset, sc.tags[0].subcarrier.shift);
+  EXPECT_EQ(*sc.receivers[0].noise_seed, sc.seed);
+  EXPECT_EQ(receiver_noise_floor(sc.receivers[0]).raw(),
             channel::ReceiverNoise::kPhonePer200kHz.raw());
 }
 
-TEST(MakeSystem, CarOverrides) {
+TEST(MakeScenario, CarOverrides) {
   ExperimentPoint point;
   point.receiver = ReceiverKind::kCar;
-  const SystemConfig cfg = make_system(point);
-  EXPECT_EQ(cfg.scene.rx_noise_200khz.raw(),
+  point.station_seed = 9;
+  const Scenario sc = make_scenario(point, dsp::rvec(48, 0.5F),
+                                    units::Seconds{0.5});
+  EXPECT_EQ(sc.station.seed, 9U);
+  EXPECT_EQ(sc.tags[0].custom_baseband.size(), 48U);
+  const ScenarioReceiver& car = sc.receivers[0];
+  EXPECT_EQ(car.kind, ReceiverKind::kCar);
+  EXPECT_EQ(receiver_noise_floor(car).raw(),
             channel::ReceiverNoise::kCarPer200kHz.raw());
-  EXPECT_TRUE(cfg.stereo_decoder.force_mono);
-  EXPECT_GT(cfg.scene.link.rx_antenna_gain.raw(), 0.0);
+  EXPECT_TRUE(car.stereo_decoder.force_mono);
+  EXPECT_TRUE(car.link.use_two_ray);
+  EXPECT_GT(receiver_antenna_gain(car).raw(), 0.0);
 }
 
 TEST(ToneSnr, StrongCloseToneIsClean) {

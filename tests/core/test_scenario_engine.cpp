@@ -1,9 +1,8 @@
 // Property tests for the multi-tag scenario engine:
-//  * a one-tag scenario is bit-identical to the legacy single-tag simulator
-//    (same RF scene, same noise draws, same receiver chain),
 //  * K tags on K disjoint channels each decode exactly as they do solo
 //    (spectrum separation really isolates them),
-//  * the demod router, channel planner and audibility rules behave.
+//  * the demod router, channel planner and audibility rules behave,
+//  * inconsistent or non-finite scenarios are rejected before rendering.
 #include "core/scenario.h"
 
 #include <gtest/gtest.h>
@@ -16,84 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "audio/tone.h"
 #include "core/streaming.h"
 #include "fm/station_cache.h"
-#include "tag/baseband.h"
 #include "tag/channel_plan.h"
 
 namespace fmbs::core {
 namespace {
-
-// ---- Bit-identity with the legacy simulator --------------------------------
-
-TEST(ScenarioEngine, SingleTagBitIdenticalToSimulator) {
-  SystemConfig cfg;
-  cfg.station.program.genre = audio::ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 5;
-  cfg.scene.tag_power = units::Dbm{-35.0};
-  cfg.scene.tag_rx_distance = units::Feet{6.0};
-  cfg.scene.noise_seed = 99;
-
-  const double duration = 0.4;
-  const audio::MonoBuffer tone =
-      audio::make_tone(3000.0, 0.8, duration, fm::kAudioRate);
-  const dsp::rvec bb = tag::compose_overlay_baseband(tone, kOverlayLevel);
-
-  const SimulationResult legacy = simulate(cfg, bb, units::Seconds{duration});
-  const ScenarioResult sc =
-      ScenarioEngine().run(scenario_from_system(cfg, bb, units::Seconds{duration}));
-
-  ASSERT_EQ(sc.receivers.size(), 1U);
-  const audio::MonoBuffer& a = legacy.backscatter_rx.mono;
-  const audio::MonoBuffer& b = sc.receivers[0].capture.mono;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.samples[i], b.samples[i]) << "sample " << i;
-  }
-  // Stereo chain too: the full capture matches, not just the mono downmix.
-  ASSERT_EQ(legacy.backscatter_rx.stereo.size(),
-            sc.receivers[0].capture.stereo.size());
-  for (std::size_t i = 0; i < legacy.backscatter_rx.stereo.size(); ++i) {
-    ASSERT_EQ(legacy.backscatter_rx.stereo.left[i],
-              sc.receivers[0].capture.stereo.left[i]) << "L sample " << i;
-  }
-}
-
-TEST(ScenarioEngine, BridgeCarriesAmbientReceiverAndFading) {
-  SystemConfig cfg;
-  cfg.station.program.genre = audio::ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 6;
-  cfg.scene.noise_seed = 7;
-  cfg.scene.fading = channel::fading_for_mobility(channel::Mobility::kWalking);
-  cfg.capture_ambient_receiver = true;
-
-  const double duration = 0.3;
-  const audio::MonoBuffer tone =
-      audio::make_tone(2000.0, 0.8, duration, fm::kAudioRate);
-  const dsp::rvec bb = tag::compose_overlay_baseband(tone, kOverlayLevel);
-
-  const SimulationResult legacy = simulate(cfg, bb, units::Seconds{duration});
-  const ScenarioResult sc =
-      ScenarioEngine().run(scenario_from_system(cfg, bb, units::Seconds{duration}));
-
-  ASSERT_TRUE(legacy.ambient_rx.has_value());
-  ASSERT_EQ(sc.receivers.size(), 2U);
-  const audio::MonoBuffer& a = legacy.ambient_rx->mono;
-  const audio::MonoBuffer& b = sc.receivers[1].capture.mono;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.samples[i], b.samples[i]) << "ambient sample " << i;
-  }
-  const audio::MonoBuffer& ab = legacy.backscatter_rx.mono;
-  const audio::MonoBuffer& bb2 = sc.receivers[0].capture.mono;
-  ASSERT_EQ(ab.size(), bb2.size());
-  for (std::size_t i = 0; i < ab.size(); ++i) {
-    ASSERT_EQ(ab.samples[i], bb2.samples[i]) << "backscatter sample " << i;
-  }
-}
 
 // ---- Disjoint channels isolate tags ----------------------------------------
 
@@ -623,6 +550,109 @@ TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
     EXPECT_THROW((void)batch.run(sc), std::invalid_argument) << c.what;
     EXPECT_THROW((void)streaming.run(sc), std::invalid_argument) << c.what;
   }
+}
+
+// units.h checks finiteness only with assert(), so a Release build hands a
+// NaN or infinite power, offset or coordinate straight to the plan, where
+// NaN fails every comparison: a NaN station offset passed the scene-width
+// bound and was silently pruned, a NaN station power decoded to a BER, and a
+// NaN tune offset made the receiver hear nothing, all without an error.
+// std::bit_cast skips the asserting constructors, so Debug builds reach the
+// plan's check too.
+struct SceneSpoil {
+  std::string what;
+  std::function<void(Scenario&, double)> apply;
+};
+
+void expect_rejects_non_finite(const Scenario& base,
+                               const std::vector<SceneSpoil>& spoils) {
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const SceneSpoil& spoil : spoils) {
+      Scenario sc = base;
+      spoil.apply(sc, v);
+      EXPECT_THROW((void)resolve_scenario_plan(sc), std::invalid_argument)
+          << spoil.what << " = " << v;
+    }
+  }
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteStationInputs) {
+  Scenario base;
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
+                                       audio::ProgramGenre::kSilence));
+  base.stations[1].position = ScenePosition{300.0, 0.0};
+  base.receivers.emplace_back();
+  expect_rejects_non_finite(
+      base,
+      {{"offset",
+        [](Scenario& sc, double v) {
+          sc.stations[1].offset = std::bit_cast<units::Hertz>(v);
+        }},
+       {"power",
+        [](Scenario& sc, double v) {
+          sc.stations[0].power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"position.x",
+        [](Scenario& sc, double v) { sc.stations[1].position->x_m = v; }},
+       {"position.y",
+        [](Scenario& sc, double v) { sc.stations[1].position->y_m = v; }}});
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
+  Scenario base;
+  ScenarioTag t;
+  t.custom_baseband = dsp::rvec(1, 0.0F);
+  t.waypoints = {ScenePosition{2.0, 0.0}, ScenePosition{2.0, 2.0}};
+  t.distance_override = units::Feet{4.0};
+  base.tags.push_back(std::move(t));
+  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
+  expect_rejects_non_finite(
+      base,
+      {{"tag_power",
+        [](Scenario& sc, double v) {
+          sc.tags[0].tag_power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"position.x",
+        [](Scenario& sc, double v) { sc.tags[0].position.x_m = v; }},
+       {"waypoint.y",
+        [](Scenario& sc, double v) { sc.tags[0].waypoints[1].y_m = v; }},
+       {"distance_override", [](Scenario& sc, double v) {
+          sc.tags[0].distance_override = std::bit_cast<units::Feet>(v);
+        }}});
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteReceiverInputs) {
+  Scenario base;
+  ScenarioTag t;
+  t.custom_baseband = dsp::rvec(1, 0.0F);
+  base.tags.push_back(std::move(t));
+  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
+  base.receivers[0].waypoints = {ScenePosition{1.0, 1.0}};
+  expect_rejects_non_finite(
+      base,
+      {{"tune_offset",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].tune_offset = std::bit_cast<units::Hertz>(v);
+        }},
+       {"position.y",
+        [](Scenario& sc, double v) { sc.receivers[0].position.y_m = v; }},
+       {"waypoint.x",
+        [](Scenario& sc, double v) { sc.receivers[0].waypoints[0].x_m = v; }},
+       {"direct_power",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].direct_power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"noise_200khz",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].noise_200khz = std::bit_cast<units::Dbm>(v);
+        }},
+       {"rx_antenna_gain", [](Scenario& sc, double v) {
+          sc.receivers[0].rx_antenna_gain = std::bit_cast<units::Db>(v);
+        }}});
 }
 
 }  // namespace

@@ -144,28 +144,40 @@ void expect_equivalent_all_thread_counts(const core::Scenario& sc) {
   expect_equivalent(sc, 8);
 }
 
-/// The legacy bridge's always-on custom_baseband tag (the path
-/// scenario_from_system and core::simulate take). Its tone is shorter than
-/// the run, so the renderer zero-fills past its end; an FSK tag on the same
-/// channel carries the custom reflection into decoded numbers, and the
-/// bridge's ambient receiver decodes the station's RDS.
+/// An always-on custom_baseband tag, the scene shape core::make_scenario
+/// builds for the paper's measurements: no settle window, a tag at a fixed
+/// distance reflecting an explicit baseband, and the cooperative pair's
+/// second receiver parked on the station. Its tone is shorter than the run,
+/// so the renderer zero-fills past its end; an FSK tag on the same channel
+/// carries the custom reflection into decoded numbers, and the station
+/// receiver decodes the station's RDS.
 core::Scenario custom_baseband_bridge() {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = audio::ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 61;
-  cfg.station.rds_level = 0.05;
-  cfg.station.rds_ps_name = "BRIDGEFM";
-  cfg.scene.tag_power = units::Dbm{-30.0};
-  cfg.scene.tag_rx_distance = units::Feet{5.0};
-  cfg.scene.noise_seed = 61;
-  cfg.capture_ambient_receiver = true;
-  const audio::MonoBuffer tone =
-      audio::make_tone(3000.0, 0.8, 0.15, fm::kAudioRate);
-  core::Scenario sc = core::scenario_from_system(
-      cfg, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
-      units::Seconds{0.3});
+  core::Scenario sc;
   sc.name = "custom_baseband_bridge";
+  sc.station.program.genre = audio::ProgramGenre::kNews;
+  sc.station.program.stereo = false;
+  sc.station.seed = 61;
+  sc.station.rds_level = 0.05;
+  sc.station.rds_ps_name = "BRIDGEFM";
+  sc.settle = units::Seconds{0.0};
+  sc.duration = units::Seconds{0.3};
+  sc.seed = 61;
+  core::ScenarioTag custom;
+  custom.name = "tag";
+  custom.custom_baseband = tag::compose_overlay_baseband(
+      audio::make_tone(3000.0, 0.8, 0.15, fm::kAudioRate), core::kOverlayLevel);
+  custom.tag_power = units::Dbm{-30.0};
+  custom.distance_override = units::Feet{5.0};
+  sc.tags.push_back(std::move(custom));
+  core::ScenarioReceiver phone =
+      core::phone_listening_to(sc.tags[0].subcarrier);
+  phone.name = "backscatter-rx";
+  phone.noise_seed = 61;
+  sc.receivers.push_back(phone);
+  phone.name = "ambient-rx";
+  phone.tune_offset = units::Hertz{0.0};
+  phone.noise_seed = 61 + 0x9e3779b9ULL;
+  sc.receivers.push_back(std::move(phone));
   core::ScenarioTag data;
   data.name = "fsk-neighbor";
   data.subcarrier = sc.tags[0].subcarrier;

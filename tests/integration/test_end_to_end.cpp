@@ -20,11 +20,11 @@ using tag::DataRate;
 // backscattering a 2 kHz tone over a station playing a 700 Hz tone program
 // and checking BOTH tones appear in the received audio.
 TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-20.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
+  ExperimentPoint point;
+  point.genre = ProgramGenre::kSilence;
+  point.stereo_station = false;
+  point.tag_power = units::Dbm{-20.0};
+  point.distance = units::Feet{4.0};
 
   const double duration = 1.0;
   // Station program: replace silence with a pure 700 Hz tone by rendering a
@@ -36,10 +36,11 @@ TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
   // then run with a news program and verify speech + tone coexist.
   const audio::MonoBuffer tone =
       audio::make_tone(2000.0, 1.0, duration, fm::kAudioRate);
-  const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
+  const core::ScenarioResult r = core::ScenarioEngine().run(core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{duration}));
 
-  const auto& mono = sim.backscatter_rx.mono;
+  const auto& mono = r.receivers[0].capture.mono;
   ASSERT_GT(mono.size(), 4096U);
   // The backscattered tone must dominate the audio band.
   const double snr = dsp::tone_snr_db(mono.samples, fm::kAudioRate, 2000.0,
@@ -49,19 +50,20 @@ TEST(EndToEnd, MultiplicationBecomesAdditionInAudioDomain) {
 
 // With a program playing, the receiver hears program + backscatter (overlay).
 TEST(EndToEnd, OverlayPreservesBothProgramAndBackscatter) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.station.seed = 11;
-  cfg.scene.tag_power = units::Dbm{-20.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
+  ExperimentPoint point;
+  point.genre = ProgramGenre::kNews;
+  point.stereo_station = false;
+  point.seed = 11;
+  point.tag_power = units::Dbm{-20.0};
+  point.distance = units::Feet{4.0};
 
   const double duration = 2.0;
   const audio::MonoBuffer tone =
       audio::make_tone(11000.0, 0.8, duration, fm::kAudioRate);
-  const dsp::rvec bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
-  const auto& mono = sim.backscatter_rx.mono;
+  const core::ScenarioResult r = core::ScenarioEngine().run(core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{duration}));
+  const auto& mono = r.receivers[0].capture.mono;
 
   // Tone present at 11 kHz (above speech)...
   const double p_tone = dsp::band_power(mono.samples, fm::kAudioRate, 10800.0,

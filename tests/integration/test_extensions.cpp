@@ -15,6 +15,11 @@ using core::ExperimentPoint;
 using tag::DataRate;
 using tag::FecScheme;
 
+/// Capture of the scene's first receiver (the device on the tag's channel).
+core::ReceiverCapture capture_of(const core::Scenario& sc) {
+  return std::move(core::ScenarioEngine().run(sc).receivers[0].capture);
+}
+
 // FEC at a marginal operating point: coding must reduce payload BER
 // (the paper's "we can use coding to improve the FM backscatter range").
 TEST(Extensions, ConvolutionalCodingExtendsRange) {
@@ -49,21 +54,22 @@ TEST(Extensions, CodedLinkCleanAtStrongSignal) {
 // empty) 57 kHz subband of the backscatter channel; an RDS-capable receiver
 // tuned there decodes the PS name.
 TEST(Extensions, RdsBackscatterCarriesStationText) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kNews;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-25.0};
-  cfg.scene.tag_rx_distance = units::Feet{3.0};
+  ExperimentPoint point;
+  point.genre = ProgramGenre::kNews;
+  point.stereo_station = false;
+  point.tag_power = units::Dbm{-25.0};
+  point.distance = units::Feet{3.0};
 
   const double duration = 2.5;
   const auto groups = fm::make_ps_groups("POSTER01");
   const auto bits = fm::serialize_groups(groups);
   const auto num_samples =
       static_cast<std::size_t>(duration * fm::kMpxRate);
-  const auto bb = tag::compose_rds_baseband(bits, num_samples, 0.3);
-  const core::SimulationResult sim = core::simulate(cfg, bb, units::Seconds{duration});
+  const core::ReceiverCapture heard = capture_of(core::make_scenario(
+      point, tag::compose_rds_baseband(bits, num_samples, 0.3),
+      units::Seconds{duration}));
 
-  const auto rds = fm::decode_rds(sim.backscatter_rx.fm.mpx, fm::kMpxRate);
+  const auto rds = fm::decode_rds(heard.fm.mpx, fm::kMpxRate);
   EXPECT_EQ(rds.ps_name, "POSTER01");
 }
 
@@ -73,21 +79,21 @@ TEST(Extensions, SingleSidebandEquivalentInChannel) {
   ExperimentPoint point;
   point.tag_power = units::Dbm{-30.0};
   point.distance = units::Feet{4.0};
-  core::SystemConfig base = core::make_system(point);
-  base.station.program.genre = ProgramGenre::kSilence;
-  base.station.program.stereo = false;
+  point.genre = ProgramGenre::kSilence;
+  point.stereo_station = false;
 
   const auto tone = audio::make_tone(1000.0, 1.0, 1.0, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
+  const core::Scenario base = core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{1.0});
 
   auto snr_for = [&](tag::SubcarrierMode mode) {
-    core::SystemConfig cfg = base;
-    cfg.tag.subcarrier.mode = mode;
-    const auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
+    core::Scenario sc = base;
+    sc.tags[0].subcarrier.mode = mode;
+    const audio::MonoBuffer mono = capture_of(sc).mono;
     const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
     return dsp::tone_snr_db(
-        std::span<const float>(sim.backscatter_rx.mono.samples)
-            .subspan(skip, sim.backscatter_rx.mono.size() - skip),
+        std::span<const float>(mono.samples).subspan(skip, mono.size() - skip),
         fm::kAudioRate, 1000.0, 100.0, 15000.0);
   };
   const double square = snr_for(tag::SubcarrierMode::kBandlimitedSquare);
@@ -99,20 +105,22 @@ TEST(Extensions, SingleSidebandEquivalentInChannel) {
 // *below* the station (e.g. Seattle -200 kHz). The square wave's mirror
 // copy serves that channel directly; the receiver tunes down-band.
 TEST(Extensions, NegativeShiftBackscatterWorks) {
-  core::SystemConfig cfg;
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
-  cfg.scene.tag_power = units::Dbm{-25.0};
-  cfg.scene.tag_rx_distance = units::Feet{4.0};
-  cfg.tag.subcarrier.shift = units::Hertz{-600000.0};
+  ExperimentPoint point;
+  point.genre = ProgramGenre::kSilence;
+  point.stereo_station = false;
+  point.tag_power = units::Dbm{-25.0};
+  point.distance = units::Feet{4.0};
 
   const auto tone = audio::make_tone(1500.0, 1.0, 1.0, fm::kAudioRate);
-  const auto bb = tag::compose_overlay_baseband(tone, core::kOverlayLevel);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{1.0});
+  core::Scenario sc = core::make_scenario(
+      point, tag::compose_overlay_baseband(tone, core::kOverlayLevel),
+      units::Seconds{1.0});
+  sc.tags[0].subcarrier.shift = units::Hertz{-600000.0};
+  sc.receivers[0].tune_offset = sc.tags[0].subcarrier.shift;
+  const audio::MonoBuffer mono = capture_of(sc).mono;
   const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
   const double snr = dsp::tone_snr_db(
-      std::span<const float>(sim.backscatter_rx.mono.samples)
-          .subspan(skip, sim.backscatter_rx.mono.size() - skip),
+      std::span<const float>(mono.samples).subspan(skip, mono.size() - skip),
       fm::kAudioRate, 1500.0, 100.0, 15000.0);
   EXPECT_GT(snr, 25.0) << "down-band backscatter channel not receivable";
 }
@@ -126,15 +134,15 @@ TEST(Extensions, FrameCrcNeverLies) {
     point.tag_power = units::Dbm{power};
     point.distance = units::Feet{14.0};
     point.genre = ProgramGenre::kNews;
-    core::SystemConfig cfg = core::make_system(point);
 
     const std::vector<std::uint8_t> payload{'f', 'm', 'b', 's', '!', 0x00, 0xFF};
     const auto bits = tag::encode_frame(payload);
     const auto wave = tag::modulate_fsk(bits, DataRate::k1600bps, fm::kAudioRate);
-    const auto bb = tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-    const auto sim = core::simulate(cfg, bb, units::Seconds{wave.duration_seconds() + 0.2});
-    const auto demod = rx::demodulate_fsk(sim.backscatter_rx.mono,
-                                          DataRate::k1600bps, bits.size());
+    const core::ReceiverCapture heard = capture_of(core::make_scenario(
+        point, tag::compose_overlay_baseband(wave, core::kOverlayLevel),
+        units::Seconds{wave.duration_seconds() + 0.2}));
+    const auto demod =
+        rx::demodulate_fsk(heard.mono, DataRate::k1600bps, bits.size());
     const auto frame = tag::decode_frame(demod.bits);
     if (frame.has_value()) {
       EXPECT_EQ(*frame, payload) << "CRC accepted corrupted payload @" << power;
@@ -150,18 +158,16 @@ TEST(Extensions, StereoAndMonoPathsAreOrthogonal) {
   point.distance = units::Feet{3.0};
   point.genre = ProgramGenre::kSilence;
   point.stereo_station = false;
-  core::SystemConfig cfg = core::make_system(point);
-  cfg.station.program.genre = ProgramGenre::kSilence;
-  cfg.station.program.stereo = false;
 
   // Tag sends a 2 kHz tone in the stereo stream (with pilot).
   const auto tone = audio::make_tone(2000.0, 1.0, 1.2, fm::kAudioRate);
-  const auto bb = tag::compose_stereo_baseband(tone, /*insert_pilot=*/true);
-  const auto sim = core::simulate(cfg, bb, units::Seconds{1.2});
-  ASSERT_TRUE(sim.backscatter_rx.fm.stereo_mode);
+  const core::ReceiverCapture heard = capture_of(core::make_scenario(
+      point, tag::compose_stereo_baseband(tone, /*insert_pilot=*/true),
+      units::Seconds{1.2}));
+  ASSERT_TRUE(heard.fm.stereo_mode);
 
-  const auto side = sim.backscatter_rx.stereo.side();
-  const auto mono = sim.backscatter_rx.mono;
+  const auto side = heard.stereo.side();
+  const auto& mono = heard.mono;
   const double p_side = dsp::band_power(side.samples, fm::kAudioRate, 1900.0,
                                         2100.0);
   const double p_mono = dsp::band_power(mono.samples, fm::kAudioRate, 1900.0,
