@@ -2,82 +2,18 @@
 // the stereo stream of a news station is nearly interference-free, so
 // stereo backscatter clearly beats overlay at both 1.6 and 3.2 kbps).
 //
-// Runs as a scenario-level sweep (finishing the migration started with
-// fig07/fig08): each grid cell is a one-tag Scenario whose custom baseband
-// carries the FSK payload either as overlay content or in the stereo (L-R)
-// stream; the eval demodulates the matching receiver output (mono downmix
-// for overlay, the stereo side channel for stereo backscatter).
+// Each grid cell runs core::run_overlay_ber or core::run_stereo_ber (640
+// bits; the station broadcasts news in stereo, so stereo backscatter rides
+// its L-R stream without inserting a pilot) through SweepRunner::run_grid —
+// per-cell seeds derive from the grid position and every cell shares one
+// cached station render.
 #include <iostream>
 
-#include "audio/tone.h"
-#include "core/scenario.h"
-#include "rx/fsk_demod.h"
-#include "tag/baseband.h"
-
-namespace {
-
-using namespace fmbs;
-
-constexpr double kSettleSeconds = 0.08;  // receiver warm-up lead-in
-constexpr std::size_t kBits = 640;
-
-std::vector<std::uint8_t> cell_bits(std::size_t plan, double distance_ft) {
-  return tag::random_bits(
-      kBits, core::derive_seed(0xF10, plan * 1000 +
-                                          static_cast<std::uint64_t>(
-                                              distance_ft * 10.0)));
-}
-
-core::Scenario stereo_scenario(std::size_t plan, tag::DataRate rate,
-                               bool stereo, double distance_ft) {
-  core::Scenario sc;
-  sc.name = "fig10";
-  sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = audio::ProgramGenre::kNews;
-  sc.station.program.stereo = true;  // news broadcasting in stereo
-  sc.settle = units::Seconds{0.0};  // the lead-in lives inside the custom baseband
-
-  const audio::MonoBuffer wave = audio::concat(
-      audio::make_silence(kSettleSeconds, fm::kAudioRate),
-      tag::modulate_fsk(cell_bits(plan, distance_ft), rate, fm::kAudioRate));
-  sc.duration = units::Seconds{wave.duration_seconds() + 0.15};
-
-  core::ScenarioTag t;
-  t.name = "data-tag";
-  // Stereo backscatter rides the L-R stream of the already-stereo station
-  // (no pilot insertion needed); overlay rides the mono program band.
-  t.custom_baseband =
-      stereo ? tag::compose_stereo_baseband(wave, /*insert_pilot=*/false)
-             : tag::compose_overlay_baseband(wave, core::kOverlayLevel);
-  t.tag_power = units::Dbm{-30.0};
-  t.distance_override = units::Feet{distance_ft};
-  sc.tags.push_back(std::move(t));
-  sc.receivers.push_back(core::phone_listening_to(sc.tags[0].subcarrier));
-  return sc;
-}
-
-double demod_ber(const core::ScenarioResult& result, std::size_t plan,
-                 tag::DataRate rate, bool stereo, double distance_ft) {
-  const std::vector<std::uint8_t> bits = cell_bits(plan, distance_ft);
-  // The data lives in the mono downmix for overlay, in (L-R)/2 for stereo.
-  const audio::MonoBuffer measured =
-      stereo ? result.receivers[0].capture.stereo.side()
-             : result.receivers[0].capture.mono;
-  const auto skip = static_cast<std::size_t>(kSettleSeconds * fm::kAudioRate);
-  const audio::MonoBuffer body(
-      std::vector<float>(
-          measured.samples.begin() + static_cast<std::ptrdiff_t>(
-                                         std::min(measured.size(), skip)),
-          measured.samples.end()),
-      fm::kAudioRate);
-  const rx::FskDemodResult demod = rx::demodulate_fsk(body, rate, bits.size());
-  return rx::compare_bits(bits, demod.bits).ber;
-}
-
-}  // namespace
+#include "core/sweep_runner.h"
 
 int main() {
+  using namespace fmbs;
+
   const std::vector<double> distances_ft{1, 2, 3, 4};
   struct Plan {
     const char* label;
@@ -91,20 +27,25 @@ int main() {
       {"Stereo 3.2k", tag::DataRate::k3200bps, true},
   };
 
-  std::vector<core::ScenarioGridRow> rows;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    const Plan& plan = plans[p];
+  std::vector<core::GridRow> rows;
+  for (const Plan& plan : plans) {
     rows.push_back({plan.label,
-                    [p, plan](double d) {
-                      return stereo_scenario(p, plan.rate, plan.stereo, d);
+                    [](double d) {
+                      core::ExperimentPoint point;
+                      point.tag_power = units::Dbm{-30.0};
+                      point.distance = units::Feet{d};
+                      point.genre = audio::ProgramGenre::kNews;
+                      point.stereo_station = true;
+                      return point;
                     },
-                    [p, plan](const core::ScenarioResult& result, double d) {
-                      return demod_ber(result, p, plan.rate, plan.stereo, d);
+                    [plan](const core::ExperimentPoint& pt, double) {
+                      const auto run = plan.stereo ? core::run_stereo_ber
+                                                   : core::run_overlay_ber;
+                      return run(pt, plan.rate, 640).ber;
                     }});
   }
   core::SweepRunner runner;
-  const core::ScenarioEngine engine;  // captures kept: the demod needs audio
-  const auto series = core::run_scenario_grid(runner, engine, rows, distances_ft);
+  const auto series = runner.run_grid(rows, distances_ft);
 
   std::cout << "Fig. 10: overlay vs stereo backscatter BER @ -30 dBm\n"
                "(paper: stereo backscatter significantly lower BER; it needs\n"

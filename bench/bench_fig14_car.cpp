@@ -2,113 +2,47 @@
 // the car's antenna and ground plane outperform a phone; the system works
 // to 60 ft; audio re-recorded by a microphone in the running cabin).
 //
-// Runs as a scenario-level sweep (finishing the migration started with
-// fig07/fig08): each grid cell is a one-tag Scenario — a 1 kHz tone over an
-// unmodulated carrier for the SNR panel, synthesized speech for the PESQ
-// panel — heard by a core::car_listening_to receiver (whip antenna, car
-// noise floor, two-ray ground propagation, cabin playback).
+// Each grid cell runs a core::experiment procedure with ReceiverKind::kCar
+// (whip antenna, car noise floor, two-ray ground propagation, cabin
+// playback) on a mono station through SweepRunner::run_grid: run_tone_snr
+// (a 1 kHz tone over an unmodulated carrier, 1 s) for the SNR panel and
+// run_overlay_pesq (tag speech over news, 2.5 s) for the PESQ panel.
 #include <iostream>
 
-#include "audio/speech_synth.h"
-#include "audio/pesq_like.h"
-#include "audio/tone.h"
-#include "core/scenario.h"
-#include "dsp/spectrum.h"
-#include "tag/baseband.h"
-
-namespace {
-
-using namespace fmbs;
-
-constexpr double kToneHz = 1000.0;
-constexpr double kToneSeconds = 1.0;
-constexpr double kSpeechSeconds = 2.5;
-
-core::Scenario car_scenario(double power_dbm, double distance_ft,
-                            const dsp::rvec& baseband, double duration,
-                            audio::ProgramGenre genre) {
-  core::Scenario sc;
-  sc.name = "fig14";
-  sc.seed = 0;          // derived per grid cell by the sweep seed policy
-  sc.station.seed = 0;  // pinned sweep-wide: one shared station render
-  sc.station.program.genre = genre;
-  sc.station.program.stereo = false;
-  sc.settle = units::Seconds{0.0};
-  sc.duration = units::Seconds{duration};
-
-  core::ScenarioTag t;
-  t.name = "poster";
-  t.custom_baseband = baseband;
-  t.tag_power = units::Dbm{power_dbm};
-  t.distance_override = units::Feet{distance_ft};
-  sc.tags.push_back(std::move(t));
-  sc.receivers.push_back(core::car_listening_to(sc.tags[0].subcarrier));
-  return sc;
-}
-
-core::Scenario tone_scenario(double power_dbm, double distance_ft) {
-  // Fig. 6/7 methodology: "an FM station transmitting no audio information".
-  return car_scenario(
-      power_dbm, distance_ft,
-      tag::compose_overlay_baseband(
-          audio::make_tone(kToneHz, 1.0, kToneSeconds, fm::kAudioRate),
-          core::kOverlayLevel),
-      kToneSeconds, audio::ProgramGenre::kSilence);
-}
-
-audio::MonoBuffer cabin_speech(std::uint64_t seed) {
-  audio::SpeechConfig cfg;
-  cfg.pitch_hz = 165.0;  // distinct voice from the news announcer
-  cfg.level_rms = 0.2;
-  return audio::synthesize_speech(cfg, kSpeechSeconds, fm::kAudioRate, seed);
-}
-
-core::Scenario speech_scenario(double power_dbm, double distance_ft) {
-  return car_scenario(
-      power_dbm, distance_ft,
-      tag::compose_overlay_baseband(
-          cabin_speech(static_cast<std::uint64_t>(distance_ft)),
-          core::kOverlayLevel),
-      kSpeechSeconds + 0.1, audio::ProgramGenre::kNews);
-}
-
-double cabin_tone_snr_db(const core::ScenarioResult& result) {
-  const audio::MonoBuffer& mono = result.receivers[0].capture.mono;
-  // Skip the filter-settling head before measuring, as run_tone_snr does.
-  const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
-  const std::span<const float> body(mono.samples.data() + skip,
-                                    mono.size() - skip);
-  return dsp::tone_snr_db(body, fm::kAudioRate, kToneHz, 100.0, 15000.0);
-}
-
-}  // namespace
+#include "core/sweep_runner.h"
 
 int main() {
+  using namespace fmbs;
+
   const std::vector<double> distances_ft{20, 30, 40, 50, 60, 70, 80};
   const std::vector<double> powers_dbm{-20, -30};
 
-  std::vector<core::ScenarioGridRow> snr_rows, pesq_rows;
+  std::vector<core::GridRow> snr_rows, pesq_rows;
   for (const double p : powers_dbm) {
     const std::string label = std::to_string(static_cast<int>(p)) + "dBm";
-    snr_rows.push_back({label,
-                        [p](double d) { return tone_scenario(p, d); },
-                        [](const core::ScenarioResult& result, double) {
-                          return cabin_tone_snr_db(result);
+    const auto make_point = [p](double d) {
+      core::ExperimentPoint point;
+      point.tag_power = units::Dbm{p};
+      point.distance = units::Feet{d};
+      point.stereo_station = false;
+      point.receiver = core::ReceiverKind::kCar;
+      return point;
+    };
+    snr_rows.push_back({label, make_point,
+                        [](const core::ExperimentPoint& pt, double) {
+                          return core::run_tone_snr(pt, units::Hertz{1000.0},
+                                                    /*stereo_band=*/false,
+                                                    units::Seconds{1.0});
                         }});
-    pesq_rows.push_back({label,
-                         [p](double d) { return speech_scenario(p, d); },
-                         [](const core::ScenarioResult& result, double d) {
-                           return audio::pesq_like(
-                               cabin_speech(static_cast<std::uint64_t>(d)),
-                               result.receivers[0].capture.mono);
+    pesq_rows.push_back({label, make_point,
+                         [](const core::ExperimentPoint& pt, double) {
+                           return core::run_overlay_pesq(pt,
+                                                         units::Seconds{2.5});
                          }});
   }
   core::SweepRunner runner;
-  const core::ScenarioEngine engine;  // captures kept: both metrics need audio
-  const auto snr_series =
-      core::run_scenario_grid(runner, engine, snr_rows, distances_ft);
-  const auto pesq_series =
-      core::run_scenario_grid(runner, engine, pesq_rows, distances_ft);
+  const auto snr_series = runner.run_grid(snr_rows, distances_ft);
+  const auto pesq_series = runner.run_grid(pesq_rows, distances_ft);
 
   std::cout << "Fig. 14: overlay backscatter into a car receiver\n"
                "(paper: works well to 60 ft; SNR 15-45 dB over 20-80 ft)\n\n";

@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
-#include <cmath>
+#include <algorithm>
+#include <functional>
 #include <iomanip>
 #include <stdexcept>
 #include <utility>
@@ -22,58 +23,119 @@ namespace {
 constexpr std::uint64_t kContentSeedOffset = 0x100000;
 constexpr std::uint64_t kNoiseSeedOffset = 0x200000;
 
-double duration_for_bits(tag::DataRate rate, std::size_t num_bits) {
-  return static_cast<double>(num_bits) / tag::bits_per_second(rate) + 0.15;
-}
-
 /// Settle time before the data starts: lets the receiver filters, pilot
 /// envelope tracker and AGC converge so the first symbol is clean (real
 /// deployments begin every packet with a preamble that serves the same
 /// purpose).
-constexpr double kSettleSeconds = 0.08;
+constexpr units::Seconds kSettle{0.08};
 
-audio::MonoBuffer with_lead_in(const audio::MonoBuffer& wave) {
-  return audio::concat(audio::make_silence(kSettleSeconds, wave.sample_rate), wave);
+/// Sends `content` from the tag after `lead_in` of silence, in a scene of
+/// `duration` (lead-in included) changed by `adjust` when given, as overlay
+/// (mono band) or stereo (L-R) content; stereo content brings the 19 kHz
+/// pilot when the station is mono (mono-to-stereo conversion). Returns the
+/// receiver output carrying that band, the mono downmix or the stereo
+/// stream recovered as (L-R)/2, with the lead-in dropped.
+audio::MonoBuffer transmit(const ExperimentPoint& point, units::Seconds lead_in,
+                           const audio::MonoBuffer& content, bool stereo_band,
+                           units::Seconds duration,
+                           const std::function<void(Scenario&)>& adjust = {}) {
+  Scenario sc = make_scenario(point, {}, duration);
+  if (adjust) adjust(sc);
+  const audio::MonoBuffer sent = audio::concat(
+      audio::make_silence(lead_in.raw(), content.sample_rate), content);
+  sc.tags[0].custom_baseband =
+      stereo_band
+          ? tag::compose_stereo_baseband(sent, !sc.station.program.stereo)
+          : tag::compose_overlay_baseband(sent, kOverlayLevel);
+  ReceiverCapture capture =
+      std::move(ScenarioEngine().run(sc).receivers[0].capture);
+  audio::MonoBuffer heard =
+      stereo_band ? capture.stereo.side() : std::move(capture.mono);
+  const auto skip =
+      static_cast<std::ptrdiff_t>(lead_in.raw() * heard.sample_rate);
+  if (std::ssize(heard.samples) > skip) {
+    heard.samples.erase(heard.samples.begin(), heard.samples.begin() + skip);
+  }
+  return heard;
 }
 
-audio::MonoBuffer drop_lead_in(const audio::MonoBuffer& mono) {
-  const auto skip = static_cast<std::size_t>(kSettleSeconds * mono.sample_rate);
-  if (mono.size() <= skip) return mono;
-  return audio::MonoBuffer(
-      std::vector<float>(mono.samples.begin() + static_cast<std::ptrdiff_t>(skip),
-                         mono.samples.end()),
-      mono.sample_rate);
+/// Sends `bits` as FSK and returns the bits demodulated from the receiver.
+std::vector<std::uint8_t> send_fsk(const ExperimentPoint& point,
+                                   const std::vector<std::uint8_t>& bits,
+                                   tag::DataRate rate, bool stereo_band) {
+  const units::Seconds duration{
+      static_cast<double>(bits.size()) / tag::bits_per_second(rate) + 0.15 +
+      kSettle.raw()};
+  const audio::MonoBuffer heard =
+      transmit(point, kSettle, tag::modulate_fsk(bits, rate, fm::kAudioRate),
+               stereo_band, duration);
+  return rx::demodulate_fsk(heard, rate, bits.size()).bits;
 }
 
-// The pipeline group delay shifts the data by a few tens of samples, so the
-// final symbol of the last repetition ends just past the trimmed combine
-// buffer. Repetitions are cyclic, so extending the buffer with its own head
-// restores that tail for the demodulator.
-void extend_circularly(audio::MonoBuffer& combined) {
-  const std::size_t extra = std::min<std::size_t>(combined.size(), 480);
-  combined.samples.insert(combined.samples.end(), combined.samples.begin(),
-                          combined.samples.begin() + static_cast<std::ptrdiff_t>(extra));
+/// An MRC transmission: `repetitions` back-to-back copies of one FSK
+/// payload, sent as overlay content and heard in one capture.
+struct RepeatedFsk {
+  std::size_t payload_samples;  ///< all copies, lead-in excluded
+  audio::MonoBuffer heard;
+};
+
+RepeatedFsk send_repeated_fsk(
+    const ExperimentPoint& point, const std::vector<std::uint8_t>& bits,
+    tag::DataRate rate, std::size_t repetitions,
+    const std::function<void(Scenario&)>& adjust = {}) {
+  if (repetitions == 0) throw std::invalid_argument("zero MRC repetitions");
+  const audio::MonoBuffer one = tag::modulate_fsk(bits, rate, fm::kAudioRate);
+  audio::MonoBuffer all = one;
+  for (std::size_t r = 1; r < repetitions; ++r) all = audio::concat(all, one);
+  const units::Seconds duration{all.duration_seconds() + kSettle.raw() +
+                                0.15};
+  return {static_cast<std::size_t>(all.duration_seconds() * fm::kAudioRate),
+          transmit(point, kSettle, all, false, duration, adjust)};
 }
 
-/// Runs `sc` and returns the capture of its first receiver (the device on
-/// the tag's channel).
-ReceiverCapture capture_of(const Scenario& sc) {
-  return std::move(ScenarioEngine().run(sc).receivers[0].capture);
+/// Trims the capture so the copies tile exactly and combines them.
+audio::MonoBuffer combine_repetitions(const RepeatedFsk& tx,
+                                      std::size_t repetitions) {
+  audio::MonoBuffer heard = tx.heard;
+  if (heard.size() > tx.payload_samples) {
+    heard.samples.resize(tx.payload_samples);
+  }
+  // Repetitions are sample-synchronous here (one capture), so realignment is
+  // disabled: a +-1 sample correlation error would rotate the highest FSK
+  // tones enough to partially cancel instead of combine.
+  audio::MonoBuffer combined = rx::mrc_combine(heard, repetitions, 0);
+  // The pipeline group delay shifts the data by a few tens of samples, so the
+  // final symbol of the last repetition ends just past the trimmed buffer.
+  // Repetitions are cyclic, so extending the buffer with its own head
+  // restores that tail for the demodulator.
+  const auto size = std::ssize(combined.samples);
+  const auto extra = std::min<std::ptrdiff_t>(size, 480);
+  combined.samples.resize(static_cast<std::size_t>(size + extra));
+  std::copy_n(combined.samples.begin(), extra, combined.samples.begin() + size);
+  return combined;
 }
 
 rx::BerResult demodulate_and_compare(const audio::MonoBuffer& audio_in,
                                      const std::vector<std::uint8_t>& bits,
                                      tag::DataRate rate) {
-  const rx::FskDemodResult demod =
-      rx::demodulate_fsk(audio_in, rate, bits.size());
-  return rx::compare_bits(bits, demod.bits);
+  return rx::compare_bits(bits,
+                          rx::demodulate_fsk(audio_in, rate, bits.size()).bits);
 }
 
 audio::MonoBuffer tag_speech(double duration_seconds, std::uint64_t seed) {
-  audio::SpeechConfig sc;
-  sc.pitch_hz = 165.0;  // distinct voice from the news announcer
-  sc.level_rms = 0.2;
-  return audio::synthesize_speech(sc, duration_seconds, fm::kAudioRate, seed);
+  // pitch_hz: a voice distinct from the news announcer's.
+  return audio::synthesize_speech({.pitch_hz = 165.0, .level_rms = 0.2},
+                                  duration_seconds, fm::kAudioRate, seed);
+}
+
+/// Sends tag speech and scores the receiver output against it.
+double speech_pesq(const ExperimentPoint& point, units::Seconds duration,
+                   bool stereo_band) {
+  const audio::MonoBuffer speech =
+      tag_speech(duration.raw(), point.seed + kContentSeedOffset);
+  return audio::pesq_like(
+      speech, transmit(point, units::Seconds{0.0}, speech, stereo_band,
+                       units::Seconds{duration.raw() + 0.1}));
 }
 
 }  // namespace
@@ -113,23 +175,15 @@ Scenario make_scenario(const ExperimentPoint& point, dsp::rvec tag_baseband,
 double run_tone_snr(const ExperimentPoint& point, units::Hertz tone,
                     bool stereo_band, units::Seconds duration) {
   const double tone_hz = tone.raw();
-  const double duration_seconds = duration.raw();
-  const audio::MonoBuffer tone_wave =
-      audio::make_tone(tone_hz, 1.0, duration_seconds, fm::kAudioRate);
-  Scenario sc = make_scenario(
-      point,
-      stereo_band
-          ? tag::compose_stereo_baseband(tone_wave, /*insert_pilot=*/true)
-          : tag::compose_overlay_baseband(tone_wave, kOverlayLevel),
-      duration);
-  // Fig. 6 methodology: "we simulate an FM station transmitting no audio
-  // information (FM_audio = 0, a single tone at fc)".
-  sc.station.program.genre = audio::ProgramGenre::kSilence;
-  sc.station.program.stereo = false;
-  const ReceiverCapture heard = capture_of(sc);
-
-  const audio::MonoBuffer& measured =
-      stereo_band ? heard.stereo.side() : heard.mono;
+  const audio::MonoBuffer measured = transmit(
+      point, units::Seconds{0.0},
+      audio::make_tone(tone_hz, 1.0, duration.raw(), fm::kAudioRate),
+      stereo_band, duration, [](Scenario& sc) {
+        // Fig. 6 methodology: "we simulate an FM station transmitting no
+        // audio information (FM_audio = 0, a single tone at fc)".
+        sc.station.program.genre = audio::ProgramGenre::kSilence;
+        sc.station.program.stereo = false;
+      });
   // Skip the filter-settling head before measuring.
   const auto skip = static_cast<std::size_t>(0.1 * fm::kAudioRate);
   if (measured.size() <= skip + 4096) {
@@ -144,39 +198,16 @@ rx::BerResult run_overlay_ber(const ExperimentPoint& point, tag::DataRate rate,
                               std::size_t num_bits) {
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
-  const audio::MonoBuffer wave = with_lead_in(
-      tag::modulate_fsk(bits, rate, fm::kAudioRate));
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_overlay_baseband(wave, kOverlayLevel),
-      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds}));
-  return demodulate_and_compare(drop_lead_in(heard.mono), bits, rate);
+  return rx::compare_bits(bits, send_fsk(point, bits, rate, false));
 }
 
 rx::BerResult run_overlay_ber_mrc(const ExperimentPoint& point, tag::DataRate rate,
                                   std::size_t num_bits, std::size_t repetitions) {
-  if (repetitions == 0) throw std::invalid_argument("run_overlay_ber_mrc: 0 reps");
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
-  const audio::MonoBuffer one = tag::modulate_fsk(bits, rate, fm::kAudioRate);
-  audio::MonoBuffer all = one;
-  for (std::size_t r = 1; r < repetitions; ++r) all = audio::concat(all, one);
-
-  const double payload_seconds = all.duration_seconds();
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_overlay_baseband(with_lead_in(all), kOverlayLevel),
-      units::Seconds{payload_seconds + kSettleSeconds + 0.15}));
-
-  // Trim the padding tail so the N segments tile exactly, then combine.
-  audio::MonoBuffer mono = drop_lead_in(heard.mono);
-  const auto payload_samples =
-      static_cast<std::size_t>(payload_seconds * fm::kAudioRate);
-  if (mono.size() > payload_samples) mono.samples.resize(payload_samples);
-  // Repetitions are sample-synchronous here (one capture), so realignment is
-  // disabled: a +-1 sample correlation error would rotate the highest FSK
-  // tones enough to partially cancel instead of combine.
-  audio::MonoBuffer combined = rx::mrc_combine(mono, repetitions, 0);
-  extend_circularly(combined);
-  return demodulate_and_compare(combined, bits, rate);
+  const RepeatedFsk tx = send_repeated_fsk(point, bits, rate, repetitions);
+  return demodulate_and_compare(combine_repetitions(tx, repetitions), bits,
+                                rate);
 }
 
 rx::BerResult run_overlay_ber_coded(const ExperimentPoint& point,
@@ -184,51 +215,25 @@ rx::BerResult run_overlay_ber_coded(const ExperimentPoint& point,
                                     tag::FecScheme scheme) {
   const auto payload =
       tag::random_bits(payload_bits, point.seed + kContentSeedOffset);
-  const auto coded = tag::fec_encode(payload, scheme);
-  const audio::MonoBuffer wave =
-      with_lead_in(tag::modulate_fsk(coded, rate, fm::kAudioRate));
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_overlay_baseband(wave, kOverlayLevel),
-      units::Seconds{duration_for_bits(rate, coded.size()) + kSettleSeconds}));
-  const rx::FskDemodResult demod =
-      rx::demodulate_fsk(drop_lead_in(heard.mono), rate, coded.size());
-  const auto decoded = tag::fec_decode(demod.bits, scheme, payload_bits);
-  return rx::compare_bits(payload, decoded);
+  const auto received =
+      send_fsk(point, tag::fec_encode(payload, scheme), rate, false);
+  return rx::compare_bits(payload,
+                          tag::fec_decode(received, scheme, payload_bits));
 }
 
 rx::BerResult run_stereo_ber(const ExperimentPoint& point, tag::DataRate rate,
                              std::size_t num_bits) {
-  const bool insert_pilot = !point.stereo_station;  // mono-to-stereo conversion
   const auto bits =
       tag::random_bits(num_bits, point.seed + kContentSeedOffset);
-  const audio::MonoBuffer wave = with_lead_in(
-      tag::modulate_fsk(bits, rate, fm::kAudioRate));
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_stereo_baseband(wave, insert_pilot),
-      units::Seconds{duration_for_bits(rate, num_bits) + kSettleSeconds}));
-  // The receiver outputs L and R; recover the stereo stream as (L-R)/2.
-  return demodulate_and_compare(drop_lead_in(heard.stereo.side()), bits, rate);
+  return rx::compare_bits(bits, send_fsk(point, bits, rate, true));
 }
 
 double run_overlay_pesq(const ExperimentPoint& point, units::Seconds duration) {
-  const double duration_seconds = duration.raw();
-  const audio::MonoBuffer speech =
-      tag_speech(duration_seconds, point.seed + kContentSeedOffset);
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_overlay_baseband(speech, kOverlayLevel),
-      units::Seconds{duration_seconds + 0.1}));
-  return audio::pesq_like(speech, heard.mono);
+  return speech_pesq(point, duration, false);
 }
 
 double run_stereo_pesq(const ExperimentPoint& point, units::Seconds duration) {
-  const double duration_seconds = duration.raw();
-  const bool insert_pilot = !point.stereo_station;
-  const audio::MonoBuffer speech =
-      tag_speech(duration_seconds, point.seed + kContentSeedOffset);
-  const ReceiverCapture heard = capture_of(make_scenario(
-      point, tag::compose_stereo_baseband(speech, insert_pilot),
-      units::Seconds{duration_seconds + 0.1}));
-  return audio::pesq_like(speech, heard.stereo.side());
+  return speech_pesq(point, duration, true);
 }
 
 double run_cooperative_pesq(const ExperimentPoint& point,
@@ -279,33 +284,19 @@ rx::BerResult run_fabric_ber(channel::Mobility mobility, tag::DataRate rate,
   point.station_seed = station_seed;
 
   const auto bits = tag::random_bits(num_bits, seed + kContentSeedOffset);
-  const audio::MonoBuffer one = tag::modulate_fsk(bits, rate, fm::kAudioRate);
-  audio::MonoBuffer all = one;
-  for (std::size_t r = 1; r < mrc_repetitions; ++r) all = audio::concat(all, one);
-  const double payload_seconds = all.duration_seconds();
-  Scenario sc = make_scenario(
-      point, tag::compose_overlay_baseband(with_lead_in(all), kOverlayLevel),
-      units::Seconds{payload_seconds + kSettleSeconds + 0.15});
-  sc.tags[0].antenna = tag::tshirt_meander_antenna(/*worn=*/true);
-  sc.tags[0].fading = channel::fading_for_mobility(mobility);
-  // On-body operation adds absorption and detuning beyond the antenna's own
-  // efficiency: the link runs with little margin, which is exactly why the
-  // paper measures visible BER here.
-  sc.receivers[0].link.implementation_loss = units::Db{13.0};
-
-  audio::MonoBuffer combined = drop_lead_in(capture_of(sc).mono);
-  if (mrc_repetitions > 1) {
-    // Trim the padding tail so the N segments tile exactly, combine, then
-    // restore the group-delayed tail of the last symbol circularly.
-    const auto payload_samples =
-        static_cast<std::size_t>(payload_seconds * fm::kAudioRate);
-    if (combined.size() > payload_samples) {
-      combined.samples.resize(payload_samples);
-    }
-    combined = rx::mrc_combine(combined, mrc_repetitions, 0);
-    extend_circularly(combined);
-  }
-  return demodulate_and_compare(combined, bits, rate);
+  const RepeatedFsk tx = send_repeated_fsk(
+      point, bits, rate, mrc_repetitions, [mobility](Scenario& sc) {
+        sc.tags[0].antenna = tag::tshirt_meander_antenna(/*worn=*/true);
+        sc.tags[0].fading = channel::fading_for_mobility(mobility);
+        // On-body operation adds absorption and detuning beyond the
+        // antenna's own efficiency: the link runs with little margin, which
+        // is exactly why the paper measures visible BER here.
+        sc.receivers[0].link.implementation_loss = units::Db{13.0};
+      });
+  // A single copy is demodulated whole, padding tail included.
+  return demodulate_and_compare(
+      mrc_repetitions > 1 ? combine_repetitions(tx, mrc_repetitions) : tx.heard,
+      bits, rate);
 }
 
 void print_table(std::ostream& os, const std::string& title,

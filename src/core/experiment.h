@@ -1,8 +1,9 @@
 // Experiment harness: the measurement procedures of the paper's evaluation
-// (section 5), packaged so each bench binary is a thin parameter sweep.
-// Every function builds the point's one-tag scene (core::make_scenario in
-// core/scenario.h), runs it through the ScenarioEngine and applies the
-// paper's measurement methodology for that figure.
+// (section 5), each implemented once. Every function builds the point's
+// one-tag scene (core::make_scenario in core/scenario.h), runs it through
+// the ScenarioEngine and applies the paper's measurement methodology for
+// that figure. The figure benches run them over SweepRunner::run_grid, and
+// tests/golden/test_experiment_pins.cpp pins their exact outputs.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,7 @@ double run_tone_snr(const ExperimentPoint& point, units::Hertz tone,
 rx::BerResult run_overlay_ber(const ExperimentPoint& point, tag::DataRate rate,
                               std::size_t num_bits);
 
-/// Overlay BER with N-fold repetition + maximal-ratio combining.
+/// Overlay BER with N-fold repetition + maximal-ratio combining (N >= 1).
 rx::BerResult run_overlay_ber_mrc(const ExperimentPoint& point, tag::DataRate rate,
                                   std::size_t num_bits, std::size_t repetitions);
 
@@ -90,7 +91,7 @@ double run_cooperative_pesq(const ExperimentPoint& point,
 // ---- Smart fabric (Fig. 17b) ----------------------------------------------
 
 /// BER with the t-shirt antenna under a mobility pattern; `mrc_repetitions`
-/// of 1 disables combining (the paper's 1.6 kbps bar uses 2x MRC).
+/// of 1 disables combining, 0 throws (the paper's 1.6 kbps bar uses 2x MRC).
 /// `station_seed` of 0 follows `seed` (see ExperimentPoint::station_seed).
 rx::BerResult run_fabric_ber(channel::Mobility mobility, tag::DataRate rate,
                              std::size_t num_bits, std::size_t mrc_repetitions,

@@ -782,15 +782,11 @@ ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
 void apply_scenario_seed_policy(Scenario& scenario, std::size_t index,
                                 const SweepConfig& config) {
   if (scenario.seed == 0) scenario.seed = derive_seed(config.base_seed, index);
-  // Station seeds left at the 0 sentinel are pinned sweep-wide when sharing
-  // (one fm::StationCache render per station across every point), otherwise
-  // derived from the scenario's own seed (fresh content per point).
-  const std::uint64_t root =
-      config.share_station_renders ? config.base_seed : scenario.seed;
-  if (scenario.station.seed == 0) scenario.station.seed = root;
+  if (scenario.station.seed == 0) scenario.station.seed = config.base_seed;
   for (std::size_t s = 0; s < scenario.stations.size(); ++s) {
     if (scenario.stations[s].config.seed == 0) {
-      scenario.stations[s].config.seed = derive_seed(root, kStationSeedStream + s);
+      scenario.stations[s].config.seed =
+          derive_seed(config.base_seed, kStationSeedStream + s);
     }
   }
 }
@@ -809,39 +805,20 @@ std::vector<Series> run_scenario_grid(SweepRunner& runner,
                                       const ScenarioEngine& engine,
                                       const std::vector<ScenarioGridRow>& rows,
                                       const std::vector<double>& xs) {
-  struct Cell {
-    Scenario scenario;
-    const ScenarioGridRow* row;
-    double x;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(rows.size() * xs.size());
   for (const ScenarioGridRow& row : rows) {
     if (!row.make_scenario || !row.eval) {
       throw std::invalid_argument(
           "run_scenario_grid: row needs make_scenario and eval");
     }
-    for (const double x : xs) {
-      cells.push_back(Cell{row.make_scenario(x), &row, x});
-      apply_scenario_seed_policy(cells.back().scenario, cells.size() - 1,
-                                 runner.config());
-    }
   }
-
-  const std::vector<double> values = runner.map(cells, [&](const Cell& cell) {
-    return cell.row->eval(engine.run(cell.scenario), cell.x);
-  });
-
-  std::vector<Series> series;
-  series.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    Series s;
-    s.label = rows[r].label;
-    s.values.assign(values.begin() + static_cast<std::ptrdiff_t>(r * xs.size()),
-                    values.begin() + static_cast<std::ptrdiff_t>((r + 1) * xs.size()));
-    series.push_back(std::move(s));
-  }
-  return series;
+  return runner.run_cells(
+      rows, xs, [&](const ScenarioGridRow& row, double x, std::size_t index) {
+        Scenario sc = row.make_scenario(x);
+        apply_scenario_seed_policy(sc, index, runner.config());
+        return [sc = std::move(sc), &engine, &row, x] {
+          return row.eval(engine.run(sc), x);
+        };
+      });
 }
 
 }  // namespace fmbs::core

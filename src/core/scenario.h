@@ -620,10 +620,9 @@ struct ScenarioGridRow {
 /// Applies the sweep seed policy to scenario `index` of a sweep rooted at
 /// `config`: a scenario left at seed == 0 gets derive_seed(base_seed, index)
 /// — scheduling-independent, so sweeps are bit-identical at any thread
-/// count — and, when the sweep shares station renders, station seeds left
-/// at 0 are pinned sweep-wide (base_seed for the legacy station,
-/// derive_seed(base_seed, stream + s) for scene station s) so every point
-/// shares one fm::StationCache render per station instead of re-rendering.
+/// count — and station seeds left at 0 are pinned sweep-wide (base_seed for
+/// the legacy station, derive_seed(base_seed, stream + s) for scene station
+/// s) so every point shares one fm::StationCache render per station.
 void apply_scenario_seed_policy(Scenario& scenario, std::size_t index,
                                 const SweepConfig& config);
 
@@ -633,9 +632,9 @@ std::vector<ScenarioResult> run_scenario_sweep(SweepRunner& runner,
                                                const ScenarioEngine& engine,
                                                std::vector<Scenario> scenarios);
 
-/// Full scenario figure grid: one scenario per (row, x) cell — the grid is
-/// flattened into a single work list so narrow rows still fill the pool —
-/// returning one print_table-ready Series per row.
+/// Full scenario figure grid (SweepRunner::run_cells, one scenario per
+/// cell) for figures scored on engine-native results such as FSK bursts or
+/// RDS tags; audio measurements use the core::experiment procedures.
 std::vector<Series> run_scenario_grid(SweepRunner& runner,
                                       const ScenarioEngine& engine,
                                       const std::vector<ScenarioGridRow>& rows,

@@ -17,9 +17,7 @@ SweepRunner::SweepRunner(SweepConfig config)
 void SweepRunner::apply_seed_policy(ExperimentPoint& point,
                                     std::size_t index) const {
   point.seed = derive_seed(config_.base_seed, index);
-  if (config_.share_station_renders && point.station_seed == 0) {
-    point.station_seed = config_.base_seed;
-  }
+  if (point.station_seed == 0) point.station_seed = config_.base_seed;
 }
 
 std::vector<ExperimentPoint> SweepRunner::seed_points(
@@ -28,45 +26,19 @@ std::vector<ExperimentPoint> SweepRunner::seed_points(
   return points;
 }
 
-std::vector<double> SweepRunner::run(
-    const std::vector<ExperimentPoint>& points,
-    const std::function<double(const ExperimentPoint&)>& eval) {
-  return map(seed_points(points),
-             [&](const ExperimentPoint& point) { return eval(point); });
-}
-
 std::vector<Series> SweepRunner::run_grid(const std::vector<GridRow>& rows,
                                           const std::vector<double>& xs) {
-  struct Cell {
-    ExperimentPoint point;
-    const GridRow* row;
-    double x;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(rows.size() * xs.size());
   for (const GridRow& row : rows) {
     if (!row.make_point || !row.eval) {
       throw std::invalid_argument("run_grid: row needs make_point and eval");
     }
-    for (const double x : xs) {
-      cells.push_back(Cell{row.make_point(x), &row, x});
-      apply_seed_policy(cells.back().point, cells.size() - 1);
-    }
   }
-
-  const std::vector<double> values =
-      map(cells, [](const Cell& cell) { return cell.row->eval(cell.point, cell.x); });
-
-  std::vector<Series> series;
-  series.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    Series s;
-    s.label = rows[r].label;
-    s.values.assign(values.begin() + static_cast<std::ptrdiff_t>(r * xs.size()),
-                    values.begin() + static_cast<std::ptrdiff_t>((r + 1) * xs.size()));
-    series.push_back(std::move(s));
-  }
-  return series;
+  return run_cells(
+      rows, xs, [this](const GridRow& row, double x, std::size_t index) {
+        ExperimentPoint point = row.make_point(x);
+        apply_seed_policy(point, index);
+        return [point, &row, x] { return row.eval(point, x); };
+      });
 }
 
 }  // namespace fmbs::core

@@ -1,6 +1,6 @@
 // SweepRunner: the parallel, cached execution engine behind every figure
-// bench. A paper figure is a grid of ExperimentPoints; SweepRunner
-//
+// bench. A paper figure is a grid of ExperimentPoints (run_grid) or of
+// whole Scenarios (core::run_scenario_grid); either way the sweep
 //   * executes the grid across a worker thread pool (core/thread_pool.h),
 //   * derives each point's RNG seed from (base_seed, grid index) via
 //     core/rng.h — never from scheduling — so results are bit-identical at
@@ -9,7 +9,7 @@
 //     fm::StationCache shares one read-only station render across all
 //     points of a sweep instead of re-synthesizing it per point.
 //
-// Typical figure bench:
+// Typical figure bench (see bench_fig07_snr_distance.cpp):
 //
 //   core::SweepRunner runner;
 //   std::vector<core::GridRow> rows;
@@ -39,12 +39,9 @@ namespace fmbs::core {
 struct SweepConfig {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
-  /// Root of per-point seed derivation (and the shared station seed).
+  /// Root of per-point seed derivation, and the station seed every point
+  /// shares (one cached station render per sweep).
   std::uint64_t base_seed = 1;
-  /// Pin station_seed to base_seed on every point so one cached station
-  /// render is shared across the sweep. Disable to give each point its own
-  /// station content (seeded from its derived per-point seed).
-  bool share_station_renders = true;
 };
 
 /// One row of a figure grid: the label print_table shows, a factory that
@@ -62,7 +59,6 @@ class SweepRunner {
   explicit SweepRunner(SweepConfig config = {});
 
   const SweepConfig& config() const { return config_; }
-  std::size_t threads() const { return pool_->size(); }
 
   /// Ordered parallel map: out[i] == fn(items[i]) regardless of thread
   /// count. All randomness must come from the item itself.
@@ -82,21 +78,41 @@ class SweepRunner {
   }
 
   /// Applies the sweep's seed policy: point i gets seed derive_seed(base, i)
-  /// and (when sharing) station_seed = base_seed. Scheduling-independent by
-  /// construction. Points that pre-set station_seed keep it.
+  /// and station_seed = base_seed. Scheduling-independent by construction.
+  /// Points that pre-set station_seed keep it.
   std::vector<ExperimentPoint> seed_points(
       std::vector<ExperimentPoint> points) const;
 
-  /// Evaluates every point with `eval` after applying the seed policy.
-  std::vector<double> run(
-      const std::vector<ExperimentPoint>& points,
-      const std::function<double(const ExperimentPoint&)>& eval);
-
-  /// Full figure grid: one task per (row, x) cell — the whole grid is
-  /// flattened into a single work list so narrow rows still fill the pool —
-  /// returning one print_table-ready Series per row.
+  /// Full figure grid of experiment procedures (see run_cells).
   std::vector<Series> run_grid(const std::vector<GridRow>& rows,
                                const std::vector<double>& xs);
+
+  /// The grid engine behind run_grid and core::run_scenario_grid. Builds one
+  /// task per (row, x) cell in row-major order with task_of(row, x, index)
+  /// — serially, so a cell's seeds depend only on its grid position — runs
+  /// the tasks as one flattened work list, so narrow rows still fill the
+  /// pool, and reshapes their values into one Series per row.
+  template <typename Row, typename TaskOf>
+  std::vector<Series> run_cells(const std::vector<Row>& rows,
+                                const std::vector<double>& xs,
+                                TaskOf&& task_of) {
+    using Task =
+        std::invoke_result_t<TaskOf&, const Row&, double, std::size_t>;
+    std::vector<Task> tasks;
+    for (const Row& row : rows) {
+      for (const double x : xs) tasks.push_back(task_of(row, x, tasks.size()));
+    }
+    const std::vector<double> values =
+        map(tasks, [](const Task& task) { return task(); });
+    std::vector<Series> series;
+    auto first = values.begin();
+    for (const Row& row : rows) {
+      const auto last = first + static_cast<std::ptrdiff_t>(xs.size());
+      series.push_back(Series{row.label, {first, last}});
+      first = last;
+    }
+    return series;
+  }
 
  private:
   void apply_seed_policy(ExperimentPoint& point, std::size_t index) const;

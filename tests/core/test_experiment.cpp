@@ -106,6 +106,14 @@ TEST(FabricBer, StandingBeatsRunning) {
   EXPECT_LE(standing.ber, running.ber + 0.05);
 }
 
+// Zero repetitions is not "one copy": like run_overlay_ber_mrc, the fabric
+// procedure rejects it instead of silently measuring a single transmission.
+TEST(FabricBer, ZeroRepetitionsThrow) {
+  EXPECT_THROW(run_fabric_ber(channel::Mobility::kStanding,
+                              tag::DataRate::k100bps, 40, 0),
+               std::invalid_argument);
+}
+
 TEST(PrintTable, FormatsColumns) {
   std::ostringstream os;
   print_table(os, "Fig X", "distance", {1.0, 2.0},

@@ -62,12 +62,6 @@ TEST(ScenarioSweep, SeedPolicyDerivesScenarioAndPinsStationSeeds) {
   pinned.seed = 9;
   apply_scenario_seed_policy(pinned, 3, config);
   EXPECT_EQ(pinned.seed, 9U);
-
-  // Without render sharing, station content follows the per-point seed.
-  SweepConfig own{.threads = 1, .base_seed = 55, .share_station_renders = false};
-  Scenario unshared = one_tag_scenario(-30.0, 4.0);
-  apply_scenario_seed_policy(unshared, 3, own);
-  EXPECT_EQ(unshared.station.seed, unshared.seed);
 }
 
 // The acceptance property: the same scenario grid is bit-identical at 1, 2

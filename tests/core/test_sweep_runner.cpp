@@ -70,10 +70,6 @@ TEST(SweepRunner, SeedPolicyIsIndexDerivedAndStationShared) {
     EXPECT_EQ(seeded[i].seed, derive_seed(77, i));
     EXPECT_EQ(seeded[i].station_seed, 77U);
   }
-  SweepRunner own_station(
-      SweepConfig{.threads = 1, .base_seed = 5, .share_station_renders = false});
-  const auto unshared = own_station.seed_points(points);
-  EXPECT_EQ(unshared[0].station_seed, 0U);
 }
 
 // The acceptance property of the engine: the same grid produces bit-identical

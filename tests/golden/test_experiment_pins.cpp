@@ -81,6 +81,64 @@ TEST(ExperimentPins, StereoBer) {
   EXPECT_EQ(r.ber, 0.0);
 }
 
+TEST(ExperimentPins, StereoBerStereoStation) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-55.0};
+  point.distance = units::Feet{12.0};
+  point.seed = 18;  // stereo station: the tag rides its L-R stream
+  const rx::BerResult r = run_stereo_ber(point, tag::DataRate::k1600bps, 480);
+  EXPECT_EQ(r.bit_errors, 0U);
+  EXPECT_EQ(r.bits_compared, 480U);
+  EXPECT_EQ(r.ber, 0.0);
+}
+
+TEST(ExperimentPins, OverlayBerMrcOneRepetition) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-60.0};
+  point.distance = units::Feet{16.0};
+  point.seed = 15;
+  const rx::BerResult r =
+      run_overlay_ber_mrc(point, tag::DataRate::k1600bps, 160, 1);
+  EXPECT_EQ(r.bit_errors, 26U);
+  EXPECT_EQ(r.bits_compared, 160U);
+  EXPECT_EQ(r.ber, 0.16250000000000001);
+}
+
+TEST(ExperimentPins, OverlayBerMrcThreeRepetitions) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-60.0};
+  point.distance = units::Feet{16.0};
+  point.seed = 15;
+  const rx::BerResult r =
+      run_overlay_ber_mrc(point, tag::DataRate::k1600bps, 160, 3);
+  EXPECT_EQ(r.bit_errors, 2U);
+  EXPECT_EQ(r.bits_compared, 160U);
+  EXPECT_EQ(r.ber, 0.012500000000000001);
+}
+
+TEST(ExperimentPins, OverlayBerCodedHamming) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-58.0};
+  point.distance = units::Feet{16.0};
+  point.seed = 16;
+  const rx::BerResult r = run_overlay_ber_coded(
+      point, tag::DataRate::k1600bps, 96, tag::FecScheme::kHamming74);
+  EXPECT_EQ(r.bit_errors, 3U);
+  EXPECT_EQ(r.bits_compared, 96U);
+  EXPECT_EQ(r.ber, 0.03125);
+}
+
+TEST(ExperimentPins, ToneSnrCar) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-30.0};
+  point.distance = units::Feet{60.0};
+  point.receiver = ReceiverKind::kCar;
+  point.seed = 19;
+  EXPECT_EQ(run_tone_snr(point, units::Hertz{1000.0}, /*stereo_band=*/false,
+                         units::Seconds{0.5}),
+            per_build(48.451746885787131, 48.4517430376468));
+}
+
 TEST(ExperimentPins, OverlayPesq) {
   ExperimentPoint point;
   point.tag_power = units::Dbm{-35.0};
@@ -88,6 +146,26 @@ TEST(ExperimentPins, OverlayPesq) {
   point.seed = 12;
   EXPECT_EQ(run_overlay_pesq(point, units::Seconds{1.0}),
             per_build(2.7751316963849284, 2.7751316989263377));
+}
+
+TEST(ExperimentPins, OverlayPesqCarMonoStation) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-30.0};
+  point.distance = units::Feet{60.0};
+  point.receiver = ReceiverKind::kCar;
+  point.stereo_station = false;
+  point.seed = 20;
+  EXPECT_EQ(run_overlay_pesq(point, units::Seconds{1.0}),
+            per_build(2.375426440240946, 2.3754264413828965));
+}
+
+TEST(ExperimentPins, StereoPesq) {
+  ExperimentPoint point;
+  point.tag_power = units::Dbm{-50.0};
+  point.distance = units::Feet{8.0};
+  point.seed = 17;
+  EXPECT_EQ(run_stereo_pesq(point, units::Seconds{1.0}),
+            per_build(3.4638290357969335, 3.4638290657837296));
 }
 
 TEST(ExperimentPins, CooperativePesq) {
