@@ -451,7 +451,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
       // RDS data mode: the RadioText compiles to group-2A blocks whose
       // serialized bitstream becomes the burst (one pass over the groups at
       // the standard 1187.5 bps).
-      if (t.rds_level <= 0.0 || t.rds_level > 1.0) {
+      if (!(t.rds_level > 0.0 && t.rds_level <= 1.0)) {  // NaN fails too
         throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
                                     "\" rds_level must be in (0, 1]");
       }
@@ -465,6 +465,10 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     if (t.num_bits == 0) {
       throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
                                   "\" has no payload");
+    }
+    if (!(t.level > 0.0 && t.level <= 1.0)) {  // NaN fails too
+      throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
+                                  "\" level must be in (0, 1]");
     }
     tp.content_seed =
         t.seed ? *t.seed : derive_seed(sc.seed, kTagContentStream + i);

@@ -172,7 +172,8 @@ struct ScenarioTag {
   tag::DataRate rate = tag::DataRate::k1600bps;
   std::size_t num_bits = 64;
   std::size_t packet_bits = 0;  // PER granularity; 0 = one packet
-  double level = kOverlayLevel;  // content level relative to full deviation
+  /// Content level relative to full deviation, in (0, 1].
+  double level = kOverlayLevel;
   /// Burst start relative to the end of the scenario settle window. The tag
   /// switch runs only while its burst is on the air (an idle tag reflects
   /// nothing), which is what makes ALOHA collisions physical.
@@ -191,6 +192,7 @@ struct ScenarioTag {
   /// deviation. Broadcast stations inject ~0.05; the tag's backscatter
   /// channel has an empty program band, so a stronger injection simply
   /// buys block-error margin against the reflected station's own RDS.
+  /// Must be in (0, 1].
   double rds_level = 0.3;
   /// ...or an explicit FM_back baseband at the MPX rate (non-empty overrides
   /// the FSK payload; the tag is then on-air for the whole scenario and

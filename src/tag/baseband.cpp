@@ -83,7 +83,7 @@ dsp::rvec compose_cooperative_baseband(const audio::MonoBuffer& content,
 dsp::rvec compose_rds_baseband(std::span<const unsigned char> rds_bits,
                                std::size_t num_samples, double level,
                                double mpx_rate) {
-  if (level <= 0.0 || level > 1.0) {
+  if (!(level > 0.0 && level <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("compose_rds_baseband: level must be in (0, 1]");
   }
   dsp::rvec wave = fm::modulate_rds_subcarrier(rds_bits, num_samples, mpx_rate);

@@ -17,6 +17,7 @@
 
 #include "core/streaming.h"
 #include "fm/station_cache.h"
+#include "tag/baseband.h"
 #include "tag/channel_plan.h"
 
 namespace fmbs::core {
@@ -653,6 +654,53 @@ TEST(ScenarioEngine, RejectsNonFiniteReceiverInputs) {
        {"rx_antenna_gain", [](Scenario& sc, double v) {
           sc.receivers[0].rx_antenna_gain = std::bit_cast<units::Db>(v);
         }}});
+}
+
+// A tag's payload level scales its baseband, so a NaN or infinite level
+// decoded to BER 0.5 and zero goodput without an error, and a NaN RDS level
+// slipped through `x <= 0 || x > 1`, which NaN fails on both sides, to run at
+// BLER 1. Both levels must lie in (0, 1] and are checked so that NaN fails.
+TEST(ScenarioEngine, RejectsNonFiniteOrOutOfRangeTagLevels) {
+  Scenario base;
+  base.duration = units::Seconds{0.2};
+  ScenarioTag fsk;
+  fsk.name = "fsk";
+  fsk.num_bits = 64;
+  ScenarioTag rds;
+  rds.name = "rds";
+  rds.subcarrier.shift = units::Hertz{-600e3};
+  rds.rds_radiotext = "AD";
+  base.tags = {fsk, rds};
+  base.receivers.push_back(phone_listening_to(fsk.subcarrier));
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  Scenario full = base;
+  full.tags[0].level = 1.0;
+  full.tags[1].rds_level = 1.0;
+  EXPECT_NO_THROW(resolve_scenario_plan(full));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const ScenarioEngine batch;
+  const StreamingEngine streaming;
+  for (const double v : {nan, inf, -inf, 0.0, -0.5, 1.5}) {
+    Scenario level = base;
+    level.tags[0].level = v;
+    Scenario rds_level = base;
+    rds_level.tags[1].rds_level = v;
+    for (const auto& [field, sc] : {std::pair{"level", &level},
+                                    std::pair{"rds_level", &rds_level}}) {
+      EXPECT_THROW((void)resolve_scenario_plan(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+    }
+    const std::vector<unsigned char> bits(26, 1);
+    EXPECT_THROW((void)tag::compose_rds_baseband(bits, 2400, v),
+                 std::invalid_argument)
+        << "compose_rds_baseband level = " << v;
+  }
 }
 
 }  // namespace
