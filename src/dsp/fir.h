@@ -140,21 +140,30 @@ class FirDecimator {
   const std::vector<float>& taps() const { return taps_; }
 
   std::vector<Sample> process(std::span<const Sample> in) {
+    std::vector<Sample> out(in.size() / factor_);
+    process_into(in, out);
+    return out;
+  }
+
+  /// Decimates a block into a caller-provided buffer of in.size() / factor()
+  /// samples.
+  void process_into(std::span<const Sample> in, std::span<Sample> out) {
     if (in.size() % factor_ != 0) {
       throw std::invalid_argument("FirDecimator: block not a multiple of factor");
+    }
+    if (out.size() != in.size() / factor_) {
+      throw std::invalid_argument("FirDecimator: size mismatch");
     }
     const std::size_t h = history_.size();
     work_.resize(h + in.size());
     std::copy(history_.begin(), history_.end(), work_.begin());
     std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    std::vector<Sample> out(in.size() / factor_);
     detail::fir_apply(work_.data(), factor_, rtaps_.data(), taps_.size(),
                       out.data(), 1, out.size());
     if (h > 0) {
       std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
                 history_.begin());
     }
-    return out;
   }
 
  private:
@@ -198,11 +207,21 @@ class FirInterpolator {
   std::size_t factor() const { return factor_; }
 
   std::vector<Sample> process(std::span<const Sample> in) {
+    std::vector<Sample> out(in.size() * factor_);
+    process_into(in, out);
+    return out;
+  }
+
+  /// Interpolates a block into a caller-provided buffer of
+  /// in.size() * factor() samples.
+  void process_into(std::span<const Sample> in, std::span<Sample> out) {
+    if (out.size() != in.size() * factor_) {
+      throw std::invalid_argument("FirInterpolator: size mismatch");
+    }
     const std::size_t h = history_.size();
     work_.resize(h + in.size());
     std::copy(history_.begin(), history_.end(), work_.begin());
     std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    std::vector<Sample> out(in.size() * factor_);
     const std::size_t bl = branches_.empty() ? 0 : branches_[0].size();
     // Branch-major: each polyphase branch is one strided FIR pass across
     // every input sample (out[i*L + p] = branch p applied at input i), which
@@ -217,7 +236,6 @@ class FirInterpolator {
       std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
                 history_.begin());
     }
-    return out;
   }
 
  private:

@@ -19,13 +19,21 @@ FmModulator::FmModulator(units::Hertz deviation, double sample_rate)
 
 dsp::cvec FmModulator::process(std::span<const float> mpx) {
   dsp::cvec out(mpx.size());
+  process_into(mpx, out);
+  return out;
+}
+
+void FmModulator::process_into(std::span<const float> mpx,
+                               std::span<dsp::cfloat> out) {
+  if (out.size() != mpx.size()) {
+    throw std::invalid_argument("FmModulator: size mismatch");
+  }
   const double k = dsp::kTwoPi * deviation_hz_ / sample_rate_;
   for (std::size_t i = 0; i < mpx.size(); ++i) {
     const double ph = phase_.advance(k * static_cast<double>(mpx[i]));
     out[i] = dsp::cfloat(static_cast<float>(std::cos(ph)),
                          static_cast<float>(std::sin(ph)));
   }
-  return out;
 }
 
 }  // namespace fmbs::fm

@@ -23,6 +23,9 @@ class FmModulator {
   /// Modulates a block of composite baseband into unit-amplitude IQ.
   dsp::cvec process(std::span<const float> mpx);
 
+  /// Modulates into a caller-provided buffer of mpx.size() samples.
+  void process_into(std::span<const float> mpx, std::span<dsp::cfloat> out);
+
  private:
   double deviation_hz_;
   double sample_rate_;

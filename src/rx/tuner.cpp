@@ -103,9 +103,19 @@ dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
   }
   // A channel already at DC needs no shift: the 0 Hz mixer would only copy.
   if (cfg_.offset_hz == 0.0) return decimator_.process(rf);
-  work_.assign(rf.begin(), rf.end());
-  mixer_.process_inplace(work_);
-  return decimator_.process(work_);
+  dsp::cvec work(rf.begin(), rf.end());
+  dsp::cvec out(rf.size() / factor_);
+  process_into(work, out);
+  return out;
+}
+
+void Tuner::process_into(std::span<dsp::cfloat> rf,
+                         std::span<dsp::cfloat> out) {
+  if (rf.size() % factor_ != 0) {
+    throw std::invalid_argument("Tuner: block not a multiple of the decimation");
+  }
+  if (cfg_.offset_hz != 0.0) mixer_.process_inplace(rf);
+  decimator_.process_into(rf, out);
 }
 
 }  // namespace fmbs::rx

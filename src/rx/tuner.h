@@ -43,13 +43,18 @@ class Tuner {
   /// Processes an RF block; block length must be a multiple of decimation().
   dsp::cvec process(std::span<const dsp::cfloat> rf);
 
+  /// Allocation-free variant for a caller's scratch block: mixes `rf` in
+  /// place (leaving it shifted to the channel) and decimates it into `out`,
+  /// rf.size() / decimation() samples. Bit-identical to process() however
+  /// the stream is cut into blocks.
+  void process_into(std::span<dsp::cfloat> rf, std::span<dsp::cfloat> out);
+
  private:
   TunerConfig cfg_;
   std::size_t factor_;
   dsp::Mixer mixer_;
   dsp::FirDecimator<dsp::cfloat> decimator_;
   std::vector<float> noise_shaper_;
-  dsp::cvec work_;
 };
 
 }  // namespace fmbs::rx

@@ -57,8 +57,19 @@ SubcarrierGenerator::SubcarrierGenerator(const SubcarrierConfig& config)
 }
 
 dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
-  const dsp::rvec up = interpolator_.process(baseband);
-  dsp::cvec out(up.size());
+  dsp::cvec out(baseband.size() * up_factor_);
+  process_into(baseband, out);
+  return out;
+}
+
+void SubcarrierGenerator::process_into(std::span<const float> baseband,
+                                       std::span<dsp::cfloat> out) {
+  if (out.size() != baseband.size() * up_factor_) {
+    throw std::invalid_argument("SubcarrierGenerator: size mismatch");
+  }
+  up_.resize(out.size());
+  interpolator_.process_into(baseband, up_);
+  const dsp::rvec& up = up_;
 
   // The accumulated phase follows the signed shift: for real square waves
   // cos() makes the sign irrelevant (both +-|f_back| copies exist), while
@@ -81,7 +92,8 @@ dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
   // tests/dsp/test_simd_kernels.cpp). kHardSquare takes sign(cos), which a
   // 1e-7 wobble near a zero crossing could flip, so it stays on libm.
   if (cfg_.mode != SubcarrierMode::kHardSquare) {
-    std::vector<float> ph(up.size());
+    std::vector<float>& ph = ph_;
+    ph.resize(up.size());
     for (std::size_t i = 0; i < up.size(); ++i) {
       double m = static_cast<double>(up[i]);
       if (levels > 0.0) {
@@ -135,7 +147,7 @@ dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
         out[i] = dsp::cfloat(acc, 0.0F);
       }
     }
-    return out;
+    return;
   }
 #endif
 
@@ -165,7 +177,6 @@ dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
         break;
     }
   }
-  return out;
 }
 
 }  // namespace fmbs::tag

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/units.h"
 #include "dsp/fir.h"
@@ -68,12 +69,20 @@ class SubcarrierGenerator {
   /// block.size() * (rf_rate / baseband_rate).
   dsp::cvec process(std::span<const float> baseband);
 
+  /// Generates into a caller-provided buffer of that output length. The
+  /// output is a pure function of the sample stream, however it is cut into
+  /// calls, as long as every call but the last spans a multiple of four RF
+  /// samples (the vector sincos groups).
+  void process_into(std::span<const float> baseband, std::span<dsp::cfloat> out);
+
  private:
   SubcarrierConfig cfg_;
   int harmonics_ = 1;
   std::size_t up_factor_;
   dsp::FirInterpolator<float> interpolator_;
   dsp::PhaseAccumulator phase_;
+  dsp::rvec up_;            // per-call interpolated baseband
+  std::vector<float> ph_;   // per-call phases (vector path)
 };
 
 }  // namespace fmbs::tag
