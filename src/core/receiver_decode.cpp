@@ -1,5 +1,6 @@
 #include "core/receiver_decode.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "fm/constants.h"
@@ -20,19 +21,28 @@ void append(std::vector<float>& to, const std::vector<float>& from) {
 }  // namespace
 
 ReceiverDecoder::ReceiverDecoder(
-    const Scenario& sc, const ScenarioPlan& plan, std::size_t index,
-    const ReceiverRoute& route, std::size_t padded,
-    units::Seconds decision_window, units::Seconds station_rds_window,
+    const Scenario& sc, const ScenarioPlan& plan, const SceneRenderer& scene,
+    std::size_t index, units::Seconds decision_window,
+    units::Seconds station_rds_window,
     const std::function<void(const StreamingLinkEvent&)>* on_link,
     bool keep_capture)
     : sc_(&sc),
       plan_(&plan),
       on_link_(on_link),
       index_(index),
+      // Receiver noise is drawn at the tuned MPX rate and added after the
+      // channel filter (equivalent-baseband model), colored by the filter's
+      // aliased response: the same in-channel noise as drawing it at the RF
+      // rate ahead of the tuner, at a tenth of the Gaussian draws.
+      noise_(receiver_noise_floor(sc.receivers[index]),
+             units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
+             plan.receiver_noise_seed[index], scene.noise_shaping_taps(index)),
       demod_(units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate),
-      stereo_(at_mpx_rate(sc.receivers[index].stereo_decoder), padded,
-              decision_window) {
+      stereo_(at_mpx_rate(sc.receivers[index].stereo_decoder),
+              scene.padded_samples(), decision_window) {
   const ScenarioReceiver& rx = sc.receivers[index];
+  const ReceiverRoute& route = scene.routes()[index];
+  const std::size_t padded = scene.padded_samples();
   const double audio_rate = rx.stereo_decoder.audio_rate;
   if (rx.kind == ReceiverKind::kCar) {
     cabin_.emplace(rx.cabin, audio_rate);
@@ -74,6 +84,7 @@ std::size_t ReceiverDecoder::buffer_bytes() const {
   bytes += (stereo_.decision_buffer_bytes() / sizeof(float) / decim_) * 2 *
            sizeof(float);  // the L/R chunk the decision flush emits
   bytes += kBlockMpx * sizeof(float);  // per-block MPX scratch
+  bytes += kSubBlockMpx * sizeof(dsp::cfloat) * 2;  // noise draws, shaper
   for (const FskCollector& c : fsk_) bytes += c.demod.buffer_bytes();
   for (const RdsCollector& c : rds_) bytes += c.decoder.buffer_bytes();
   if (station_rds_) bytes += station_rds_->buffer_bytes();
@@ -155,7 +166,12 @@ void ReceiverDecoder::tap_audio(dsp::rvec& left, dsp::rvec& right,
   append(cap.stereo.right, right);
 }
 
-void ReceiverDecoder::push(std::span<const dsp::cfloat> iq, double now) {
+void ReceiverDecoder::push(std::span<dsp::cfloat> iq, double now) {
+  // The draws and the shaping filter stream, so noising a sub-block at a
+  // time is bit-identical to noising the block and keeps the scratch small.
+  for (std::size_t at = 0; at < iq.size(); at += kSubBlockMpx) {
+    noise_.add_to(iq.subspan(at, std::min(kSubBlockMpx, iq.size() - at)));
+  }
   const dsp::rvec mpx = demod_.process(iq);
   if (tap_) append(tap_->capture.fm.mpx, mpx);
   if (station_rds_) {

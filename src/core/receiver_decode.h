@@ -1,10 +1,12 @@
 // The per-receiver decode chain of the batch and streaming scenario engines
-// (internal to core/). One ReceiverDecoder takes a receiver's tuned IQ one
-// block at a time through the discriminator, the pilot-gated stereo decoder
-// and the device audio path (phone record chain or car cabin), and feeds
-// every routed FSK burst and RDS window from the right point of that chain,
-// scoring each link as soon as its window completes. ScenarioEngine drives
-// one decoder per receiver serially with a whole-capture decision window;
+// (internal to core/). One ReceiverDecoder takes a receiver's tuned, pre-noise
+// IQ one block at a time, draws the receiver's own noise into it (its front
+// end: tuned-rate noise colored like the channel filter), and runs it
+// through the discriminator, the pilot-gated stereo decoder and the device
+// audio path (phone record chain or car cabin), feeding every routed FSK
+// burst and RDS window from the right point of that chain and scoring each
+// link as soon as its window completes. ScenarioEngine drives one decoder
+// per receiver serially with a whole-capture decision window;
 // StreamingEngine drives them from its consumer threads with bounded
 // windows and a live link callback.
 #pragma once
@@ -15,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "channel/awgn.h"
 #include "core/scenario.h"
 #include "core/scene_render.h"
 #include "core/streaming.h"
@@ -32,23 +35,24 @@ namespace fmbs::core {
 /// result it finishes into is read only after that thread is joined.
 class ReceiverDecoder {
  public:
-  /// Builds receiver `index`'s chain over a capture of `padded` MPX samples.
-  /// `decision_window` bounds the stereo pilot decision and
-  /// `station_rds_window` the tuned station's RDS window (<= 0: the whole
-  /// capture). A non-null, non-empty `on_link` receives every link as its
-  /// window completes. `keep_capture` taps the chain into a whole-run
+  /// Builds receiver `index`'s chain over `scene`'s padded capture, routes
+  /// and noise shaping. `decision_window` bounds the stereo pilot decision
+  /// and `station_rds_window` the tuned station's RDS window (<= 0: the
+  /// whole capture). A non-null, non-empty `on_link` receives every link as
+  /// its window completes. `keep_capture` taps the chain into a whole-run
   /// ReceiverCapture. Everything passed by reference or pointer must
   /// outlive the decoder.
   ReceiverDecoder(const Scenario& sc, const ScenarioPlan& plan,
-                  std::size_t index, const ReceiverRoute& route,
-                  std::size_t padded, units::Seconds decision_window,
+                  const SceneRenderer& scene, std::size_t index,
+                  units::Seconds decision_window,
                   units::Seconds station_rds_window,
                   const std::function<void(const StreamingLinkEvent&)>* on_link,
                   bool keep_capture);
 
-  /// Consumes the receiver's next IQ block; `now` is the simulated stream
-  /// time at the block's end (stamped on live link events).
-  void push(std::span<const dsp::cfloat> iq, double now);
+  /// Consumes the receiver's next pre-noise IQ block, adding the receiver
+  /// noise to it in place; `now` is the simulated stream time at the
+  /// block's end (stamped on live link events).
+  void push(std::span<dsp::cfloat> iq, double now);
 
   /// End of stream: flushes the stereo tail, scores every still-open window
   /// and moves the links (FSK, then RDS), the station RDS verdict and any
@@ -56,8 +60,8 @@ class ReceiverDecoder {
   void finish(double now, ScenarioReceiverResult& rr);
 
   /// Bytes of decode buffering held at peak: the pilot decision window and
-  /// the audio chunk its flush emits, the per-block MPX scratch and every
-  /// burst and RDS window. Independent of the run duration when the windows
+  /// the audio chunk its flush emits, the per-block MPX scratch, the noise
+  /// scratch and every burst and RDS window. Independent of the run duration when the windows
   /// are bounded.
   std::size_t buffer_bytes() const;
 
@@ -99,6 +103,7 @@ class ReceiverDecoder {
   const std::function<void(const StreamingLinkEvent&)>* on_link_;
   std::size_t index_;
   std::size_t decim_ = 1;
+  channel::AwgnSource noise_;
   fm::QuadratureDemodulator demod_;
   fm::StereoStreamDecoder stereo_;
   std::optional<rx::PhoneChainStream> phone_;

@@ -760,8 +760,7 @@ ScenarioResult ScenarioEngine::run(const Scenario& sc) const {
   std::vector<ReceiverDecoder> decoders;
   decoders.reserve(sc.receivers.size());
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-    decoders.emplace_back(sc, plan, r, scene.routes()[r],
-                          scene.padded_samples(), units::Seconds{0.0},
+    decoders.emplace_back(sc, plan, scene, r, units::Seconds{0.0},
                           units::Seconds{0.0}, nullptr,
                           config_.keep_captures);
   }

@@ -12,13 +12,15 @@
 //
 // The physical pipeline:
 //
+//   scene renderer (core/scene_render.h), per 480-sample sub-block:
 //   station MPX/IQ (240 kHz) --x10--> RF scene (2.4 MHz complex baseband)
 //        |                               |
 //        |        tag baseband --> subcarrier B(t) --> reflected = B x RF
 //        |                               |
-//        +--> direct path ---------------+--> tuner(s) --> + AWGN (240 kHz)
+//        +--> direct path ---------------+--> tuner(s) --> IQ (240 kHz)
 //                                                              |
-//        +-----------------------------------------------------+
+//   receiver decode chain (core/receiver_decode.h), per block:  |
+//        +------------------ + AWGN (240 kHz) <-----------------+
 //        |
 //        +--> discriminator --> MPX --> RDS windows
 //                                |
@@ -29,9 +31,11 @@
 // The backscatter multiplication happens sample-by-sample on the RF signal,
 // exactly as the tag's switch does it; no audio-domain shortcut is taken.
 // Rendering and decoding are block-streamed (0.1 s blocks): the scene
-// renderer (core/scene_render.h) hands each receiver's tuned IQ block to
-// that receiver's decode chain (core/receiver_decode.h), so long captures
-// never hold the 2.4 MHz stream, or the receiver's IQ, in memory.
+// renderer (core/scene_render.h) hands each receiver's tuned, pre-noise IQ
+// block to that receiver's decode chain (core/receiver_decode.h), which
+// adds the receiver's noise, so long captures never hold the 2.4 MHz
+// stream, or the receiver's IQ, in memory; inside a block the renderer
+// holds no more than one sub-block of any RF stream.
 //
 // Typical use:
 //

@@ -99,6 +99,7 @@ SceneRenderer::SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
       throw std::logic_error("SceneRenderer: station render length mismatch");
     }
     src.up.emplace(up_taps, up_factor);
+    src.rf.resize(kSubBlockRf);
     if (plan.station_offset[s] != 0.0) {
       src.mixer.emplace(plan.station_offset[s], fm::kRfRate);
     }
@@ -114,13 +115,15 @@ SceneRenderer::SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
   num_blocks_ = (run_len + kBlockMpx - 1) / kBlockMpx;
   const std::size_t padded = padded_samples();
   if (loop_mode_) {
-    loop_mpx_.resize(kBlockMpx);
+    loop_mpx_.resize(kSubBlockMpx);
+    loop_iq_.resize(kSubBlockMpx);
   } else if (padded != content_len_) {
-    scratch_.resize(kBlockMpx);
+    scratch_.resize(kSubBlockMpx);
   }
 
   // ---- Per-tag state and compact burst waveforms. --------------------------
-  tag_bb_.resize(kBlockMpx);
+  tag_bb_.resize(kSubBlockMpx);
+  reflected_.resize(kSubBlockRf);
   tags_.resize(sc.tags.size());
   std::vector<std::vector<std::uint8_t>> bits(sc.tags.size());
   for (std::size_t i = 0; i < sc.tags.size(); ++i) {
@@ -176,21 +179,13 @@ SceneRenderer::SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
 
   // ---- Per-receiver front ends and routing. --------------------------------
   tuners_.reserve(sc.receivers.size());
-  noise_.reserve(sc.receivers.size());
   routes_.resize(sc.receivers.size());
+  rf_.assign(sc.receivers.size(), dsp::cvec(kSubBlockRf));
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
     const ScenarioReceiver& rx = sc.receivers[r];
     rx::TunerConfig tuner_cfg;
     tuner_cfg.offset_hz = rx.tune_offset.raw();
     tuners_.emplace_back(tuner_cfg);
-    // Receiver noise is drawn at the tuned MPX rate and added after the
-    // channel filter (equivalent-baseband model), colored by the filter's
-    // aliased response: the same in-channel noise as drawing it at the RF
-    // rate ahead of the tuner, at a tenth of the Gaussian draws.
-    noise_.emplace_back(receiver_noise_floor(rx),
-                        units::Hertz{fm::kChannelSpacingHz}, fm::kMpxRate,
-                        plan.receiver_noise_seed[r],
-                        tuners_.back().noise_shaping_taps());
 
     // A burst lives on the channel of the station its tag reflected while on
     // the air: route by the segment holding the burst midpoint.
@@ -264,45 +259,98 @@ void SceneRenderer::report(ScenarioResult& result) const {
 }
 
 std::size_t SceneRenderer::buffer_bytes() const {
-  std::size_t bytes = kBlockRf * sizeof(dsp::cfloat);  // RF compose
-  bytes += kBlockMpx * sizeof(float);                  // tag baseband staging
+  // Each receiver's superposition and the one tag reflection being added.
+  std::size_t bytes = (rf_.size() + 1) * kSubBlockRf * sizeof(dsp::cfloat);
+  bytes += kSubBlockMpx * sizeof(float);  // tag baseband staging
   for (const StationSource& src : stations_) {
     if (!src.render) continue;
-    bytes += kBlockRf * sizeof(dsp::cfloat);  // src.rf
+    bytes += kSubBlockRf * sizeof(dsp::cfloat);  // src.rf
     if (loop_mode_) {
       bytes += src.render->mpx.size() * sizeof(float);
       bytes += src.render->iq.size() * sizeof(dsp::cfloat);
-      bytes += kBlockMpx * sizeof(dsp::cfloat);  // re-modulated block
     }
   }
   bytes += loop_mpx_.size() * sizeof(float);
-  // A tag's reflected block lives only across its active blocks, so charge
-  // the worst-case number of *simultaneously* active tags, not the tag
-  // count: a long run of staggered bursts buffers like a single burst.
-  std::vector<std::pair<std::size_t, int>> active_edges;
-  for (std::size_t t = 0; t < tags_.size(); ++t) {
-    const TagSource& st = tags_[t];
-    if (!pruning_.tag_needed[t] || st.active_end <= st.active_begin) continue;
-    active_edges.emplace_back(st.active_begin / kBlockMpx, +1);
-    active_edges.emplace_back((st.active_end + kBlockMpx - 1) / kBlockMpx, -1);
-  }
-  std::sort(active_edges.begin(), active_edges.end());
-  std::ptrdiff_t concurrent = 0;
-  std::ptrdiff_t peak_concurrent = 0;
-  for (const auto& [block, edge] : active_edges) {
-    concurrent += edge;
-    peak_concurrent = std::max(peak_concurrent, concurrent);
-  }
-  bytes += static_cast<std::size_t>(peak_concurrent) * kBlockRf *
-           sizeof(dsp::cfloat);
+  bytes += loop_iq_.size() * sizeof(dsp::cfloat);
   for (const TagSource& st : tags_) bytes += st.wave.size() * sizeof(float);
   return bytes + scratch_.size() * sizeof(dsp::cfloat);
+}
+
+void SceneRenderer::render_stations(std::size_t at) {
+  for (StationSource& src : stations_) {
+    if (!src.render) continue;
+    std::span<const dsp::cfloat> st_sub;
+    if (loop_mode_) {
+      // Cycle the horizon's MPX through the persistent modulator: the
+      // carrier phase rides straight across the content seam.
+      const dsp::rvec& mpx = src.render->mpx;
+      std::size_t pos = src.loop_pos;
+      for (float& v : loop_mpx_) {
+        v = mpx[pos];
+        if (++pos == mpx.size()) pos = 0;
+      }
+      src.loop_pos = pos;
+      src.loop_mod->process_into(loop_mpx_, loop_iq_);
+      st_sub = loop_iq_;
+    } else if (at + kSubBlockMpx <= content_len_) {
+      // Whole sub-blocks stream as spans straight out of the shared,
+      // read-only cached render.
+      st_sub = std::span<const dsp::cfloat>(src.render->iq.data() + at,
+                                            kSubBlockMpx);
+    } else {
+      // The last block is partial: stage the remaining render samples and
+      // hold the final one through the pad — the FM carrier continues at its
+      // last phase, so the discriminator sees silence, not a click.
+      const dsp::cvec& iq = src.render->iq;
+      const std::size_t left = at < content_len_ ? content_len_ - at : 0;
+      if (left > 0) std::copy_n(iq.data() + at, left, scratch_.begin());
+      std::fill(scratch_.begin() + static_cast<std::ptrdiff_t>(left),
+                scratch_.end(), iq.back());
+      st_sub = scratch_;
+    }
+    src.up->process_into(st_sub, src.rf);
+    if (src.mixer) src.mixer->process_inplace(src.rf);
+  }
+}
+
+void SceneRenderer::compose_reflection(std::size_t t, std::size_t at,
+                                       std::size_t seg) {
+  TagSource& st = tags_[t];
+  // Stage this sub-block's slice of the baseband: the compact burst
+  // waveform (or the custom baseband) inside its range, zeros outside.
+  std::fill(tag_bb_.begin(), tag_bb_.end(), 0.0F);
+  const dsp::rvec& wave = st.custom != nullptr ? *st.custom : st.wave;
+  const std::size_t lo = std::max(at, st.wave_begin);
+  const std::size_t hi =
+      std::min(at + kSubBlockMpx, st.wave_begin + wave.size());
+  if (lo < hi) {
+    std::copy(wave.begin() + static_cast<std::ptrdiff_t>(lo - st.wave_begin),
+              wave.begin() + static_cast<std::ptrdiff_t>(hi - st.wave_begin),
+              tag_bb_.begin() + static_cast<std::ptrdiff_t>(lo - at));
+  }
+  // The tag reflects its selected station in this segment: a handoff moves
+  // the reflection to the new station's carrier.
+  const dsp::cvec& incident =
+      stations_[static_cast<std::size_t>(plan_.selected_station[seg][t])].rf;
+  dsp::cvec& b = reflected_;
+  st.subcarrier->process_into(tag_bb_, b);
+  for (std::size_t i = 0; i < incident.size(); ++i) b[i] *= incident[i];
+  if (st.fading) st.fading->apply(b);
+  // The switch is off outside the burst window: no reflection at all.
+  const auto up_factor = static_cast<std::size_t>(fm::kMpxToRfFactor);
+  const auto rf_offset = [&](std::size_t edge) {
+    return (std::clamp(edge, at, at + kSubBlockMpx) - at) * up_factor;
+  };
+  std::fill(b.begin(),
+            b.begin() + static_cast<std::ptrdiff_t>(rf_offset(st.active_begin)),
+            dsp::cfloat(0.0F, 0.0F));
+  std::fill(b.begin() + static_cast<std::ptrdiff_t>(rf_offset(st.active_end)),
+            b.end(), dsp::cfloat(0.0F, 0.0F));
 }
 
 void SceneRenderer::render_block(std::size_t block_index,
                                  std::vector<dsp::cvec>& out) {
   const std::size_t start = block_index * kBlockMpx;
-  const auto up_factor = static_cast<std::size_t>(fm::kMpxToRfFactor);
   // The segment owning this block (blocks past the nominal end — padding —
   // stay on the last segment's geometry).
   const std::size_t seg =
@@ -310,116 +358,48 @@ void SceneRenderer::render_block(std::size_t block_index,
           ? 0
           : std::min(plan_.num_segments - 1, block_index / blocks_per_segment_);
 
-  // ---- Stations: upsample to the RF rate and mix onto the carrier. --------
-  for (StationSource& src : stations_) {
-    if (!src.render) continue;
-    std::span<const dsp::cfloat> st_block;
-    if (loop_mode_) {
-      // Cycle the horizon's MPX through the persistent modulator: the
-      // carrier phase rides straight across the content seam.
-      const dsp::rvec& mpx = src.render->mpx;
-      std::size_t pos = src.loop_pos;
-      for (std::size_t i = 0; i < kBlockMpx; ++i) {
-        loop_mpx_[i] = mpx[pos];
-        if (++pos == mpx.size()) pos = 0;
-      }
-      src.loop_pos = pos;
-      src.loop_iq = src.loop_mod->process(loop_mpx_);
-      st_block = std::span<const dsp::cfloat>(src.loop_iq);
-    } else if (start + kBlockMpx <= content_len_) {
-      // Full blocks stream as spans straight out of the shared, read-only
-      // cached render.
-      st_block = std::span<const dsp::cfloat>(src.render->iq.data() + start,
-                                              kBlockMpx);
-    } else {
-      // The last block is partial: stage the remaining render samples and
-      // hold the final one through the pad — the FM carrier continues at its
-      // last phase, so the discriminator sees silence, not a click.
-      const dsp::cvec& iq = src.render->iq;
-      std::copy(iq.begin() + static_cast<std::ptrdiff_t>(start), iq.end(),
-                scratch_.begin());
-      std::fill(scratch_.begin() +
-                    static_cast<std::ptrdiff_t>(content_len_ - start),
-                scratch_.end(), iq.back());
-      st_block = std::span<const dsp::cfloat>(scratch_);
-    }
-    src.rf = src.up->process(st_block);
-    if (src.mixer) src.mixer->process_inplace(src.rf);
-  }
-
-  // ---- Tags: reflected = B(t) x incident, switched by the burst window. ---
+  // ---- Tags switched on during this block. ---------------------------------
+  // A tag's subcarrier and fading run over every sub-block of a block it is
+  // active in, exactly as over the whole block.
   for (std::size_t t = 0; t < tags_.size(); ++t) {
     TagSource& st = tags_[t];
-    if (!pruning_.tag_needed[t]) continue;  // never active
-    st.active = start < st.active_end && start + kBlockMpx > st.active_begin;
-    if (!st.active) {
-      if (!st.reflected.empty()) dsp::cvec().swap(st.reflected);
-      continue;
+    st.active = pruning_.tag_needed[t] && start < st.active_end &&
+                start + kBlockMpx > st.active_begin;
+    if (st.active && sc_.tags[t].fading && plan_.num_segments > 1 &&
+        st.fading_segment != seg) {
+      st.fading = std::make_unique<channel::FadingProcess>(
+          *sc_.tags[t].fading, fm::kRfRate,
+          derive_seed(plan_.tags[t].fading_seed, seg));
+      st.fading_segment = seg;
     }
-    // Stage this block's slice of the baseband: the compact burst waveform
-    // (or the custom baseband) inside its range, zeros outside.
-    std::fill(tag_bb_.begin(), tag_bb_.end(), 0.0F);
-    const dsp::rvec& wave = st.custom != nullptr ? *st.custom : st.wave;
-    const std::size_t lo = std::max(start, st.wave_begin);
-    const std::size_t hi =
-        std::min(start + kBlockMpx, st.wave_begin + wave.size());
-    if (lo < hi) {
-      std::copy(wave.begin() + static_cast<std::ptrdiff_t>(lo - st.wave_begin),
-                wave.begin() + static_cast<std::ptrdiff_t>(hi - st.wave_begin),
-                tag_bb_.begin() + static_cast<std::ptrdiff_t>(lo - start));
-    }
-    // The tag reflects its selected station in this segment: a handoff moves
-    // the reflection to the new station's carrier.
-    const dsp::cvec& incident =
-        stations_[static_cast<std::size_t>(plan_.selected_station[seg][t])].rf;
-    dsp::cvec& b = st.reflected;
-    b = st.subcarrier->process(tag_bb_);
-    for (std::size_t i = 0; i < incident.size(); ++i) b[i] *= incident[i];
-    if (sc_.tags[t].fading) {
-      if (plan_.num_segments > 1 && st.fading_segment != seg) {
-        st.fading = std::make_unique<channel::FadingProcess>(
-            *sc_.tags[t].fading, fm::kRfRate,
-            derive_seed(plan_.tags[t].fading_seed, seg));
-        st.fading_segment = seg;
-      }
-      st.fading->apply(b);
-    }
-    // The switch is off outside the burst window: no reflection at all.
-    const std::size_t on =
-        st.active_begin > start ? (st.active_begin - start) * up_factor : 0;
-    const std::size_t off = st.active_end < start + kBlockMpx
-                                ? (st.active_end - start) * up_factor
-                                : b.size();
-    std::fill(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(on),
-              dsp::cfloat(0.0F, 0.0F));
-    std::fill(b.begin() + static_cast<std::ptrdiff_t>(off), b.end(),
-              dsp::cfloat(0.0F, 0.0F));
   }
 
-  // ---- Receivers: superpose, tune, add tuned-rate noise. -------------------
-  out.resize(sc_.receivers.size());
-  rf_.resize(stations_[0].rf.size());
-  for (std::size_t r = 0; r < sc_.receivers.size(); ++r) {
-    const std::vector<float>& g_direct = plan_.g_direct[seg][r];
-    const std::vector<float>& g_back = plan_.g_back[seg][r];
-    channel::scale_into(rf_, stations_[0].rf, g_direct[0]);
-    for (std::size_t s = 1; s < stations_.size(); ++s) {
-      if (!stations_[s].render) continue;
-      channel::accumulate_scaled(rf_, stations_[s].rf, g_direct[s]);
+  // ---- Sub-blocks: stations, reflections, superposition, tuner. -----------
+  const std::size_t num_rx = sc_.receivers.size();
+  out.resize(num_rx);
+  for (dsp::cvec& o : out) o.resize(kBlockMpx);
+  for (std::size_t at = start; at < start + kBlockMpx; at += kSubBlockMpx) {
+    render_stations(at);
+    for (std::size_t r = 0; r < num_rx; ++r) {
+      const std::vector<float>& g_direct = plan_.g_direct[seg][r];
+      channel::scale_into(rf_[r], stations_[0].rf, g_direct[0]);
+      for (std::size_t s = 1; s < stations_.size(); ++s) {
+        if (!stations_[s].render) continue;
+        channel::accumulate_scaled(rf_[r], stations_[s].rf, g_direct[s]);
+      }
     }
     for (std::size_t t = 0; t < tags_.size(); ++t) {
       if (!tags_[t].active) continue;
-      channel::accumulate_scaled(rf_, tags_[t].reflected, g_back[t]);
+      compose_reflection(t, at, seg);
+      for (std::size_t r = 0; r < num_rx; ++r) {
+        channel::accumulate_scaled(rf_[r], reflected_, plan_.g_back[seg][r][t]);
+      }
     }
-    out[r] = tuners_[r].process(rf_);
-    noise_[r].add_to(out[r]);
-  }
-  if (block_index + 1 == num_blocks_) {
-    // Nothing renders after the last block: return the RF-rate block buffers
-    // before the engines' final decode, which allocates its own peak.
-    for (StationSource& src : stations_) dsp::cvec().swap(src.rf);
-    for (TagSource& st : tags_) dsp::cvec().swap(st.reflected);
-    dsp::cvec().swap(rf_);
+    for (std::size_t r = 0; r < num_rx; ++r) {
+      tuners_[r].process_into(
+          rf_[r], std::span<dsp::cfloat>(out[r]).subspan(at - start,
+                                                         kSubBlockMpx));
+    }
   }
 }
 

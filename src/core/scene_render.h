@@ -1,16 +1,18 @@
 // The shared RF scene renderer of the batch and streaming scenario engines
 // (internal to core/). One SceneRenderer turns a resolved ScenarioPlan into
-// each receiver's tuned, noised IQ, one 0.1 s block at a time: every needed
-// station is upsampled to the RF rate and mixed onto its carrier, every
-// active tag multiplies its selected station by its switch pattern (with
-// motion fading on the tag path), the per-segment link gains superpose the
-// result per receiver, and each receiver's tuner and tuned-rate noise finish
-// the block. ScenarioEngine hands each block straight to its receivers'
-// decoders (core/receiver_decode.h); StreamingEngine publishes it into its
-// ring for its consumer threads to decode. The renderer also owns the
-// per-receiver routing both engines decode from: which FSK and RDS bursts a
-// receiver can hear, and whether its tune lands on a station broadcasting
-// RDS.
+// each receiver's tuned, pre-noise IQ, one 0.1 s block at a time, rendered in
+// cache-sized sub-blocks: for each sub-block every needed station is
+// upsampled to the RF rate and mixed onto its carrier, every active tag
+// multiplies its selected station by its switch pattern (with motion fading
+// on the tag path), the per-segment link gains superpose the result per
+// receiver, and each receiver's tuner decimates its superposition straight
+// into its slice of the output block. No RF-rate buffer outlives a
+// sub-block. Receiver noise is the receiver's own front end: its decoder
+// (core/receiver_decode.h) adds it. ScenarioEngine hands each block straight
+// to its receivers' decoders; StreamingEngine publishes it into its ring for
+// its consumer threads to decode. The renderer also owns the per-receiver
+// routing both engines decode from: which FSK and RDS bursts a receiver can
+// hear, and whether its tune lands on a station broadcasting RDS.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "channel/awgn.h"
 #include "channel/fading.h"
 #include "core/scenario.h"
 #include "dsp/fir.h"
@@ -38,6 +39,18 @@ inline constexpr double kBlockSeconds =
     static_cast<double>(kBlockMpx) / fm::kMpxRate;
 inline constexpr std::size_t kBlockRf =
     kBlockMpx * static_cast<std::size_t>(fm::kMpxToRfFactor);
+
+/// Render sub-block: the span every RF-rate stage runs over at a time, small
+/// enough that a station's, a tag's and a receiver's RF stay in cache
+/// (4,800 RF samples, 38 KB per stream). A block is cut into whole
+/// sub-blocks of a multiple of 32 MPX samples, so the fading's 64-sample
+/// gain chunks, the subcarrier's 4-lane sincos groups and the tuner's
+/// decimation land on the same sample indices as over a whole block: the
+/// output does not depend on the size.
+inline constexpr std::size_t kSubBlockMpx = 480;
+inline constexpr std::size_t kSubBlockRf =
+    kSubBlockMpx * static_cast<std::size_t>(fm::kMpxToRfFactor);
+static_assert(kBlockMpx % kSubBlockMpx == 0 && kSubBlockMpx % 32 == 0);
 
 /// Capture kept past an RDS burst's nominal end when decoding it out of a
 /// receiver's post-demod MPX: covers the front-end group delay, like the
@@ -108,20 +121,26 @@ class SceneRenderer {
   /// selection per segment, MAC outcomes and the pruning statistics.
   void report(ScenarioResult& result) const;
 
-  /// Peak bytes of renderer-owned buffering over the run: RF compose and
-  /// per-station blocks, tag staging, compact burst waveforms, the reflected
-  /// blocks of simultaneously active tags, loop-mode horizon buffers and the
-  /// partial-block scratch. Independent of the run duration.
+  /// Taps that color receiver `r`'s noise like its tuner's channel filter
+  /// (rx::Tuner::noise_shaping_taps); its decoder draws the noise.
+  const std::vector<float>& noise_shaping_taps(std::size_t r) const {
+    return tuners_[r].noise_shaping_taps();
+  }
+
+  /// Peak bytes of renderer-owned buffering over the run: the sub-block
+  /// stations, superpositions, tag reflection and staging, compact burst
+  /// waveforms, loop-mode horizon buffers and the partial-block scratch.
+  /// Independent of the run duration.
   std::size_t buffer_bytes() const;
 
-  /// Renders block `block_index` into out[r] (kBlockMpx tuned, noised IQ
+  /// Renders block `block_index` into out[r] (kBlockMpx tuned, pre-noise IQ
   /// samples per receiver). Blocks must be rendered in order from 0: the
-  /// upsamplers, mixers, tuners and noise stream across block boundaries.
+  /// upsamplers, mixers and tuners stream across block boundaries.
   void render_block(std::size_t block_index, std::vector<dsp::cvec>& out);
 
  private:
-  /// Exact mode streams blocks straight out of the cached full-run render;
-  /// loop mode cycles a horizon render's MPX through a persistent
+  /// Exact mode streams sub-blocks straight out of the cached full-run
+  /// render; loop mode cycles a horizon render's MPX through a persistent
   /// modulator, keeping the carrier phase continuous across the seam.
   struct StationSource {
     std::shared_ptr<const fm::StationSignal> render;  // null: pruned
@@ -129,8 +148,7 @@ class SceneRenderer {
     std::optional<dsp::Mixer> mixer;
     std::optional<fm::FmModulator> loop_mod;
     std::size_t loop_pos = 0;  // next MPX sample of the cycled horizon
-    dsp::cvec loop_iq;         // per-block re-modulated IQ (loop mode)
-    dsp::cvec rf;              // this block at the RF rate, on its carrier
+    dsp::cvec rf;              // this sub-block at the RF rate, on its carrier
   };
 
   /// Only the burst's own waveform is kept: outside [wave_begin,
@@ -148,8 +166,14 @@ class SceneRenderer {
     std::unique_ptr<tag::SubcarrierGenerator> subcarrier;
     std::unique_ptr<channel::FadingProcess> fading;
     std::size_t fading_segment = static_cast<std::size_t>(-1);
-    dsp::cvec reflected;  // this block's reflection; freed when inactive
   };
+
+  /// Upsamples and mixes every needed station's sub-block starting at MPX
+  /// sample `at` into its `rf`.
+  void render_stations(std::size_t at);
+  /// Composes tag `t`'s reflection of the sub-block at `at` into
+  /// reflected_: B(t) x incident, faded, zero outside the switch window.
+  void compose_reflection(std::size_t t, std::size_t at, std::size_t seg);
 
   const Scenario& sc_;
   const ScenarioPlan& plan_;
@@ -162,12 +186,14 @@ class SceneRenderer {
   std::vector<StationSource> stations_;
   std::vector<TagSource> tags_;
   std::vector<rx::Tuner> tuners_;
-  std::vector<channel::AwgnSource> noise_;
   std::vector<ReceiverRoute> routes_;
-  dsp::cvec scratch_;  // staged partial final block
-  dsp::rvec tag_bb_;   // one block of tag baseband
-  dsp::rvec loop_mpx_;
-  dsp::cvec rf_;
+  // Sub-block staging, one sub-block each.
+  dsp::cvec scratch_;              // the partial final block's station IQ
+  dsp::rvec tag_bb_;               // tag baseband
+  dsp::rvec loop_mpx_;             // loop mode: cycled station MPX
+  dsp::cvec loop_iq_;              // loop mode: its re-modulated IQ
+  dsp::cvec reflected_;            // one tag's reflection
+  std::vector<dsp::cvec> rf_;      // [receiver] superposition, tuned in place
 };
 
 }  // namespace fmbs::core

@@ -17,9 +17,10 @@ namespace fmbs::core {
 
 namespace {
 
-/// One published ring slot: the tuned post-channel IQ of every receiver for
-/// one 0.1 s block. The producer refills the same vectors in place, so the
-/// steady state allocates nothing.
+/// One published ring slot: the tuned, pre-noise IQ of every receiver for
+/// one 0.1 s block. The producer refills the same vectors in place, and each
+/// receiver's consumer adds its noise to its vector in place, so the steady
+/// state allocates nothing.
 struct StreamBlock {
   std::size_t index = 0;
   std::vector<dsp::cvec> iq;  // [receiver][kBlockMpx]
@@ -57,7 +58,6 @@ ScenarioResult StreamingEngine::run(const Scenario& sc) const {
                       config_.station_horizon);
   ScenarioResult result;
   scene.report(result);
-  const std::size_t padded = scene.padded_samples();
   const std::size_t num_blocks = scene.num_blocks();
 
   // ---- Per-receiver decode chains over the routed bursts. ------------------
@@ -74,9 +74,8 @@ ScenarioResult StreamingEngine::run(const Scenario& sc) const {
   decoders.reserve(sc.receivers.size());
   std::size_t decode_buffer_bytes = 0;
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
-    decoders.emplace_back(sc, plan, r, scene.routes()[r], padded,
-                          config_.decision_window, station_rds_window,
-                          &config_.on_link, false);
+    decoders.emplace_back(sc, plan, scene, r, config_.decision_window,
+                          station_rds_window, &config_.on_link, false);
     decode_buffer_bytes += decoders.back().buffer_bytes();
   }
 

@@ -1,12 +1,14 @@
 // Streaming scenario engine: a producer/consumer pipeline with O(1) memory in
 // the run duration. One producer thread drives the shared scene renderer
 // (core/scene_render.h) a 0.1 s block at a time into a fixed ring of
-// reusable per-receiver IQ buffers (dsp::RingBuffer); consumer threads push
-// each block through the receivers' shared decode chains
-// (core/receiver_decode.h) — no full-run capture ever exists. The batch
-// ScenarioEngine runs the same renderer and the same decoders serially, so
-// this engine adds only the ring, its threads, real-time pacing and the
-// buffer ledger.
+// reusable per-receiver pre-noise IQ buffers (dsp::RingBuffer); consumer
+// threads push each block through the receivers' shared decode chains
+// (core/receiver_decode.h), which add each receiver's noise in place before
+// demodulating — so the noise draws run on the consumers, beside the
+// demodulation, not on the producer. No full-run capture ever exists. The
+// batch ScenarioEngine runs the same renderer and the same decoders
+// serially, so this engine adds only the ring, its threads, real-time
+// pacing and the buffer ledger.
 //
 // Equivalence contract: for every committed golden scenario the streaming
 // engine's decoded ScenarioResult is byte-identical to ScenarioEngine::run

@@ -6,10 +6,12 @@
 // six-station scene paid ~2x the render memory again in copies before the
 // first receiver ever decoded, and scenes paid for stations no receiver
 // could hear. Demand-driven rendering replaced the copies with ONE shared
-// block-sized scratch (used only for the final partial block) and skips
-// unneeded stations entirely. This test instruments global operator new and
-// pins the peak: if copy-then-pad (or render-everything) comes back, the
-// peak jumps by megabytes and the bound here fails.
+// scratch (used only for the final partial block) and skips unneeded
+// stations entirely; sub-block rendering shrank every staged RF buffer and
+// that scratch to one render sub-block. This test instruments global
+// operator new and pins the peak: if copy-then-pad (or render-everything,
+// or block-sized RF staging) comes back, the peak jumps by megabytes and
+// the bound here fails.
 //
 // The binary-local allocator override counts every live byte via
 // malloc_usable_size; this file is its own test executable, so the override
@@ -23,8 +25,8 @@
 #include <new>
 
 #include "core/scenario.h"
+#include "core/scene_render.h"
 #include "dsp/types.h"
-#include "fm/constants.h"
 
 namespace {
 
@@ -130,24 +132,25 @@ TEST(ScenarioMemory, SparseRunPeakStaysBounded) {
   const std::size_t dense_peak = measure_peak(dense_engine);
 
   // Scale reference: one station render of this scene (0.28 s at the MPX
-  // rate) is ~540 KB of IQ, and one upsampled RF block is ~1.9 MB. Measured
-  // peaks today: ~16.9 MB sparse (two staged stations) vs ~24 MB dense (all
-  // six) — and the removed copy-then-pad staging alone would add another
-  // ~3.3 MB of padded IQ copies on top of dense. The absolute bound sits
-  // just above the sparse measurement: either regression (padded copies, or
-  // rendering/staging stations nobody can hear) blows through it.
-  EXPECT_LT(sparse_peak, 19U << 20)
+  // rate) is ~540 KB of IQ, and each staged station holds one RF sub-block
+  // (38.4 KB) plus its upsampler's sub-block work buffer. Measured peaks
+  // today: ~1.84 MB sparse (two staged stations) vs ~2.02 MB dense (all six);
+  // before sub-block rendering they were ~17.1 MB vs ~25.6 MB, with a 1.9 MB
+  // RF block per staged station. The absolute bound sits just above the
+  // sparse measurement: padded copies (another ~3.3 MB of IQ), block-sized
+  // RF staging or rendering stations nobody can hear all blow through it.
+  EXPECT_LT(sparse_peak, 2U << 20)
       << "scene staging regressed toward copy-then-pad / render-everything";
   // Demand-driven staging must actually be cheaper than exhaustive staging
-  // by about the four skipped stations' RF blocks.
-  EXPECT_LT(sparse_peak + (4U << 20), dense_peak)
+  // by at least the four skipped stations' RF sub-blocks.
+  EXPECT_LT(sparse_peak + 4 * kSubBlockRf * sizeof(dsp::cfloat), dense_peak)
       << "sparse " << sparse_peak << " vs dense " << dense_peak;
 
-  // The shared scratch replaces the per-station pads: exactly one streaming
-  // block (0.1 s of MPX-rate IQ) when the render length is partial-block.
+  // The shared scratch replaces the per-station pads: exactly one render
+  // sub-block of MPX-rate IQ when the render length is partial-block.
   const ScenarioResult result = sparse_engine.run(sc);
-  const auto block = static_cast<std::size_t>(fm::kMpxRate / 10.0);
-  EXPECT_EQ(result.scene.scene_scratch_bytes, block * sizeof(dsp::cfloat));
+  EXPECT_EQ(result.scene.scene_scratch_bytes,
+            kSubBlockMpx * sizeof(dsp::cfloat));
 }
 
 TEST(ScenarioMemory, WholeBlockRunNeedsNoScratch) {

@@ -13,9 +13,10 @@
 //
 // The capture cases pin the batch engine's receiver captures (MPX, decoded
 // L/R, pilot decision, device-chain mono and stereo) byte for byte against
-// the one-shot reference chain: the discriminator over the renderer's
-// concatenated blocks, then fm::decode_stereo, then rx::apply_phone_chain or
-// rx::apply_cabin_acoustics.
+// the one-shot reference chain: the receiver's noise (one channel::AwgnSource
+// with the engine's seed and shaping taps) over the renderer's concatenated
+// pre-noise blocks, the discriminator, then fm::decode_stereo, then
+// rx::apply_phone_chain or rx::apply_cabin_acoustics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "audio/tone.h"
+#include "channel/awgn.h"
 #include "core/scene_render.h"
 #include "core/streaming.h"
 #include "fm/demodulator.h"
@@ -281,6 +283,11 @@ std::size_t expect_captures_match_reference(const core::Scenario& sc) {
   for (std::size_t r = 0; r < batch.receivers.size(); ++r) {
     SCOPED_TRACE("receiver " + std::to_string(r));
     const core::ScenarioReceiver& rx = sc.receivers[r];
+    channel::AwgnSource noise(core::receiver_noise_floor(rx),
+                              units::Hertz{fm::kChannelSpacingHz},
+                              fm::kMpxRate, plan.receiver_noise_seed[r],
+                              scene.noise_shaping_taps(r));
+    noise.add_to(iq[r]);
     fm::QuadratureDemodulator demod(units::Hertz{fm::kMaxDeviationHz},
                                     fm::kMpxRate);
     const dsp::rvec mpx = demod.process(iq[r]);
