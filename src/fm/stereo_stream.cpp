@@ -86,10 +86,14 @@ void StereoStreamDecoder::decide() {
   const auto audio_taps = dsp::fir_design_lowpass(
       kChannelFilterTaps, 0.45 / static_cast<double>(decim_));
   dec_l_.emplace(audio_taps, decim_);
-  dec_r_.emplace(audio_taps, decim_);
   if (cfg_.deemphasis) {
     de_l_.emplace(units::Seconds{kDeemphasisSeconds}, cfg_.audio_rate);
-    de_r_.emplace(units::Seconds{kDeemphasisSeconds}, cfg_.audio_rate);
+  }
+  if (stereo_mode_) {  // mono decodes L once and copies it to R
+    dec_r_.emplace(audio_taps, decim_);
+    if (cfg_.deemphasis) {
+      de_r_.emplace(units::Seconds{kDeemphasisSeconds}, cfg_.audio_rate);
+    }
   }
   decided_ = true;
 }
@@ -130,11 +134,13 @@ void StereoStreamDecoder::process_chain(std::span<const float> mpx,
       mid_hist_[g % delay_] = mid[j];
     }
   } else {
+    // Mono: R would be m - 0 beside L's m + 0, equal but for the sign of a
+    // zero, which no FIR accumulator (all start at +0) carries to its
+    // output. drain() decimates L alone and copies it to R.
     for (std::size_t j = 0; j < n; ++j) {
       const float m = mid[j] * inv_level_;
       const float sv = 0.0F * inv_level_;
       pend_l_.push_back(m + sv);
-      pend_r_.push_back(m - sv);
     }
   }
   processed_ += n;
@@ -146,15 +152,17 @@ void StereoStreamDecoder::drain(dsp::rvec& left, dsp::rvec& right) {
   if (len == 0) return;
   dsp::rvec out_l =
       dec_l_->process(std::span<const float>(pend_l_.data(), len));
+  if (de_l_) out_l = de_l_->process(out_l);
+  left.insert(left.end(), out_l.begin(), out_l.end());
+  pend_l_.erase(pend_l_.begin(), pend_l_.begin() + static_cast<std::ptrdiff_t>(len));
+  if (!stereo_mode_) {
+    right.insert(right.end(), out_l.begin(), out_l.end());
+    return;
+  }
   dsp::rvec out_r =
       dec_r_->process(std::span<const float>(pend_r_.data(), len));
-  if (de_l_) {
-    out_l = de_l_->process(out_l);
-    out_r = de_r_->process(out_r);
-  }
-  left.insert(left.end(), out_l.begin(), out_l.end());
+  if (de_r_) out_r = de_r_->process(out_r);
   right.insert(right.end(), out_r.begin(), out_r.end());
-  pend_l_.erase(pend_l_.begin(), pend_l_.begin() + static_cast<std::ptrdiff_t>(len));
   pend_r_.erase(pend_r_.begin(), pend_r_.begin() + static_cast<std::ptrdiff_t>(len));
 }
 

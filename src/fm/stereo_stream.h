@@ -6,10 +6,11 @@
 // from then on streams the identical chain (mono low-pass; pilot band-pass +
 // envelope + 38 kHz regeneration, stereo subband product, side low-pass,
 // 63-sample realignment; matrix, per-channel decimation, optional
-// de-emphasis) with persistent filter state — byte-identical to the one-shot
-// decoder whenever the decision window covers the capture (every committed
-// golden scenario), and O(window) memory on long runs where the one-shot
-// decoder would hold the whole MPX.
+// de-emphasis; in mono, L is decimated once and copied to R, whose chain
+// would reproduce it bit for bit) with persistent filter state —
+// byte-identical to the one-shot decoder whenever the decision window covers
+// the capture (every committed golden scenario), and O(window) memory on
+// long runs where the one-shot decoder would hold the whole MPX.
 #pragma once
 
 #include <cstddef>
