@@ -84,7 +84,8 @@ std::size_t ReceiverDecoder::buffer_bytes() const {
   bytes += (stereo_.decision_buffer_bytes() / sizeof(float) / decim_) * 2 *
            sizeof(float);  // the L/R chunk the decision flush emits
   bytes += kBlockMpx * sizeof(float);  // per-block MPX scratch
-  bytes += kSubBlockMpx * sizeof(dsp::cfloat) * 2;  // noise draws, shaper
+  // The noise draws and the shaping filter's staging, a sub-block each.
+  bytes += 2 * kSubBlockMpx * sizeof(dsp::cfloat);
   for (const FskCollector& c : fsk_) bytes += c.demod.buffer_bytes();
   for (const RdsCollector& c : rds_) bytes += c.decoder.buffer_bytes();
   if (station_rds_) bytes += station_rds_->buffer_bytes();

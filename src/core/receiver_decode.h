@@ -61,8 +61,8 @@ class ReceiverDecoder {
 
   /// Bytes of decode buffering held at peak: the pilot decision window and
   /// the audio chunk its flush emits, the per-block MPX scratch, the noise
-  /// scratch and every burst and RDS window. Independent of the run duration when the windows
-  /// are bounded.
+  /// scratch and every burst and RDS window. Independent of the run
+  /// duration when the windows are bounded.
   std::size_t buffer_bytes() const;
 
  private:

@@ -33,12 +33,10 @@
 
 namespace fmbs::core {
 
-/// Render block: 0.1 s at the MPX rate, and the same span at the RF rate.
+/// Render block: 0.1 s at the MPX rate.
 inline constexpr std::size_t kBlockMpx = 24000;
 inline constexpr double kBlockSeconds =
     static_cast<double>(kBlockMpx) / fm::kMpxRate;
-inline constexpr std::size_t kBlockRf =
-    kBlockMpx * static_cast<std::size_t>(fm::kMpxToRfFactor);
 
 /// Render sub-block: the span every RF-rate stage runs over at a time, small
 /// enough that a station's, a tag's and a receiver's RF stay in cache
@@ -188,12 +186,12 @@ class SceneRenderer {
   std::vector<rx::Tuner> tuners_;
   std::vector<ReceiverRoute> routes_;
   // Sub-block staging, one sub-block each.
-  dsp::cvec scratch_;              // the partial final block's station IQ
-  dsp::rvec tag_bb_;               // tag baseband
-  dsp::rvec loop_mpx_;             // loop mode: cycled station MPX
-  dsp::cvec loop_iq_;              // loop mode: its re-modulated IQ
-  dsp::cvec reflected_;            // one tag's reflection
-  std::vector<dsp::cvec> rf_;      // [receiver] superposition, tuned in place
+  dsp::cvec scratch_;          // the partial final block's station IQ
+  dsp::rvec tag_bb_;           // tag baseband
+  dsp::rvec loop_mpx_;         // loop mode: cycled station MPX
+  dsp::cvec loop_iq_;          // loop mode: its re-modulated IQ
+  dsp::cvec reflected_;        // one tag's reflection
+  std::vector<dsp::cvec> rf_;  // [receiver] superposition, tuned in place
 };
 
 }  // namespace fmbs::core

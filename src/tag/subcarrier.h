@@ -73,7 +73,8 @@ class SubcarrierGenerator {
   /// output is a pure function of the sample stream, however it is cut into
   /// calls, as long as every call but the last spans a multiple of four RF
   /// samples (the vector sincos groups).
-  void process_into(std::span<const float> baseband, std::span<dsp::cfloat> out);
+  void process_into(std::span<const float> baseband,
+                    std::span<dsp::cfloat> out);
 
  private:
   SubcarrierConfig cfg_;
@@ -81,8 +82,8 @@ class SubcarrierGenerator {
   std::size_t up_factor_;
   dsp::FirInterpolator<float> interpolator_;
   dsp::PhaseAccumulator phase_;
-  dsp::rvec up_;            // per-call interpolated baseband
-  std::vector<float> ph_;   // per-call phases (vector path)
+  dsp::rvec up_;           // per-call interpolated baseband
+  std::vector<float> ph_;  // per-call phases (vector path)
 };
 
 }  // namespace fmbs::tag
