@@ -154,7 +154,8 @@ void StereoStreamDecoder::drain(dsp::rvec& left, dsp::rvec& right) {
       dec_l_->process(std::span<const float>(pend_l_.data(), len));
   if (de_l_) out_l = de_l_->process(out_l);
   left.insert(left.end(), out_l.begin(), out_l.end());
-  pend_l_.erase(pend_l_.begin(), pend_l_.begin() + static_cast<std::ptrdiff_t>(len));
+  pend_l_.erase(pend_l_.begin(),
+                pend_l_.begin() + static_cast<std::ptrdiff_t>(len));
   if (!stereo_mode_) {
     right.insert(right.end(), out_l.begin(), out_l.end());
     return;

@@ -112,7 +112,8 @@ dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
 void Tuner::process_into(std::span<dsp::cfloat> rf,
                          std::span<dsp::cfloat> out) {
   if (rf.size() % factor_ != 0) {
-    throw std::invalid_argument("Tuner: block not a multiple of the decimation");
+    throw std::invalid_argument(
+        "Tuner: block not a multiple of the decimation");
   }
   if (cfg_.offset_hz != 0.0) mixer_.process_inplace(rf);
   decimator_.process_into(rf, out);

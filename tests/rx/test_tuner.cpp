@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "channel/awgn.h"
@@ -68,6 +70,39 @@ TEST(Tuner, BlockSizeValidation) {
   Tuner tuner{TunerConfig{}};
   dsp::cvec bad(1001);
   EXPECT_THROW(tuner.process(bad), std::invalid_argument);
+  dsp::cvec out(100);
+  EXPECT_THROW(tuner.process_into(bad, out), std::invalid_argument);
+}
+
+// The scene renderer tunes each receiver a sub-block at a time, mixing its
+// scratch superposition in place: the stream must match whole-block
+// process() bit for bit, on a shifted channel and on one already at DC.
+TEST(Tuner, ProcessIntoSubBlocksIsBitIdentical) {
+  for (const double offset_hz : {600000.0, 0.0}) {
+    TunerConfig cfg;
+    cfg.offset_hz = offset_hz;
+    Tuner whole(cfg);
+    Tuner chunked(cfg);
+    dsp::Oscillator a(590000.0, cfg.rf_rate);
+    dsp::Oscillator b(-230000.0, cfg.rf_rate);
+    dsp::cvec rf(48000);
+    for (dsp::cfloat& v : rf) v = a.next_complex() + 0.3F * b.next_complex();
+    const dsp::cvec ref = whole.process(rf);
+    dsp::cvec got(ref.size());
+    constexpr std::size_t kChunk = 4800;
+    dsp::cvec scratch(kChunk);
+    for (std::size_t at = 0; at < rf.size(); at += kChunk) {
+      std::copy_n(rf.begin() + static_cast<std::ptrdiff_t>(at), kChunk,
+                  scratch.begin());
+      chunked.process_into(scratch,
+                           std::span<dsp::cfloat>(got).subspan(at / 10,
+                                                               kChunk / 10));
+    }
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                          ref.size() * sizeof(dsp::cfloat)),
+              0)
+        << "offset " << offset_hz;
+  }
 }
 
 TEST(Tuner, RateValidation) {

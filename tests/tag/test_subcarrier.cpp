@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "dsp/math_util.h"
 #include "dsp/spectrum.h"
@@ -146,6 +149,36 @@ TEST(Subcarrier, StreamingPhaseContinuity) {
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i].real(), ref[i].real(), 1e-4F) << "discontinuity at " << i;
+  }
+}
+
+// The scene renderer composes reflections a sub-block at a time through
+// process_into: cut on multiples of four RF samples (the vector sincos
+// groups), the stream must match one whole-block process() bit for bit.
+TEST(Subcarrier, ProcessIntoSubBlocksIsBitIdentical) {
+  std::vector<float> baseband(4800);
+  for (std::size_t i = 0; i < baseband.size(); ++i) {
+    baseband[i] = 0.8F * std::sin(0.01F * static_cast<float>(i));
+  }
+  for (const SubcarrierMode mode :
+       {SubcarrierMode::kBandlimitedSquare, SubcarrierMode::kSingleSideband,
+        SubcarrierMode::kHardSquare}) {
+    SubcarrierConfig cfg;
+    cfg.mode = mode;
+    SubcarrierGenerator whole(cfg);
+    SubcarrierGenerator chunked(cfg);
+    const dsp::cvec ref = whole.process(baseband);
+    dsp::cvec got(ref.size());
+    constexpr std::size_t kChunk = 480;
+    for (std::size_t at = 0; at < baseband.size(); at += kChunk) {
+      chunked.process_into(
+          std::span<const float>(baseband).subspan(at, kChunk),
+          std::span<dsp::cfloat>(got).subspan(at * 10, kChunk * 10));
+    }
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                          ref.size() * sizeof(dsp::cfloat)),
+              0)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
