@@ -98,11 +98,6 @@ Tuner::Tuner(const TunerConfig& config)
       noise_shaper_(design_noise_shaper(decimator_.taps(), factor_)) {}
 
 dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
-  if (rf.size() % factor_ != 0) {
-    throw std::invalid_argument("Tuner: block not a multiple of the decimation");
-  }
-  // A channel already at DC needs no shift: the 0 Hz mixer would only copy.
-  if (cfg_.offset_hz == 0.0) return decimator_.process(rf);
   dsp::cvec work(rf.begin(), rf.end());
   dsp::cvec out(rf.size() / factor_);
   process_into(work, out);
@@ -115,6 +110,7 @@ void Tuner::process_into(std::span<dsp::cfloat> rf,
     throw std::invalid_argument(
         "Tuner: block not a multiple of the decimation");
   }
+  // A channel already at DC needs no shift.
   if (cfg_.offset_hz != 0.0) mixer_.process_inplace(rf);
   decimator_.process_into(rf, out);
 }
