@@ -98,9 +98,23 @@ Tuner::Tuner(const TunerConfig& config)
       noise_shaper_(design_noise_shaper(decimator_.taps(), factor_)) {}
 
 dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
-  dsp::cvec work(rf.begin(), rf.end());
+  if (rf.size() % factor_ != 0) {
+    throw std::invalid_argument(
+        "Tuner: block not a multiple of the decimation");
+  }
+  // A channel already at DC needs no shift: decimate straight from the input.
+  if (cfg_.offset_hz == 0.0) return decimator_.process(rf);
+  // Otherwise shift a cache-sized chunk at a time through work_, so no copy
+  // of the whole block is made; process_into does not depend on the cut.
   dsp::cvec out(rf.size() / factor_);
-  process_into(work, out);
+  const std::size_t chunk = kProcessChunkOut * factor_;
+  work_.resize(std::min(chunk, rf.size()));
+  for (std::size_t at = 0; at < rf.size(); at += chunk) {
+    const std::size_t n = std::min(chunk, rf.size() - at);
+    std::copy_n(rf.begin() + static_cast<std::ptrdiff_t>(at), n, work_.begin());
+    process_into(std::span<dsp::cfloat>(work_).first(n),
+                 std::span<dsp::cfloat>(out).subspan(at / factor_, n / factor_));
+  }
   return out;
 }
 

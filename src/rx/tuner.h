@@ -41,6 +41,8 @@ class Tuner {
   const std::vector<float>& noise_shaping_taps() const { return noise_shaper_; }
 
   /// Processes an RF block; block length must be a multiple of decimation().
+  /// Off-DC channels are shifted through a scratch of at most
+  /// kProcessChunkOut * decimation() samples, not a copy of the block.
   dsp::cvec process(std::span<const dsp::cfloat> rf);
 
   /// Allocation-free variant for a caller's scratch block: mixes `rf` in
@@ -50,11 +52,14 @@ class Tuner {
   void process_into(std::span<dsp::cfloat> rf, std::span<dsp::cfloat> out);
 
  private:
+  static constexpr std::size_t kProcessChunkOut = 1024;
+
   TunerConfig cfg_;
   std::size_t factor_;
   dsp::Mixer mixer_;
   dsp::FirDecimator<dsp::cfloat> decimator_;
   std::vector<float> noise_shaper_;
+  dsp::cvec work_;  // process()'s chunk scratch; empty until first used
 };
 
 }  // namespace fmbs::rx
