@@ -48,7 +48,8 @@ MonoBuffer render_mixed(double duration_seconds, double sample_rate,
 
 StereoBuffer render_program(const ProgramConfig& config, double duration_seconds,
                             double sample_rate, std::uint64_t seed) {
-  if (duration_seconds < 0.0 || sample_rate <= 0.0) {
+  if (!std::isfinite(duration_seconds) || duration_seconds < 0.0 ||
+      !(sample_rate > 0.0)) {
     throw std::invalid_argument("render_program: bad duration or rate");
   }
 

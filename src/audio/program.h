@@ -37,7 +37,9 @@ struct ProgramConfig {
   double ambience_level = 0.004;
 };
 
-/// Renders station program audio. Deterministic per (config, seed).
+/// Renders station program audio. Deterministic per (config, seed). Throws
+/// std::invalid_argument unless the duration is finite and >= 0 and the
+/// rate > 0.
 StereoBuffer render_program(const ProgramConfig& config, double duration_seconds,
                             double sample_rate, std::uint64_t seed);
 

@@ -32,24 +32,6 @@ MonoBuffer make_tone(double frequency_hz, double amplitude,
   return MonoBuffer(std::move(s), sample_rate);
 }
 
-MonoBuffer make_multitone(const std::vector<double>& frequencies_hz,
-                          double amplitude, double duration_seconds,
-                          double sample_rate) {
-  if (frequencies_hz.empty()) {
-    throw std::invalid_argument("make_multitone: no frequencies");
-  }
-  const std::size_t n = sample_count(duration_seconds, sample_rate);
-  std::vector<float> s(n, 0.0F);
-  const double per_tone = amplitude / static_cast<double>(frequencies_hz.size());
-  for (const double f : frequencies_hz) {
-    const double step = kTwoPi * f / sample_rate;
-    for (std::size_t i = 0; i < n; ++i) {
-      s[i] += static_cast<float>(per_tone * std::sin(step * static_cast<double>(i)));
-    }
-  }
-  return MonoBuffer(std::move(s), sample_rate);
-}
-
 MonoBuffer make_noise(double rms, double duration_seconds, double sample_rate,
                       std::uint64_t seed) {
   const std::size_t n = sample_count(duration_seconds, sample_rate);

@@ -13,11 +13,6 @@ namespace fmbs::audio {
 MonoBuffer make_tone(double frequency_hz, double amplitude, double duration_seconds,
                      double sample_rate, double initial_phase = 0.0);
 
-/// Sum of equal-amplitude sinusoids; total amplitude normalized to `amplitude`.
-MonoBuffer make_multitone(const std::vector<double>& frequencies_hz,
-                          double amplitude, double duration_seconds,
-                          double sample_rate);
-
 /// Gaussian white noise with the given RMS.
 MonoBuffer make_noise(double rms, double duration_seconds, double sample_rate,
                       std::uint64_t seed);

@@ -28,6 +28,17 @@ constexpr double kSubsceneSettleSeconds = 0.08;
 /// receiver pipeline group delay, like rx::kBurstTailSlackSeconds).
 constexpr double kSubsceneTailSeconds = 0.06;
 
+/// Power advantage (at the receiver) at or above which a link captures over
+/// an interfering burst: the interferer folds into the SINR instead of
+/// forcing a PHY render. 18 dB keeps the folded term a <2% noise-power
+/// perturbation.
+constexpr double kCaptureMarginDb = 18.0;
+/// Width of the ambiguous band below the capture margin. A payload
+/// collision whose power gap falls inside (margin - band, margin) could go
+/// either way -> PHY; at or below margin - band the loss is certain ->
+/// analytic.
+constexpr double kCaptureAmbiguityBandDb = 6.0;
+
 /// One transmitted burst of the plan, with everything classification needs.
 struct BurstInfo {
   std::size_t tag = 0;
@@ -183,18 +194,6 @@ std::vector<std::vector<Contact>> find_contacts(
 
 }  // namespace
 
-const char* to_string(FleetLinkResolution r) {
-  switch (r) {
-    case FleetLinkResolution::kAnalyticClear:
-      return "analytic-clear";
-    case FleetLinkResolution::kAnalyticCollision:
-      return "analytic-collision";
-    case FleetLinkResolution::kPhyCluster:
-      return "phy-cluster";
-  }
-  return "?";
-}
-
 FleetResult FleetEngine::run(const Scenario& sc) const {
   for (const ScenarioTag& t : sc.tags) {
     if (!t.custom_baseband.empty()) {
@@ -243,7 +242,7 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
   // Links are laid out receiver-major like ScenarioResult, so best-link tie
   // breaking (first receiver wins) matches the signal-level engine.
   const double certain_loss_delta_db =
-      (config_.capture_margin - config_.capture_ambiguity_band).raw();
+      kCaptureMarginDb - kCaptureAmbiguityBandDb;
   std::vector<bool> burst_contested(bursts.size(), false);
   std::vector<PhyPair> phy_pairs;
   for (std::size_t r = 0; r < sc.receivers.size(); ++r) {
@@ -287,7 +286,7 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
       for (const Contact& c : contacts[bi]) {
         const BurstInfo& o = bursts[c.other];
         const double delta = p_dbm - plan.rx_power_dbm[o.seg][r][o.tag];
-        if (delta >= config_.capture_margin.raw()) {
+        if (delta >= kCaptureMarginDb) {
           interference_watts +=
               c.overlap_weight *
               dsp::watts_from_dbm(plan.rx_power_dbm[o.seg][r][o.tag]);
@@ -414,9 +413,8 @@ FleetResult FleetEngine::run(const Scenario& sc) const {
       sub.tags.push_back(std::move(tt));
     }
 
-    ScenarioEngineConfig phy_config = config_.phy;
-    phy_config.keep_captures = false;
-    const ScenarioResult sub_result = ScenarioEngine(phy_config).run(sub);
+    const ScenarioResult sub_result =
+        ScenarioEngine({.keep_captures = false}).run(sub);
 
     result.stats.phy_clusters += 1;
     result.stats.phy_tags_rendered += members.size();

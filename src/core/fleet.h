@@ -9,7 +9,7 @@
 // after which each (tag, receiver) link falls into one of three buckets:
 //
 //  * uncontested — no temporal/spectral contact with any other burst, or
-//    every contact is captured (the interferer sits >= capture_margin_db
+//    every contact is captured (the interferer sits >= the capture margin
 //    below this link at the receiver and folds into the SINR). Resolved by
 //    the calibrated closed-form FSK curve (rx/analytic_fsk.h) on the same
 //    link-budget SINR the scene would have realized.
@@ -46,8 +46,6 @@ enum class FleetLinkResolution {
   kPhyCluster,
 };
 
-const char* to_string(FleetLinkResolution r);
-
 /// Outcome of one (tag, receiver) link.
 struct FleetLink {
   std::size_t tag_index = 0;
@@ -79,22 +77,12 @@ struct FleetStats {
   double phy_subscene_seconds = 0.0;   ///< summed sub-scene durations
 };
 
+/// The capture margin (18 dB) and its 6 dB ambiguity band are fixed in
+/// fleet.cpp; PHY sub-scenes run the default ScenarioEngine without captures.
 struct FleetEngineConfig {
-  /// Power advantage (at the receiver) at or above which this link
-  /// captures over an interfering burst: the interferer folds into the SINR
-  /// instead of forcing a PHY render. 18 dB keeps the folded term a <2%
-  /// noise-power perturbation.
-  units::Db capture_margin{18.0};
-  /// Width of the ambiguous band below the capture margin. A payload
-  /// collision whose power gap falls inside
-  /// (margin - band, margin) could go either way -> PHY; at or below
-  /// margin - band the loss is certain -> analytic.
-  units::Db capture_ambiguity_band{6.0};
   /// Sub-scene durations round up to this quantum so collision clusters of
   /// similar span share one fm::StationCache render per station.
   units::Seconds subscene_quantum{0.25};
-  /// Engine options for the PHY sub-scenes (keep_captures is forced off).
-  ScenarioEngineConfig phy;
 };
 
 struct FleetResult {

@@ -59,10 +59,12 @@ void validate_receiver_chain(const ScenarioReceiver& rx) {
   }
 }
 
-/// Rejects a non-finite station offset or power, tag power or distance,
-/// receiver tune, set receiver power, noise floor or antenna gain, and any
-/// non-finite position or waypoint coordinate. units.h checks finiteness only
-/// with assert(), and NaN would slip past every range check after this.
+/// Rejects a non-finite station offset, power or deviation (the legacy
+/// station's too), tag power, start, subcarrier shift or deviation or
+/// distance, receiver tune, set receiver power, noise floor or antenna gain,
+/// and any non-finite position or waypoint coordinate. units.h checks
+/// finiteness only with assert(), and NaN would slip past every range check
+/// after this.
 void validate_finite_inputs(const Scenario& sc) {
   const auto finite = [](std::initializer_list<double> values) {
     return std::all_of(values.begin(), values.end(),
@@ -83,16 +85,20 @@ void validate_finite_inputs(const Scenario& sc) {
     if (!ok) {
       throw std::invalid_argument(
           std::string("ScenarioEngine: ") + kind + " \"" + name +
-          "\" has a non-finite power, offset, gain, distance or coordinate");
+          "\" has a non-finite power, offset, gain, deviation, shift, start, "
+          "distance or coordinate");
     }
   };
+  check(finite({sc.station.deviation.raw()}), "station", "legacy");
   for (const ScenarioStation& st : sc.stations) {
-    check(finite({st.offset.raw(), st.power.raw()}) &&
+    check(finite({st.offset.raw(), st.power.raw(),
+                  st.config.deviation.raw()}) &&
               finite_path(st.position.value_or(ScenePosition{}), {}),
           "station", st.name);
   }
   for (const ScenarioTag& t : sc.tags) {
-    check(finite({t.tag_power.raw()}) &&
+    check(finite({t.tag_power.raw(), t.start.raw(), t.subcarrier.shift.raw(),
+                  t.subcarrier.deviation.raw()}) &&
               unset_or_finite(t.distance_override) &&
               finite_path(t.position, t.waypoints),
           "tag", t.name);

@@ -13,7 +13,7 @@
 // The physical pipeline:
 //
 //   scene renderer (core/scene_render.h), per 480-sample sub-block:
-//   station MPX/IQ (240 kHz) --x10--> RF scene (2.4 MHz complex baseband)
+//   station MPX --FM mod--> IQ (240 kHz) --x10--> RF scene (2.4 MHz)
 //        |                               |
 //        |        tag baseband --> subcarrier B(t) --> reflected = B x RF
 //        |                               |
@@ -349,20 +349,15 @@ struct TagMacReport {
 
 /// What demand-driven rendering actually synthesized (see
 /// ScenarioEngineConfig::scene_rendering): totals versus the subset inside
-/// some receiver's tuned-channel neighborhood, plus the size of the shared
-/// block-staging scratch that replaced the old per-station padded copies.
+/// some receiver's tuned-channel neighborhood.
 struct SceneRenderStats {
   std::size_t stations_total = 0;
   std::size_t stations_rendered = 0;
   std::size_t tags_total = 0;
   std::size_t tags_rendered = 0;
-  /// Bytes of per-run staging scratch (one shared block when the render
-  /// length is not a whole number of streaming blocks, else zero). The old
-  /// engine instead copied and padded every station render.
-  std::size_t scene_scratch_bytes = 0;
   /// Peak bytes of streaming-engine buffering (ring slots, per-tag burst
   /// waveforms, decode windows, pilot decision buffers, loop-mode station
-  /// blocks). 0 under the batch engine. Independent of run duration — the
+  /// horizon MPX). 0 under the batch engine. Independent of run duration — the
   /// O(1)-memory guarantee the soak tests pin.
   std::size_t streaming_peak_buffer_bytes = 0;
 };

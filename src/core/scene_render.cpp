@@ -95,31 +95,24 @@ SceneRenderer::SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
     if (!pruning_.station_needed[s]) continue;  // never enters the scene
     StationSource& src = stations_[s];
     src.render = scope_.render(station_config(s), render_seconds);
-    if (src.render->iq.size() != stations_[0].render->iq.size()) {
+    if (src.render->mpx.size() != stations_[0].render->mpx.size()) {
       throw std::logic_error("SceneRenderer: station render length mismatch");
     }
+    src.mod.emplace(station_config(s).deviation, fm::kMpxRate);
     src.up.emplace(up_taps, up_factor);
     src.rf.resize(kSubBlockRf);
     if (plan.station_offset[s] != 0.0) {
       src.mixer.emplace(plan.station_offset[s], fm::kRfRate);
     }
-    if (loop_mode_) {
-      src.loop_mod.emplace(station_config(s).deviation, fm::kMpxRate);
-    }
   }
-  content_len_ = stations_[0].render->iq.size();
+  content_len_ = stations_[0].render->mpx.size();
   const std::size_t run_len =
       loop_mode_
           ? static_cast<std::size_t>(plan.total_seconds * fm::kMpxRate + 0.5)
           : content_len_;
   num_blocks_ = (run_len + kBlockMpx - 1) / kBlockMpx;
   const std::size_t padded = padded_samples();
-  if (loop_mode_) {
-    loop_mpx_.resize(kSubBlockMpx);
-    loop_iq_.resize(kSubBlockMpx);
-  } else if (padded != content_len_) {
-    scratch_.resize(kSubBlockMpx);
-  }
+  iq_.resize(kSubBlockMpx);
 
   // ---- Per-tag state and compact burst waveforms. --------------------------
   tag_bb_.resize(kSubBlockMpx);
@@ -255,60 +248,45 @@ void SceneRenderer::report(ScenarioResult& result) const {
   for (const char needed : pruning_.tag_needed) {
     result.scene.tags_rendered += needed ? 1U : 0U;
   }
-  result.scene.scene_scratch_bytes = scratch_.size() * sizeof(dsp::cfloat);
 }
 
 std::size_t SceneRenderer::buffer_bytes() const {
   // Each receiver's superposition and the one tag reflection being added.
   std::size_t bytes = (rf_.size() + 1) * kSubBlockRf * sizeof(dsp::cfloat);
-  bytes += kSubBlockMpx * sizeof(float);  // tag baseband staging
+  bytes += kSubBlockMpx * sizeof(dsp::cfloat);  // station IQ staging
+  bytes += kSubBlockMpx * sizeof(float);        // tag baseband staging
   for (const StationSource& src : stations_) {
     if (!src.render) continue;
     bytes += kSubBlockRf * sizeof(dsp::cfloat);  // src.rf
-    if (loop_mode_) {
-      bytes += src.render->mpx.size() * sizeof(float);
-      bytes += src.render->iq.size() * sizeof(dsp::cfloat);
-    }
+    if (loop_mode_) bytes += src.render->mpx.size() * sizeof(float);
   }
-  bytes += loop_mpx_.size() * sizeof(float);
-  bytes += loop_iq_.size() * sizeof(dsp::cfloat);
   for (const TagSource& st : tags_) bytes += st.wave.size() * sizeof(float);
-  return bytes + scratch_.size() * sizeof(dsp::cfloat);
+  return bytes;
 }
 
 void SceneRenderer::render_stations(std::size_t at) {
   for (StationSource& src : stations_) {
     if (!src.render) continue;
-    std::span<const dsp::cfloat> st_sub;
-    if (loop_mode_) {
-      // Cycle the horizon's MPX through the persistent modulator: the
-      // carrier phase rides straight across the content seam.
-      const dsp::rvec& mpx = src.render->mpx;
-      std::size_t pos = src.loop_pos;
-      for (float& v : loop_mpx_) {
-        v = mpx[pos];
-        if (++pos == mpx.size()) pos = 0;
-      }
-      src.loop_pos = pos;
-      src.loop_mod->process_into(loop_mpx_, loop_iq_);
-      st_sub = loop_iq_;
-    } else if (at + kSubBlockMpx <= content_len_) {
-      // Whole sub-blocks stream as spans straight out of the shared,
-      // read-only cached render.
-      st_sub = std::span<const dsp::cfloat>(src.render->iq.data() + at,
-                                            kSubBlockMpx);
-    } else {
-      // The last block is partial: stage the remaining render samples and
-      // hold the final one through the pad — the FM carrier continues at its
-      // last phase, so the discriminator sees silence, not a click.
-      const dsp::cvec& iq = src.render->iq;
-      const std::size_t left = at < content_len_ ? content_len_ - at : 0;
-      if (left > 0) std::copy_n(iq.data() + at, left, scratch_.begin());
-      std::fill(scratch_.begin() + static_cast<std::ptrdiff_t>(left),
-                scratch_.end(), iq.back());
-      st_sub = scratch_;
+    // Modulate the sub-block's MPX straight out of the render. Loop mode
+    // cycles the horizon, so the carrier phase rides straight across the
+    // seam; an exact render runs out inside the last block.
+    const std::span<const float> mpx = src.render->mpx;
+    std::size_t pos = loop_mode_ ? at % content_len_ : at;
+    std::size_t done = 0;
+    while (done < kSubBlockMpx && pos < content_len_) {
+      const std::size_t n = std::min(kSubBlockMpx - done, content_len_ - pos);
+      src.mod->process_into(mpx.subspan(pos, n),
+                            std::span<dsp::cfloat>(iq_).subspan(done, n));
+      done += n;
+      pos += n;
+      if (loop_mode_ && pos == content_len_) pos = 0;
     }
-    src.up->process_into(st_sub, src.rf);
+    // Past the render's end the carrier holds its last phase, so the
+    // discriminator sees silence, not a click.
+    if (done > 0) src.held = iq_[done - 1];
+    std::fill(iq_.begin() + static_cast<std::ptrdiff_t>(done), iq_.end(),
+              src.held);
+    src.up->process_into(iq_, src.rf);
     if (src.mixer) src.mixer->process_inplace(src.rf);
   }
 }

@@ -1,16 +1,16 @@
 // The shared RF scene renderer of the batch and streaming scenario engines
 // (internal to core/). One SceneRenderer turns a resolved ScenarioPlan into
 // each receiver's tuned, pre-noise IQ, one 0.1 s block at a time, rendered in
-// cache-sized sub-blocks: for each sub-block every needed station is
-// upsampled to the RF rate and mixed onto its carrier, every active tag
-// multiplies its selected station by its switch pattern (with motion fading
-// on the tag path), the per-segment link gains superpose the result per
-// receiver, and each receiver's tuner decimates its superposition straight
-// into its slice of the output block. No RF-rate buffer outlives a
-// sub-block. Receiver noise is the receiver's own front end: its decoder
-// (core/receiver_decode.h) adds it. ScenarioEngine hands each block straight
-// to its receivers' decoders; StreamingEngine publishes it into its ring for
-// its consumer threads to decode. The renderer also owns the per-receiver
+// cache-sized sub-blocks: for each sub-block every needed station's MPX is
+// FM-modulated, upsampled to the RF rate and mixed onto its carrier, every
+// active tag multiplies its selected station by its switch pattern (with
+// motion fading on the tag path), the per-segment link gains superpose the
+// result per receiver, and each receiver's tuner decimates its
+// superposition straight into its slice of the output block. No RF-rate
+// buffer outlives a sub-block. Receiver noise is the receiver's own front
+// end: its decoder (core/receiver_decode.h) adds it. ScenarioEngine hands
+// each block straight to its receivers' decoders; StreamingEngine publishes
+// it into its ring for its consumer threads to decode. The renderer also owns the per-receiver
 // routing both engines decode from: which FSK and RDS bursts a receiver can
 // hear, and whether its tune lands on a station broadcasting RDS.
 #pragma once
@@ -101,10 +101,9 @@ class SceneRenderer {
  public:
   /// Resolves pruning, pins and renders every needed station, composes each
   /// transmitted burst and routes every receiver. A run longer than
-  /// `station_horizon` renders only the horizon per station and loops its
-  /// MPX through a persistent modulator; without a horizon every station
-  /// renders exactly over the whole run. `sc` and `plan` must outlive the
-  /// renderer.
+  /// `station_horizon` renders only the horizon per station and cycles its
+  /// MPX; without a horizon every station renders exactly over the whole
+  /// run. `sc` and `plan` must outlive the renderer.
   SceneRenderer(const Scenario& sc, const ScenarioPlan& plan,
                 SceneRendering mode,
                 std::optional<units::Seconds> station_horizon);
@@ -126,9 +125,9 @@ class SceneRenderer {
   }
 
   /// Peak bytes of renderer-owned buffering over the run: the sub-block
-  /// stations, superpositions, tag reflection and staging, compact burst
-  /// waveforms, loop-mode horizon buffers and the partial-block scratch.
-  /// Independent of the run duration.
+  /// station IQ and RF, superpositions, tag reflection and staging, compact
+  /// burst waveforms and loop-mode horizon MPX. Independent of the run
+  /// duration.
   std::size_t buffer_bytes() const;
 
   /// Renders block `block_index` into out[r] (kBlockMpx tuned, pre-noise IQ
@@ -137,16 +136,16 @@ class SceneRenderer {
   void render_block(std::size_t block_index, std::vector<dsp::cvec>& out);
 
  private:
-  /// Exact mode streams sub-blocks straight out of the cached full-run
-  /// render; loop mode cycles a horizon render's MPX through a persistent
-  /// modulator, keeping the carrier phase continuous across the seam.
+  /// Every needed station streams its render's MPX through its own
+  /// persistent modulator (paper Eq. 1), so the carrier phase runs straight
+  /// across sub-blocks and, in loop mode, across the horizon seam.
   struct StationSource {
     std::shared_ptr<const fm::StationSignal> render;  // null: pruned
+    std::optional<fm::FmModulator> mod;
     std::optional<dsp::FirInterpolator<dsp::cfloat>> up;
     std::optional<dsp::Mixer> mixer;
-    std::optional<fm::FmModulator> loop_mod;
-    std::size_t loop_pos = 0;  // next MPX sample of the cycled horizon
-    dsp::cvec rf;              // this sub-block at the RF rate, on its carrier
+    dsp::cfloat held;  // last emitted IQ sample: an exact render's pad value
+    dsp::cvec rf;      // this sub-block at the RF rate, on its carrier
   };
 
   /// Only the burst's own waveform is kept: outside [wave_begin,
@@ -166,8 +165,8 @@ class SceneRenderer {
     std::size_t fading_segment = static_cast<std::size_t>(-1);
   };
 
-  /// Upsamples and mixes every needed station's sub-block starting at MPX
-  /// sample `at` into its `rf`.
+  /// Modulates, upsamples and mixes every needed station's sub-block
+  /// starting at MPX sample `at` into its `rf`.
   void render_stations(std::size_t at);
   /// Composes tag `t`'s reflection of the sub-block at `at` into
   /// reflected_: B(t) x incident, faded, zero outside the switch window.
@@ -186,10 +185,8 @@ class SceneRenderer {
   std::vector<rx::Tuner> tuners_;
   std::vector<ReceiverRoute> routes_;
   // Sub-block staging, one sub-block each.
-  dsp::cvec scratch_;          // the partial final block's station IQ
+  dsp::cvec iq_;               // one station's modulated IQ
   dsp::rvec tag_bb_;           // tag baseband
-  dsp::rvec loop_mpx_;         // loop mode: cycled station MPX
-  dsp::cvec loop_iq_;          // loop mode: its re-modulated IQ
   dsp::cvec reflected_;        // one tag's reflection
   std::vector<dsp::cvec> rf_;  // [receiver] superposition, tuned in place
 };

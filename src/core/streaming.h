@@ -20,9 +20,10 @@
 //     RDS decode) are made from the first `decision_window` of the
 //     run instead of all of it;
 //   * station program content loops every `station_horizon` once the
-//     run outgrows the horizon (phase-continuous IQ via a persistent
-//     per-station FmModulator), so a 10-minute soak run costs the memory of
-//     a 2 s render.
+//     run outgrows the horizon (the MPX cycles through the same persistent
+//     per-station FmModulator every run streams it through, so the IQ stays
+//     phase-continuous), so a 10-minute soak run costs the memory of a 2 s
+//     MPX render.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +64,7 @@ struct StreamingConfig {
   std::size_t ring_blocks = 8;
   /// Station render horizon (finite, > 0). Runs no longer than this use one
   /// exact render per station (bit-identical to the batch engine); longer
-  /// runs render the horizon once and loop its MPX through a persistent
+  /// runs render the horizon once and cycle its MPX through the station's
   /// modulator.
   units::Seconds station_horizon{2.0};
   /// Bound on the buffered global decisions (stereo pilot detect; the tuned

@@ -82,28 +82,4 @@ cvec ifft(std::span<const cfloat> input) {
   return data;
 }
 
-cvec fft_real(std::span<const float> input) {
-  cvec data(next_pow2(input.size()));
-  for (std::size_t i = 0; i < input.size(); ++i) data[i] = cfloat(input[i], 0.0F);
-  FftPlan plan(data.size());
-  plan.forward(data);
-  return data;
-}
-
-std::vector<double> power_spectrum(std::span<const float> input,
-                                   std::size_t fft_size) {
-  std::size_t n = fft_size == 0 ? next_pow2(input.size()) : fft_size;
-  if (!is_pow2(n)) throw std::invalid_argument("power_spectrum: fft_size must be pow2");
-  cvec data(n);
-  const std::size_t m = std::min(n, input.size());
-  for (std::size_t i = 0; i < m; ++i) data[i] = cfloat(input[i], 0.0F);
-  FftPlan plan(n);
-  plan.forward(data);
-  std::vector<double> ps(n / 2 + 1);
-  for (std::size_t k = 0; k < ps.size(); ++k) {
-    ps[k] = static_cast<double>(std::norm(data[k]));
-  }
-  return ps;
-}
-
 }  // namespace fmbs::dsp

@@ -50,12 +50,4 @@ cvec fft(std::span<const cfloat> input);
 /// Out-of-place inverse FFT; input length must be a power of two.
 cvec ifft(std::span<const cfloat> input);
 
-/// Forward FFT of a real signal (zero-padded to a power of two).
-cvec fft_real(std::span<const float> input);
-
-/// |X[k]|^2 for each bin of the forward FFT of a real signal, zero-padded to
-/// fft_size (0 means next_pow2(input.size())). Returns fft_size/2+1 bins.
-std::vector<double> power_spectrum(std::span<const float> input,
-                                   std::size_t fft_size = 0);
-
 }  // namespace fmbs::dsp

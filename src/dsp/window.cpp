@@ -92,12 +92,6 @@ std::size_t kaiser_order_for(double attenuation_db, double transition_width) {
   return order < 1.0 ? 1 : static_cast<std::size_t>(std::ceil(order));
 }
 
-double window_sum(const std::vector<float>& w) {
-  double s = 0.0;
-  for (const float v : w) s += v;
-  return s;
-}
-
 double window_sum_squares(const std::vector<float>& w) {
   double s = 0.0;
   for (const float v : w) s += static_cast<double>(v) * v;

@@ -29,9 +29,6 @@ double kaiser_beta_for_attenuation(double attenuation_db);
 /// width (fraction of the sample rate). Result is always >= 1.
 std::size_t kaiser_order_for(double attenuation_db, double transition_width);
 
-/// Sum of the window coefficients (coherent gain numerator).
-double window_sum(const std::vector<float>& w);
-
 /// Sum of squared window coefficients (noise gain numerator, for PSD scaling).
 double window_sum_squares(const std::vector<float>& w);
 

@@ -9,7 +9,7 @@ namespace fmbs::fm {
 
 FmModulator::FmModulator(units::Hertz deviation, double sample_rate)
     : deviation_hz_(deviation.raw()), sample_rate_(sample_rate) {
-  if (deviation_hz_ <= 0.0 || sample_rate <= 0.0) {
+  if (!(deviation_hz_ > 0.0) || !(sample_rate > 0.0)) {
     throw std::invalid_argument("FmModulator: deviation and rate must be > 0");
   }
   if (deviation_hz_ >= sample_rate / 2.0) {

@@ -117,15 +117,4 @@ dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& confi
   return mpx;
 }
 
-dsp::rvec extract_mono(std::span<const float> mpx, const MpxConfig& config) {
-  const double cutoff = kMonoAudioHiHz / config.mpx_rate;
-  dsp::FirFilter<float> lp(dsp::fir_design_lowpass(127, cutoff));
-  dsp::rvec mono = lp.process(mpx);
-  const float inv = config.program_level > 0.0
-                        ? static_cast<float>(1.0 / config.program_level)
-                        : 1.0F;
-  for (auto& v : mono) v *= inv;
-  return mono;
-}
-
 }  // namespace fmbs::fm

@@ -31,8 +31,4 @@ struct MpxConfig {
 dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& config,
                       std::span<const unsigned char> rds_bitstream = {});
 
-/// Extracts the mono (L+R) component of an MPX signal: low-pass below 15 kHz,
-/// compensated for program_level. Returns audio at the MPX rate.
-dsp::rvec extract_mono(std::span<const float> mpx, const MpxConfig& config);
-
 }  // namespace fmbs::fm

@@ -17,7 +17,6 @@ StationCache::Key StationCache::make_key(const StationConfig& config,
   key.stereo = config.program.stereo;
   key.stereo_width = config.program.stereo_width;
   key.ambience_level = config.program.ambience_level;
-  key.deviation_hz = config.deviation.raw();
   key.rds_level = config.rds_level;
   key.rds_ps_name = config.rds_ps_name;
   key.preemphasis = config.preemphasis;

@@ -1,7 +1,9 @@
-// Keyed, thread-safe cache of rendered stations. A station's MPX/IQ signal
-// depends only on its StationConfig and the render duration — never on tag
-// parameters — so every experiment point in a sweep that listens to the same
-// station can share one read-only render instead of re-synthesizing it.
+// Keyed, thread-safe cache of rendered stations. A station's program and MPX
+// depend only on its program, RDS, pre-emphasis and seed settings and the
+// render duration — never on tag parameters, nor on the deviation, which only
+// the modulator that turns the MPX into IQ reads — so every experiment point
+// in a sweep that listens to the same station can share one read-only render
+// instead of re-synthesizing it.
 //
 // Concurrency: the first caller of a key renders outside the lock while
 // later callers of the same key block on a shared_future, so concurrent
@@ -50,8 +52,9 @@ class StationCache {
   bool enabled() const;
 
   /// Maximum resident renders; least-recently-used unpinned entries are
-  /// evicted. Renders are large (roughly 4-5 MB per second of station
-  /// signal), so the default of 16 bounds the steady-state footprint while
+  /// evicted. Renders are large (about 1.3 MB per second of station signal:
+  /// the MPX plus the stereo program), so the default of 16 bounds the
+  /// steady-state footprint while
   /// letting a scenario sweep keep a whole city scene (up to ~10 stations at
   /// the 2.4 MHz scene width) plus a few single-station sweeps resident;
   /// long-lived processes can clear() after a sweep or shrink this.
@@ -70,8 +73,7 @@ class StationCache {
     bool stereo = false;
     double stereo_width = 0.0;
     double ambience_level = 0.0;
-    // Remaining StationConfig fields.
-    double deviation_hz = 0.0;
+    // Remaining StationConfig fields the render reads.
     double rds_level = 0.0;
     std::string rds_ps_name;
     bool preemphasis = false;

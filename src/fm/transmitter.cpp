@@ -1,15 +1,16 @@
 #include "fm/transmitter.h"
 
+#include <cmath>
 #include <stdexcept>
 
-#include "fm/modulator.h"
 #include "fm/rds.h"
 
 namespace fmbs::fm {
 
 StationSignal render_station(const StationConfig& config, units::Seconds duration) {
-  if (duration.raw() <= 0.0) {
-    throw std::invalid_argument("render_station: duration must be > 0");
+  if (!std::isfinite(duration.raw()) || duration.raw() <= 0.0) {
+    throw std::invalid_argument(
+        "render_station: duration must be finite and > 0");
   }
   StationSignal out;
   out.sample_rate = kMpxRate;
@@ -26,9 +27,6 @@ StationSignal render_station(const StationConfig& config, units::Seconds duratio
     rds_bits = serialize_groups(make_ps_groups(config.rds_ps_name));
   }
   out.mpx = compose_mpx(out.program, mpx_cfg, rds_bits);
-
-  FmModulator mod(config.deviation, kMpxRate);
-  out.iq = mod.process(out.mpx);
   return out;
 }
 

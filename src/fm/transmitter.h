@@ -1,5 +1,7 @@
-// FM station: program synthesis -> MPX composition -> Eq.-1 modulation.
-// Produces the ambient signal every experiment backscatters.
+// FM station: program synthesis -> MPX composition. The MPX is the ambient
+// signal every experiment backscatters; its carrier IQ is a pure function of
+// it (paper Eq. 1), so it is not stored: whoever needs the IQ streams the MPX
+// through an fm::FmModulator built from the station's deviation.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +33,14 @@ struct StationConfig {
 
 /// A rendered station transmission.
 struct StationSignal {
-  dsp::cvec iq;                 // unit-amplitude complex baseband at mpx rate
-  dsp::rvec mpx;                // the composite baseband that was modulated
+  dsp::rvec mpx;                // the composite baseband the carrier carries
   audio::StereoBuffer program;  // the program audio (ground truth)
   double sample_rate = kMpxRate;
 };
 
-/// Renders `duration` of a station's transmission at the MPX rate.
-/// The IQ is unit amplitude; the RF scene applies transmit power.
+/// Renders `duration` (finite, > 0) of a station's program and MPX at the
+/// MPX rate. Modulating the MPX gives unit-amplitude IQ; the RF scene applies
+/// transmit power.
 StationSignal render_station(const StationConfig& config, units::Seconds duration);
 
 }  // namespace fmbs::fm

@@ -238,22 +238,6 @@ std::vector<std::uint8_t> fec_decode(std::span<const std::uint8_t> bits,
   return out;
 }
 
-std::size_t fec_encoded_length(std::size_t payload_bits, FecScheme scheme) {
-  std::size_t raw = payload_bits;
-  switch (scheme) {
-    case FecScheme::kNone:
-      return payload_bits;
-    case FecScheme::kHamming74:
-      raw = (payload_bits + 3) / 4 * 7;
-      break;
-    case FecScheme::kConvolutionalK7:
-      raw = 2 * (payload_bits + 6);
-      break;
-  }
-  const std::size_t block = kInterleaveRows * kInterleaveCols;
-  return (raw + block - 1) / block * block;
-}
-
 double fec_rate(FecScheme scheme) {
   switch (scheme) {
     case FecScheme::kNone: return 1.0;

@@ -75,10 +75,6 @@ std::vector<std::uint8_t> fec_encode(std::span<const std::uint8_t> bits,
 std::vector<std::uint8_t> fec_decode(std::span<const std::uint8_t> bits,
                                      FecScheme scheme, std::size_t payload_bits);
 
-/// On-air bits needed to carry `payload_bits` under a scheme (for sizing
-/// captures in benches).
-std::size_t fec_encoded_length(std::size_t payload_bits, FecScheme scheme);
-
 /// Code rate (payload bits per channel bit).
 double fec_rate(FecScheme scheme);
 

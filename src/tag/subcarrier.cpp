@@ -37,7 +37,7 @@ SubcarrierGenerator::SubcarrierGenerator(const SubcarrierConfig& config)
     : cfg_(config),
       up_factor_(compute_up_factor(config)),
       interpolator_(make_interpolator(up_factor_)) {
-  if (cfg_.shift.raw() == 0.0 || cfg_.deviation.raw() <= 0.0) {
+  if (!(std::abs(cfg_.shift.raw()) > 0.0) || !(cfg_.deviation.raw() > 0.0)) {
     throw std::invalid_argument("SubcarrierGenerator: bad shift or deviation");
   }
   if (std::abs(cfg_.shift.raw()) + cfg_.deviation.raw() >= cfg_.rf_rate / 2.0) {

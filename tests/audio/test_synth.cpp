@@ -19,14 +19,6 @@ TEST(ToneGen, FrequencyAndAmplitude) {
   EXPECT_NEAR(p, 0.125, 0.01);
 }
 
-TEST(ToneGen, MultitoneSplitsAmplitude) {
-  const MonoBuffer t = make_multitone({1000.0, 3000.0}, 1.0, 1.0, 48000.0);
-  const double p1 = dsp::band_power(t.samples, 48000.0, 900.0, 1100.0);
-  const double p3 = dsp::band_power(t.samples, 48000.0, 2900.0, 3100.0);
-  EXPECT_NEAR(p1, 0.125, 0.02);
-  EXPECT_NEAR(p3, 0.125, 0.02);
-}
-
 TEST(ToneGen, NoiseRms) {
   const MonoBuffer n = make_noise(0.2, 1.0, 48000.0, 5);
   EXPECT_NEAR(dsp::rms(n.samples), 0.2, 0.01);

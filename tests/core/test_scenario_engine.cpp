@@ -600,7 +600,14 @@ TEST(ScenarioEngine, RejectsNonFiniteStationInputs) {
        {"position.x",
         [](Scenario& sc, double v) { sc.stations[1].position->x_m = v; }},
        {"position.y",
-        [](Scenario& sc, double v) { sc.stations[1].position->y_m = v; }}});
+        [](Scenario& sc, double v) { sc.stations[1].position->y_m = v; }},
+       {"config.deviation",
+        [](Scenario& sc, double v) {
+          sc.stations[1].config.deviation = std::bit_cast<units::Hertz>(v);
+        }},
+       {"station.deviation", [](Scenario& sc, double v) {
+          sc.station.deviation = std::bit_cast<units::Hertz>(v);
+        }}});
 }
 
 TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
@@ -610,6 +617,12 @@ TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
   t.waypoints = {ScenePosition{2.0, 0.0}, ScenePosition{2.0, 2.0}};
   t.distance_override = units::Feet{4.0};
   base.tags.push_back(std::move(t));
+  // Only a payload burst has a start to plan.
+  ScenarioTag fsk;
+  fsk.name = "fsk";
+  fsk.num_bits = 64;
+  base.tags.push_back(fsk);
+  base.duration = units::Seconds{0.2};
   base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
   expect_rejects_non_finite(
       base,
@@ -621,8 +634,20 @@ TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
         [](Scenario& sc, double v) { sc.tags[0].position.x_m = v; }},
        {"waypoint.y",
         [](Scenario& sc, double v) { sc.tags[0].waypoints[1].y_m = v; }},
-       {"distance_override", [](Scenario& sc, double v) {
+       {"distance_override",
+        [](Scenario& sc, double v) {
           sc.tags[0].distance_override = std::bit_cast<units::Feet>(v);
+        }},
+       {"start",
+        [](Scenario& sc, double v) {
+          sc.tags[1].start = std::bit_cast<units::Seconds>(v);
+        }},
+       {"subcarrier.shift",
+        [](Scenario& sc, double v) {
+          sc.tags[1].subcarrier.shift = std::bit_cast<units::Hertz>(v);
+        }},
+       {"subcarrier.deviation", [](Scenario& sc, double v) {
+          sc.tags[1].subcarrier.deviation = std::bit_cast<units::Hertz>(v);
         }}});
 }
 

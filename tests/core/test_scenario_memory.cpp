@@ -5,13 +5,15 @@
 // (copy-then-pad), then kept a full upsampled RF block per station — so a
 // six-station scene paid ~2x the render memory again in copies before the
 // first receiver ever decoded, and scenes paid for stations no receiver
-// could hear. Demand-driven rendering replaced the copies with ONE shared
-// scratch (used only for the final partial block) and skips unneeded
-// stations entirely; sub-block rendering shrank every staged RF buffer and
-// that scratch to one render sub-block. This test instruments global
-// operator new and pins the peak: if copy-then-pad (or render-everything,
-// or block-sized RF staging) comes back, the peak jumps by megabytes and
-// the bound here fails.
+// could hear. Demand-driven rendering replaced the copies with one shared
+// staging buffer and skips unneeded stations entirely; sub-block rendering
+// shrank every staged RF buffer and that staging to one render sub-block,
+// and the cached renders now hold MPX only: each scene modulates it into
+// the one shared IQ sub-block, holding the last sample through the pad.
+// This test instruments global operator new and pins the peak: if
+// copy-then-pad (or render-everything, or block-sized RF staging) comes
+// back, the peak jumps by megabytes and the bound here fails; a cached IQ
+// copy fails the per-render footprint case.
 //
 // The binary-local allocator override counts every live byte via
 // malloc_usable_size; this file is its own test executable, so the override
@@ -23,10 +25,12 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "core/scenario.h"
 #include "core/scene_render.h"
 #include "dsp/types.h"
+#include "fm/station_cache.h"
 
 namespace {
 
@@ -132,7 +136,7 @@ TEST(ScenarioMemory, SparseRunPeakStaysBounded) {
   const std::size_t dense_peak = measure_peak(dense_engine);
 
   // Scale reference: one station render of this scene (0.28 s at the MPX
-  // rate) is ~540 KB of IQ, and each staged station holds one RF sub-block
+  // rate) is ~270 KB of MPX, and each staged station holds one RF sub-block
   // (38.4 KB) plus its upsampler's sub-block work buffer. Measured peaks
   // today: ~1.84 MB sparse (two staged stations) vs ~2.02 MB dense (all six);
   // before sub-block rendering they were ~17.1 MB vs ~25.6 MB, with a 1.9 MB
@@ -146,20 +150,37 @@ TEST(ScenarioMemory, SparseRunPeakStaysBounded) {
   // by at least the four skipped stations' RF sub-blocks.
   EXPECT_LT(sparse_peak + 4 * kSubBlockRf * sizeof(dsp::cfloat), dense_peak)
       << "sparse " << sparse_peak << " vs dense " << dense_peak;
-
-  // The shared scratch replaces the per-station pads: exactly one render
-  // sub-block of MPX-rate IQ when the render length is partial-block.
-  const ScenarioResult result = sparse_engine.run(sc);
-  EXPECT_EQ(result.scene.scene_scratch_bytes,
-            kSubBlockMpx * sizeof(dsp::cfloat));
 }
 
+// A render that ends inside the final block holds its last IQ sample through
+// the pad instead of staging the render's tail in a scratch: the renderer
+// buffers exactly as much for it as for a run of whole blocks.
 TEST(ScenarioMemory, WholeBlockRunNeedsNoScratch) {
-  Scenario sc = six_station_scene();
-  sc.duration = units::Seconds{0.22};  // 0.3 s total = exactly 3 streaming blocks
-  const ScenarioResult result =
-      ScenarioEngine({.keep_captures = false}).run(sc);
-  EXPECT_EQ(result.scene.scene_scratch_bytes, 0U);
+  const Scenario partial = six_station_scene();  // 0.28 s: partial last block
+  Scenario whole = six_station_scene();
+  whole.duration = units::Seconds{0.22};  // 0.3 s total = exactly 3 blocks
+  const ScenarioPlan partial_plan = resolve_scenario_plan(partial);
+  const ScenarioPlan whole_plan = resolve_scenario_plan(whole);
+  const SceneRenderer partial_scene(partial, partial_plan,
+                                    SceneRendering::kSparse, std::nullopt);
+  const SceneRenderer whole_scene(whole, whole_plan, SceneRendering::kSparse,
+                                  std::nullopt);
+  EXPECT_EQ(partial_scene.buffer_bytes(), whole_scene.buffer_bytes());
+}
+
+// The station cache keeps a station's MPX and program audio only: its IQ is
+// a pure function of the MPX (paper Eq. 1) that every scene modulates as it
+// renders. One second is ~0.96 MB of MPX plus ~0.38 MB of stereo program; a
+// cached IQ copy would add another ~1.92 MB and break the bound.
+TEST(ScenarioMemory, OneSecondStationRenderHoldsNoIq) {
+  fm::StationConfig config;
+  config.seed = 4242;  // a key no other case in this binary renders
+  const std::size_t before = g_live.load();
+  const auto render =
+      fm::StationCache::instance().render(config, units::Seconds{1.0});
+  const std::size_t held = g_live.load() - before;
+  ASSERT_EQ(render->mpx.size(), static_cast<std::size_t>(fm::kMpxRate));
+  EXPECT_LT(held, 2U << 20) << "a 1 s station render holds " << held << " B";
 }
 
 }  // namespace

@@ -123,21 +123,6 @@ TEST(Fft, IfftRequiresPow2) {
   EXPECT_THROW(ifft(x), std::invalid_argument);
 }
 
-TEST(Fft, RealPowerSpectrumFindsTone) {
-  const double fs = 1000.0;
-  std::vector<float> x(512);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(static_cast<float>(kTwoPi * 125.0 * i / fs));
-  }
-  const auto ps = power_spectrum(x);
-  // 125 Hz at fs=1000 with N=512 -> bin 64.
-  std::size_t peak = 0;
-  for (std::size_t i = 1; i < ps.size(); ++i) {
-    if (ps[i] > ps[peak]) peak = i;
-  }
-  EXPECT_EQ(peak, 64U);
-}
-
 TEST(PlanReuse, ManyTransformsStayConsistent) {
   FftPlan plan(32);
   cvec ref(32);

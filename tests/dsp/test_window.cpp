@@ -86,12 +86,8 @@ TEST(Window, KaiserOrderGrowsWithAttenuationAndShrinksWithWidth) {
 
 TEST(Window, SumsMatchDirectComputation) {
   const auto w = make_window(WindowType::kHamming, 32);
-  double s = 0.0, ss = 0.0;
-  for (const float v : w) {
-    s += v;
-    ss += static_cast<double>(v) * v;
-  }
-  EXPECT_NEAR(window_sum(w), s, 1e-9);
+  double ss = 0.0;
+  for (const float v : w) ss += static_cast<double>(v) * v;
   EXPECT_NEAR(window_sum_squares(w), ss, 1e-9);
 }
 

@@ -94,16 +94,6 @@ TEST(Mpx, RateValidation) {
   EXPECT_THROW(compose_mpx(prog, cfg), std::invalid_argument);
 }
 
-TEST(Mpx, ExtractMonoRecoversProgram) {
-  const StereoBuffer prog = tone_pair(2000.0, 2000.0);
-  MpxConfig cfg;
-  const auto mpx = compose_mpx(prog, cfg);
-  const auto mono = extract_mono(mpx, cfg);
-  // Mono = (L+R)/2 = the 2 kHz tone at amplitude 0.6 (level compensated).
-  const double p = dsp::band_power(mono, kMpxRate, 1900.0, 2100.0);
-  EXPECT_NEAR(p, 0.18, 0.03);
-}
-
 TEST(Emphasis, PreThenDeIsIdentity) {
   const MonoBuffer t = make_tone(5000.0, 0.5, 0.2, kAudioRate);
   PreEmphasis pre( units::Seconds{kDeemphasisSeconds}, kAudioRate);

@@ -1,13 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "dsp/spectrum.h"
 #include "fm/demodulator.h"
+#include "fm/modulator.h"
 #include "fm/rds.h"
 #include "fm/stereo_decoder.h"
 #include "fm/transmitter.h"
 
 namespace fmbs::fm {
 namespace {
+
+/// The station's carrier: its MPX through paper Eq. 1.
+dsp::cvec modulate(const StationConfig& cfg, const StationSignal& sig) {
+  FmModulator mod(cfg.deviation, kMpxRate);
+  return mod.process(sig.mpx);
+}
 
 /// The receiver front end: discriminator at the MPX rate.
 dsp::rvec discriminate(const dsp::cvec& iq) {
@@ -19,17 +29,16 @@ TEST(Station, RendersConsistentLengths) {
   StationConfig cfg;
   cfg.program.genre = audio::ProgramGenre::kNews;
   const StationSignal sig = render_station(cfg, units::Seconds{1.0});
-  EXPECT_EQ(sig.iq.size(), static_cast<std::size_t>(kMpxRate));
-  EXPECT_EQ(sig.mpx.size(), sig.iq.size());
+  EXPECT_EQ(sig.mpx.size(), static_cast<std::size_t>(kMpxRate));
   EXPECT_EQ(sig.program.size(), static_cast<std::size_t>(kAudioRate));
 }
 
 TEST(Station, UnitEnvelope) {
   StationConfig cfg;
   cfg.program.genre = audio::ProgramGenre::kPop;
-  const StationSignal sig = render_station(cfg, units::Seconds{0.3});
-  for (std::size_t i = 0; i < sig.iq.size(); i += 101) {
-    EXPECT_NEAR(std::abs(sig.iq[i]), 1.0F, 1e-4F);
+  const dsp::cvec iq = modulate(cfg, render_station(cfg, units::Seconds{0.3}));
+  for (std::size_t i = 0; i < iq.size(); i += 101) {
+    EXPECT_NEAR(std::abs(iq[i]), 1.0F, 1e-4F);
   }
 }
 
@@ -39,9 +48,9 @@ TEST(Station, DeterministicPerSeed) {
   cfg.seed = 77;
   const StationSignal a = render_station(cfg, units::Seconds{0.2});
   const StationSignal b = render_station(cfg, units::Seconds{0.2});
-  ASSERT_EQ(a.iq.size(), b.iq.size());
-  for (std::size_t i = 0; i < a.iq.size(); i += 37) {
-    EXPECT_EQ(a.iq[i], b.iq[i]);
+  ASSERT_EQ(a.mpx.size(), b.mpx.size());
+  for (std::size_t i = 0; i < a.mpx.size(); i += 37) {
+    EXPECT_EQ(a.mpx[i], b.mpx[i]);
   }
 }
 
@@ -49,6 +58,22 @@ TEST(Station, Validation) {
   StationConfig cfg;
   EXPECT_THROW(render_station(cfg, units::Seconds{0.0}), std::invalid_argument);
   EXPECT_THROW(render_station(cfg, units::Seconds{-1.0}), std::invalid_argument);
+}
+
+// A NaN or infinite duration is rejected before any sample count is derived
+// from it. bit_cast sidesteps the units.h finiteness assert of Debug builds,
+// so the check under test is the function's own.
+TEST(Station, RejectsNonFiniteDurations) {
+  StationConfig cfg;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_THROW(render_station(cfg, std::bit_cast<units::Seconds>(v)),
+                 std::invalid_argument)
+        << "duration = " << v;
+    EXPECT_THROW(audio::render_program(cfg.program, v, kAudioRate, cfg.seed),
+                 std::invalid_argument)
+        << "duration = " << v;
+  }
 }
 
 TEST(StationToReceiver, FullLoopbackRecoversProgram) {
@@ -61,7 +86,7 @@ TEST(StationToReceiver, FullLoopbackRecoversProgram) {
   const StationSignal sig = render_station(cfg, units::Seconds{2.0});
 
   const StereoDecodeResult out =
-      decode_stereo(discriminate(sig.iq), StereoDecoderConfig{});
+      decode_stereo(discriminate(modulate(cfg, sig)), StereoDecoderConfig{});
   EXPECT_TRUE(out.pilot_detected);
 
   // Compare decoded mono with program mid via correlation-insensitive power
@@ -79,7 +104,7 @@ TEST(StationToReceiver, RdsRidesAlong) {
   cfg.rds_level = 0.08;
   cfg.rds_ps_name = "KKFM 923";
   const StationSignal sig = render_station(cfg, units::Seconds{2.5});
-  const auto rds = decode_rds(discriminate(sig.iq), kMpxRate);
+  const auto rds = decode_rds(discriminate(modulate(cfg, sig)), kMpxRate);
   EXPECT_EQ(rds.ps_name, "KKFM 923");
 }
 

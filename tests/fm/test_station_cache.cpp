@@ -159,10 +159,10 @@ TEST_F(StationCacheScopeTest, ConcurrentScopesPinAndEvictSafely) {
           const auto signal =
               scope.render(station_with_seed(seed + 1), units::Seconds{kDuration});
           const auto& expect = *reference[seed];
-          if (signal == nullptr || signal->iq.size() != expect.iq.size() ||
-              (!signal->iq.empty() && signal->iq[0] != expect.iq[0]) ||
-              (!signal->iq.empty() &&
-               signal->iq.back() != expect.iq.back())) {
+          if (signal == nullptr || signal->mpx.size() != expect.mpx.size() ||
+              (!signal->mpx.empty() && signal->mpx[0] != expect.mpx[0]) ||
+              (!signal->mpx.empty() &&
+               signal->mpx.back() != expect.mpx.back())) {
             ++mismatches[t];  // one writer per slot: no race on the counter
           }
         }
@@ -182,7 +182,7 @@ TEST_F(StationCacheScopeTest, ConcurrentScopesPinAndEvictSafely) {
   StationCache::SceneScope scope(cache_);
   const auto after = scope.render(station_with_seed(1), units::Seconds{kDuration});
   ASSERT_NE(after, nullptr);
-  EXPECT_EQ(after->iq.size(), reference[0]->iq.size());
+  EXPECT_EQ(after->mpx.size(), reference[0]->mpx.size());
 }
 
 }  // namespace

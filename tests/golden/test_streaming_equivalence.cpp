@@ -82,7 +82,6 @@ void expect_equivalent(const core::Scenario& sc, std::size_t consumer_threads) {
   EXPECT_EQ(stream.scene.stations_rendered, batch.scene.stations_rendered);
   EXPECT_EQ(stream.scene.tags_total, batch.scene.tags_total);
   EXPECT_EQ(stream.scene.tags_rendered, batch.scene.tags_rendered);
-  EXPECT_EQ(stream.scene.scene_scratch_bytes, batch.scene.scene_scratch_bytes);
   // Only the streaming engine reports bounded buffering; batch has none.
   EXPECT_GT(stream.scene.streaming_peak_buffer_bytes, 0U);
   EXPECT_EQ(batch.scene.streaming_peak_buffer_bytes, 0U);

@@ -8,5 +8,5 @@
 int main() {
   fmbs::fm::StationConfig config;
   const auto signal = fmbs::fm::render_station(config, 0.5);
-  return signal.iq.empty() ? 1 : 0;
+  return signal.mpx.empty() ? 1 : 0;
 }

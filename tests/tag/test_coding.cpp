@@ -135,7 +135,6 @@ class FecSchemes : public ::testing::TestWithParam<FecScheme> {};
 TEST_P(FecSchemes, PipelineRoundTrip) {
   const auto data = random_bits(300, 8);
   const auto coded = fec_encode(data, GetParam());
-  EXPECT_EQ(coded.size(), fec_encoded_length(data.size(), GetParam()));
   const auto decoded = fec_decode(coded, GetParam(), data.size());
   EXPECT_EQ(decoded, data);
 }
