@@ -1,5 +1,7 @@
 // google-benchmark microbenchmarks for the hot DSP paths: how fast the
-// pipeline runs relative to real time, per stage.
+// pipeline runs relative to real time, per stage. The BM_Engine* cases time
+// one call at the size the scene engines make it; the run's context records
+// which FIR kernel set (avx2, sse2 or scalar) the process selected.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -14,6 +16,8 @@
 #include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "dsp/goertzel.h"
+#include "dsp/simd.h"
+#include "fm/constants.h"
 #include "fm/demodulator.h"
 #include "fm/modulator.h"
 #include "rx/tuner.h"
@@ -108,6 +112,105 @@ void BM_FirDecimatorFloat(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
 }
 BENCHMARK(BM_FirDecimatorFloat);
+
+// Engine-sized calls, one per filtering stage. Every case writes into a
+// caller buffer (process_into), as the engines do.
+
+// A station's x10 upsampler: one 480-sample MPX sub-block to 4,800 RF
+// samples.
+void BM_EngineUpsampler(benchmark::State& state) {
+  dsp::FirInterpolator<dsp::cfloat> interp(
+      dsp::fir_design_lowpass(16 * 10 + 1, 0.45 / 10.0), 10);
+  const dsp::cvec in(480, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(4800);
+  for (auto _ : state) {
+    interp.process_into(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4800);
+}
+BENCHMARK(BM_EngineUpsampler);
+
+// A receiver's tuner on one 4,800-sample RF sub-block: channel shift and
+// /10 decimation to 480 MPX samples. The mix is in place, so the block is
+// rotated again each iteration; its magnitude stays put.
+void BM_EngineTuner(benchmark::State& state) {
+  rx::Tuner tuner{rx::TunerConfig{}};
+  dsp::cvec rf(4800, dsp::cfloat(0.1F, 0.1F));
+  dsp::cvec out(480);
+  for (auto _ : state) {
+    tuner.process_into(rf, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4800);
+}
+BENCHMARK(BM_EngineTuner);
+
+// The receiver-noise shaper: the tuner's 31 noise-shaping taps over one
+// 480-sample MPX sub-block.
+void BM_EngineNoiseShaper(benchmark::State& state) {
+  dsp::FirFilter<dsp::cfloat> shaper(
+      rx::Tuner{rx::TunerConfig{}}.noise_shaping_taps());
+  const dsp::cvec in(480, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(480);
+  for (auto _ : state) {
+    shaper.process_into(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
+}
+BENCHMARK(BM_EngineNoiseShaper);
+
+// One of the stereo decoder's three 127-tap filters over a 24,000-sample
+// (0.1 s) MPX block.
+void BM_EngineStereoFir(benchmark::State& state) {
+  dsp::FirFilter<float> filt(
+      dsp::fir_design_bandpass(127, fm::kStereoBandLoHz / fm::kMpxRate,
+                               fm::kStereoBandHiHz / fm::kMpxRate));
+  const std::vector<float> in(24000, 0.5F);
+  std::vector<float> out(24000);
+  for (auto _ : state) {
+    filt.process_into(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+}
+BENCHMARK(BM_EngineStereoFir);
+
+// One of the stereo decoder's /5 audio decimators: 24,000 MPX samples to
+// 4,800 audio samples through 127 taps.
+void BM_EngineStereoDecimator(benchmark::State& state) {
+  dsp::FirDecimator<float> dec(dsp::fir_design_lowpass(127, 0.45 / 5.0), 5);
+  const std::vector<float> in(24000, 0.5F);
+  std::vector<float> out(4800);
+  for (auto _ : state) {
+    dec.process_into(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+}
+BENCHMARK(BM_EngineStereoDecimator);
+
+// The RDS decoder's 101-tap complex low-pass over a 24,000-sample block of
+// the downconverted 57 kHz subcarrier.
+void BM_EngineRdsLowpass(benchmark::State& state) {
+  dsp::FirFilter<dsp::cfloat> lp(
+      dsp::fir_design_lowpass(101, 2400.0 / fm::kMpxRate));
+  const dsp::cvec in(24000, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(24000);
+  for (auto _ : state) {
+    lp.process_into(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+}
+BENCHMARK(BM_EngineRdsLowpass);
 
 void BM_FmModulator(benchmark::State& state) {
   fm::FmModulator mod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
@@ -227,4 +330,12 @@ BENCHMARK(BM_EndToEndSimulationSecond)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("fir_kernel_isa",
+                              fmbs::dsp::simd::kernel_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -112,6 +112,23 @@ void validate_finite_inputs(const Scenario& sc) {
   }
 }
 
+/// Every station's deviation must lie in (0, kMpxRate / 2), the range its
+/// fm::FmModulator accepts. Checked in the plan so that FleetEngine, whose
+/// analytic links never build a modulator, rejects what ScenarioEngine does.
+void validate_station_deviations(const Scenario& sc) {
+  const auto check = [](units::Hertz deviation, const std::string& name) {
+    if (!(deviation.raw() > 0.0 && deviation.raw() < fm::kMpxRate / 2.0)) {
+      throw std::invalid_argument(
+          "ScenarioEngine: station \"" + name +
+          "\" deviation must lie between 0 and half the MPX rate");
+    }
+  };
+  check(sc.station.deviation, "legacy");
+  for (const ScenarioStation& st : sc.stations) {
+    check(st.config.deviation, st.name);
+  }
+}
+
 }  // namespace
 
 ScenePosition path_position(const ScenePosition& anchor,
@@ -327,6 +344,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   }
   for (const ScenarioReceiver& rx : sc.receivers) validate_receiver_chain(rx);
   validate_finite_inputs(sc);
+  validate_station_deviations(sc);
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
   const double total_seconds = plan.total_seconds;

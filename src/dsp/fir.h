@@ -2,13 +2,22 @@
 // including polyphase decimators and interpolators used by the RF <-> MPX
 // <-> audio rate-conversion chain.
 //
-// Every float and complex<float> inner loop (any input or output stride)
-// dispatches to the SSE2 kernels in dsp/simd.h when FMBS_SIMD is on. Those
-// kernels vectorize across OUTPUTS and are register-blocked: four
-// independent accumulator vectors per step, 16 real or 8 complex outputs,
-// each lane accumulating its own taps serially in the scalar order. The
-// filtered blocks are therefore bit-identical to the scalar fallback —
+// Every float and complex<float> inner loop dispatches to the kernels in
+// dsp/simd.h when FMBS_SIMD is on: eight-lane AVX2 kernels when the CPU has
+// AVX2 (checked once per process), the four-lane SSE2 kernels otherwise.
+// They vectorize across OUTPUTS and are register-blocked, each lane
+// accumulating its own taps serially in the scalar order, so the filtered
+// blocks are bit-identical to the scalar fallback whichever set runs —
 // pinned by tests/dsp/test_simd_kernels.cpp.
+//
+// The kernels read a phase layout, in which every load is contiguous across
+// outputs. FirFilter and FirInterpolator stage history plus input as one
+// run (one phase). FirDecimator stages it in its M phases instead, in the
+// buffer that held the run: row p holds samples p, p + M, p + 2M, ... of
+// history plus input, so tap t of output i, sample i * M + t, sits at row
+// t % M, column i + t / M. The taps are read in the same order either way,
+// so the output is the same to the bit as reading every Mth sample of one
+// run, without strided loads.
 #pragma once
 
 #include <cstddef>
@@ -47,27 +56,31 @@ inline std::vector<float> reverse_taps(const std::vector<float>& taps) {
   return std::vector<float>(taps.rbegin(), taps.rend());
 }
 
-/// out[i * out_stride] = sum_t x[i * in_stride + t] * rt[t], the shared
-/// inner loop of every FIR variant below. Sample is float or cfloat; taps
-/// are real. Dispatches to dsp::simd when compiled in (bit-identical).
+/// out[i * out_stride] = sum_t x[(t % phases) * row_len + t / phases + i]
+/// * rt[t], t ascending: the shared inner loop of every FIR variant below,
+/// over the phase layout (header; phases == 1 is a contiguous run). Sample
+/// is float or cfloat; taps are real. Dispatches to dsp::simd when compiled
+/// in (bit-identical).
 template <typename Sample>
-inline void fir_apply(const Sample* x, std::size_t in_stride,
-                      const float* rt, std::size_t nt, Sample* out,
-                      std::size_t out_stride, std::size_t n) {
+inline void fir_apply(const Sample* x, std::size_t phases,
+                      std::size_t row_len, const float* rt, std::size_t nt,
+                      Sample* out, std::size_t out_stride, std::size_t n) {
 #if FMBS_SIMD_ENABLED
   if constexpr (std::is_same_v<Sample, float>) {
-    simd::fir_f32(x, in_stride, rt, nt, out, out_stride, n);
+    simd::fir_f32(x, phases, row_len, rt, nt, out, out_stride, n);
     return;
   } else if constexpr (std::is_same_v<Sample, cfloat>) {
-    simd::fir_cx(reinterpret_cast<const float*>(x), in_stride, rt, nt,
+    simd::fir_cx(reinterpret_cast<const float*>(x), phases, row_len, rt, nt,
                  reinterpret_cast<float*>(out), out_stride, n);
     return;
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) {
     Sample acc{};
-    const Sample* xi = x + i * in_stride;
-    for (std::size_t t = 0; t < nt; ++t) acc += xi[t] * rt[t];
+    simd::TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
+      acc += x[tap.offset() + i] * rt[t];
+    }
     out[i * out_stride] = acc;
   }
 }
@@ -104,8 +117,8 @@ class FirFilter {
     work_.resize(h + in.size());
     std::copy(history_.begin(), history_.end(), work_.begin());
     std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    detail::fir_apply(work_.data(), 1, rtaps_.data(), taps_.size(), out.data(),
-                      1, in.size());
+    detail::fir_apply(work_.data(), 1, 0, rtaps_.data(), taps_.size(),
+                      out.data(), 1, in.size());
     if (h > 0) {
       std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
                 history_.begin());
@@ -155,14 +168,27 @@ class FirDecimator {
       throw std::invalid_argument("FirDecimator: size mismatch");
     }
     const std::size_t h = history_.size();
-    work_.resize(h + in.size());
-    std::copy(history_.begin(), history_.end(), work_.begin());
-    std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    detail::fir_apply(work_.data(), factor_, rtaps_.data(), taps_.size(),
-                      out.data(), 1, out.size());
-    if (h > 0) {
-      std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
+    const std::size_t n = out.size();
+    // The M-phase staging (header): ceil((h + in.size()) / M) columns.
+    const std::size_t row_len = n + (h + factor_ - 1) / factor_;
+    work_.resize(factor_ * row_len);
+    for (std::size_t p = 0; p < factor_; ++p) {
+      Sample* row = work_.data() + p * row_len;
+      std::size_t k = p;
+      for (; k < h; k += factor_) *row++ = history_[k];
+      for (; k < h + in.size(); k += factor_) *row++ = in[k - h];
+    }
+    detail::fir_apply(work_.data(), factor_, row_len, rtaps_.data(),
+                      taps_.size(), out.data(), 1, n);
+    // The history is the last h samples of history plus input.
+    if (in.size() >= h) {
+      std::copy(in.end() - static_cast<std::ptrdiff_t>(h), in.end(),
                 history_.begin());
+    } else {
+      std::copy(history_.begin() + static_cast<std::ptrdiff_t>(in.size()),
+                history_.end(), history_.begin());
+      std::copy(in.begin(), in.end(),
+                history_.end() - static_cast<std::ptrdiff_t>(in.size()));
     }
   }
 
@@ -171,7 +197,7 @@ class FirDecimator {
   std::vector<float> rtaps_;
   std::size_t factor_;
   std::vector<Sample> history_;
-  std::vector<Sample> work_;
+  std::vector<Sample> work_;  // the M rows of history plus input
 };
 
 /// Polyphase interpolator: insert L-1 zeros + low-pass, computed as L
@@ -229,7 +255,7 @@ class FirInterpolator {
     // arithmetic to the historical sample-major loop — each output is still
     // its branch's taps accumulated serially.
     for (std::size_t p = 0; p < factor_; ++p) {
-      detail::fir_apply(work_.data(), 1, rbranches_[p].data(), bl,
+      detail::fir_apply(work_.data(), 1, 0, rbranches_[p].data(), bl,
                         out.data() + p, factor_, in.size());
     }
     if (h > 0) {

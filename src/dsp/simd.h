@@ -1,18 +1,37 @@
-// SSE2 kernels for the hot DSP inner loops, behind the FMBS_SIMD gate
+// SIMD kernels for the hot DSP inner loops, behind the FMBS_SIMD gate
 // (CMake option FMBS_SIMD, ON by default; scalar fallbacks compile when the
 // gate is off or the target has no SSE2).
+//
+// Two kernel sets, one contract. The SSE2 kernels (namespace sse2, 4 lanes)
+// are baseline x86-64 and are defined inline below. The AVX2 kernels
+// (namespace avx2, 8 lanes) live in simd.cpp, each compiled with
+// __attribute__((target("avx2"))), so the library still runs on any
+// x86-64 CPU; no -march flag is involved. The unqualified entry points
+// (simd::fir_f32, fir_cx, scale_f32, axpy_f32) call the AVX2 kernels when
+// avx2_available() — a CPU check made once per process — and the SSE2
+// ones otherwise. The AVX2 kernels hand their last few outputs to the SSE2
+// kernels, and FMBS_SIMD=OFF keeps the scalar loops as the reference.
 //
 // Bit-compatibility contract: every kernel here vectorizes ACROSS OUTPUTS —
 // each SIMD lane accumulates its output's taps serially, in exactly the
 // scalar loop's order — so no floating-point reassociation happens and the
-// results are bit-identical to the scalar implementations. (Vectorizing
-// across taps would reassociate the accumulation and is deliberately
-// avoided.) Baseline x86-64 SSE2 has no FMA, so there is no contraction
-// risk either.
+// results are bit-identical to the scalar implementations, whatever the
+// lane count. (Vectorizing across taps would reassociate the accumulation
+// and is deliberately avoided.) Every multiply and add stays a separate
+// instruction: SSE2 has no FMA, target("avx2") does not enable it (never add
+// "fma" to the target list; tools/check_no_fma.py fails CI on any fused
+// multiply-add in libfmbs.a), and the build passes -ffp-contract=off, since
+// GCC would otherwise fuse the scalar loops' a * b + c wherever FMA is
+// enabled, even in ISO C++ mode.
 //
-// The FIR kernels are register-blocked: four independent accumulator
-// vectors per step (16 real or 8 complex outputs), so they run at
-// multiply/add throughput instead of waiting out each add's latency.
+// The FIR kernels read their input in a phase layout: `phases` rows of
+// row_len samples, tap t of output i at row t % phases, column i +
+// t / phases, so every load is contiguous across outputs. One phase is the
+// plain FIR over a contiguous run; dsp::FirDecimator stages its input in M
+// phases (fir.h) and so reads every Mth sample without a strided load. The
+// kernels are register-blocked: four independent accumulator vectors per
+// step (16 real or 8 complex outputs on SSE2, twice that on AVX2), so they
+// run at multiply/add throughput instead of waiting out each add's latency.
 // Blocking changes which outputs share a step, never the order of any one
 // output's sum.
 //
@@ -45,7 +64,43 @@ namespace fmbs::dsp::simd {
 /// True when the SIMD kernels are compiled in (FMBS_SIMD + SSE2 target).
 inline constexpr bool kEnabled = FMBS_SIMD_ENABLED == 1;
 
+/// The kernel set the entry points below run in this process: "avx2",
+/// "sse2", or "scalar" when the kernels are compiled out.
+const char* kernel_isa();
+
+/// Walks the FIR kernels' phase layout tap by tap: offset() is tap t's
+/// distance, in samples, from output 0's input, (t % phases) * row_len +
+/// t / phases, for t = 0, 1, ... as next() is called.
+class TapWalk {
+ public:
+  TapWalk(std::size_t phases, std::size_t row_len)
+      : phases_(phases), row_len_(row_len) {}
+
+  std::size_t offset() const { return offset_; }
+
+  void next() {
+    if (++phase_ == phases_) {
+      phase_ = 0;
+      offset_ = ++column_;
+    } else {
+      offset_ += row_len_;
+    }
+  }
+
+ private:
+  std::size_t phases_;
+  std::size_t row_len_;
+  std::size_t phase_ = 0;
+  std::size_t column_ = 0;
+  std::size_t offset_ = 0;
+};
+
 #if FMBS_SIMD_ENABLED
+
+/// True when this CPU runs the AVX2 kernels; checked once per process.
+bool avx2_available();
+
+namespace sse2 {
 
 /// dst[i] = gain * src[i] over n floats (a complex span is 2n floats).
 inline void scale_f32(float* dst, const float* src, float gain,
@@ -72,13 +127,6 @@ inline void axpy_f32(float* dst, const float* src, float gain,
 
 namespace detail {
 
-/// Four real samples x[0], x[stride], x[2 * stride], x[3 * stride]: one
-/// vector's lanes at one tap.
-inline __m128 load_f32x4(const float* x, std::size_t stride) {
-  if (stride == 1) return _mm_loadu_ps(x);
-  return _mm_setr_ps(x[0], x[stride], x[2 * stride], x[3 * stride]);
-}
-
 /// Stores the four lanes of v to out[0], out[stride], ..., out[3 * stride].
 inline void store_f32x4(float* out, std::size_t stride, __m128 v) {
   if (stride == 1) {
@@ -93,14 +141,6 @@ inline void store_f32x4(float* out, std::size_t stride, __m128 v) {
   out[3 * stride] = lanes[3];
 }
 
-/// Two interleaved complex samples, at complex offsets 0 and stride.
-inline __m128 load_cx2(const float* x, std::size_t stride) {
-  if (stride == 1) return _mm_loadu_ps(x);
-  const __m128 lo = _mm_loadl_pi(_mm_setzero_ps(),
-                                 reinterpret_cast<const __m64*>(x));
-  return _mm_loadh_pi(lo, reinterpret_cast<const __m64*>(x + 2 * stride));
-}
-
 /// Stores two complex lanes of v at complex offsets 0 and stride.
 inline void store_cx2(float* out, std::size_t stride, __m128 v) {
   if (stride == 1) {
@@ -113,38 +153,36 @@ inline void store_cx2(float* out, std::size_t stride, __m128 v) {
 
 }  // namespace detail
 
-/// Real FIR across outputs:
-///   out[i * out_stride] = sum_t x[i * in_stride + t] * rt[t]
-/// for i in [0, n), with rt the REVERSED tap vector (rt[t] = taps[nt-1-t])
-/// so the scalar loop `acc += x[t] * taps[nt-1-t]` reads rt in ascending
-/// order. in_stride > 1 is the polyphase decimator.
+/// Real FIR across outputs over the phase layout:
+///   out[i * out_stride] = sum_t x[(t % phases) * row_len + t / phases + i]
+///                               * rt[t]
+/// for i in [0, n), t ascending, with rt the REVERSED tap vector
+/// (rt[t] = taps[nt-1-t]). phases == 1 is the plain FIR over x (row_len
+/// unused); out_stride > 1 is the interpolator's branch interleave.
 ///
 /// Register-blocked: the main loop keeps four independent accumulator
 /// vectors, 16 outputs per step, so consecutive taps' adds do not wait on
 /// each other. A one-vector loop and a scalar tail take the remainder. Every
 /// lane accumulates its own output's taps serially, in ascending order.
-inline void fir_f32(const float* x, std::size_t in_stride, const float* rt,
-                    std::size_t nt, float* out, std::size_t out_stride,
-                    std::size_t n) {
-  const std::size_t xv = 4 * in_stride;  // input distance between vectors
+inline void fir_f32(const float* x, std::size_t phases, std::size_t row_len,
+                    const float* rt, std::size_t nt, float* out,
+                    std::size_t out_stride, std::size_t n) {
   const std::size_t ov = 4 * out_stride;
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const float* xi = x + i * in_stride;
+    const float* xi = x + i;
     __m128 a0 = _mm_setzero_ps();
     __m128 a1 = a0;
     __m128 a2 = a0;
     __m128 a3 = a0;
-    for (std::size_t t = 0; t < nt; ++t) {
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
       const __m128 h = _mm_set1_ps(rt[t]);
-      const float* xt = xi + t;
-      a0 = _mm_add_ps(a0, _mm_mul_ps(detail::load_f32x4(xt, in_stride), h));
-      a1 = _mm_add_ps(a1,
-                      _mm_mul_ps(detail::load_f32x4(xt + xv, in_stride), h));
-      a2 = _mm_add_ps(
-          a2, _mm_mul_ps(detail::load_f32x4(xt + 2 * xv, in_stride), h));
-      a3 = _mm_add_ps(
-          a3, _mm_mul_ps(detail::load_f32x4(xt + 3 * xv, in_stride), h));
+      const float* xt = xi + tap.offset();
+      a0 = _mm_add_ps(a0, _mm_mul_ps(_mm_loadu_ps(xt), h));
+      a1 = _mm_add_ps(a1, _mm_mul_ps(_mm_loadu_ps(xt + 4), h));
+      a2 = _mm_add_ps(a2, _mm_mul_ps(_mm_loadu_ps(xt + 8), h));
+      a3 = _mm_add_ps(a3, _mm_mul_ps(_mm_loadu_ps(xt + 12), h));
     }
     float* o = out + i * out_stride;
     detail::store_f32x4(o, out_stride, a0);
@@ -153,47 +191,48 @@ inline void fir_f32(const float* x, std::size_t in_stride, const float* rt,
     detail::store_f32x4(o + 3 * ov, out_stride, a3);
   }
   for (; i + 4 <= n; i += 4) {
-    const float* xi = x + i * in_stride;
     __m128 acc = _mm_setzero_ps();
-    for (std::size_t t = 0; t < nt; ++t) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(detail::load_f32x4(xi + t, in_stride),
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(x + tap.offset() + i),
                                        _mm_set1_ps(rt[t])));
     }
     detail::store_f32x4(out + i * out_stride, out_stride, acc);
   }
   for (; i < n; ++i) {
     float acc = 0.0F;
-    const float* xi = x + i * in_stride;
-    for (std::size_t t = 0; t < nt; ++t) acc += xi[t] * rt[t];
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
+      acc += x[tap.offset() + i] * rt[t];
+    }
     out[i * out_stride] = acc;
   }
 }
 
 /// Complex FIR across outputs with real taps, the same contract as fir_f32
-/// on interleaved re/im float arrays; strides are in complex samples. One
-/// vector holds two complex outputs, so the register-blocked main loop
-/// computes 8 outputs per step, then a one-vector loop and a scalar tail.
-inline void fir_cx(const float* x, std::size_t in_stride, const float* rt,
-                   std::size_t nt, float* out, std::size_t out_stride,
-                   std::size_t n) {
-  const std::size_t xv = 4 * in_stride;  // input floats between vectors
+/// on interleaved re/im float arrays; row_len and out_stride are in complex
+/// samples. One vector holds two complex outputs, so the register-blocked
+/// main loop computes 8 outputs per step, then a one-vector loop and a
+/// scalar tail.
+inline void fir_cx(const float* x, std::size_t phases, std::size_t row_len,
+                   const float* rt, std::size_t nt, float* out,
+                   std::size_t out_stride, std::size_t n) {
   const std::size_t ov = 4 * out_stride;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const float* xi = x + 2 * (i * in_stride);
+    const float* xi = x + 2 * i;
     __m128 a0 = _mm_setzero_ps();
     __m128 a1 = a0;
     __m128 a2 = a0;
     __m128 a3 = a0;
-    for (std::size_t t = 0; t < nt; ++t) {
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
       const __m128 h = _mm_set1_ps(rt[t]);
-      const float* xt = xi + 2 * t;
-      a0 = _mm_add_ps(a0, _mm_mul_ps(detail::load_cx2(xt, in_stride), h));
-      a1 = _mm_add_ps(a1, _mm_mul_ps(detail::load_cx2(xt + xv, in_stride), h));
-      a2 = _mm_add_ps(a2,
-                      _mm_mul_ps(detail::load_cx2(xt + 2 * xv, in_stride), h));
-      a3 = _mm_add_ps(a3,
-                      _mm_mul_ps(detail::load_cx2(xt + 3 * xv, in_stride), h));
+      const float* xt = xi + 2 * tap.offset();
+      a0 = _mm_add_ps(a0, _mm_mul_ps(_mm_loadu_ps(xt), h));
+      a1 = _mm_add_ps(a1, _mm_mul_ps(_mm_loadu_ps(xt + 4), h));
+      a2 = _mm_add_ps(a2, _mm_mul_ps(_mm_loadu_ps(xt + 8), h));
+      a3 = _mm_add_ps(a3, _mm_mul_ps(_mm_loadu_ps(xt + 12), h));
     }
     float* o = out + 2 * (i * out_stride);
     detail::store_cx2(o, out_stride, a0);
@@ -202,10 +241,10 @@ inline void fir_cx(const float* x, std::size_t in_stride, const float* rt,
     detail::store_cx2(o + 3 * ov, out_stride, a3);
   }
   for (; i + 2 <= n; i += 2) {
-    const float* xi = x + 2 * (i * in_stride);
     __m128 acc = _mm_setzero_ps();
-    for (std::size_t t = 0; t < nt; ++t) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(detail::load_cx2(xi + 2 * t, in_stride),
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(x + 2 * (tap.offset() + i)),
                                        _mm_set1_ps(rt[t])));
     }
     detail::store_cx2(out + 2 * (i * out_stride), out_stride, acc);
@@ -213,15 +252,51 @@ inline void fir_cx(const float* x, std::size_t in_stride, const float* rt,
   for (; i < n; ++i) {
     float re = 0.0F;
     float im = 0.0F;
-    const float* xi = x + 2 * (i * in_stride);
-    for (std::size_t t = 0; t < nt; ++t) {
-      re += xi[2 * t] * rt[t];
-      im += xi[2 * t + 1] * rt[t];
+    TapWalk tap(phases, row_len);
+    for (std::size_t t = 0; t < nt; ++t, tap.next()) {
+      const float* xt = x + 2 * (tap.offset() + i);
+      re += xt[0] * rt[t];
+      im += xt[1] * rt[t];
     }
     out[2 * (i * out_stride)] = re;
     out[2 * (i * out_stride) + 1] = im;
   }
 }
+
+}  // namespace sse2
+
+/// The AVX2 kernels: the sse2 contract at eight lanes. Call them only when
+/// avx2_available(); defined in simd.cpp.
+namespace avx2 {
+void scale_f32(float* dst, const float* src, float gain, std::size_t n);
+void axpy_f32(float* dst, const float* src, float gain, std::size_t n);
+void fir_f32(const float* x, std::size_t phases, std::size_t row_len,
+             const float* rt, std::size_t nt, float* out,
+             std::size_t out_stride, std::size_t n);
+void fir_cx(const float* x, std::size_t phases, std::size_t row_len,
+            const float* rt, std::size_t nt, float* out,
+            std::size_t out_stride, std::size_t n);
+}  // namespace avx2
+
+// The entry points: the AVX2 kernel when avx2_available(), the SSE2 kernel
+// otherwise. Defined in simd.cpp, so the kernels are compiled once rather
+// than inlined into every filter.
+
+/// dst[i] = gain * src[i] over n floats (a complex span is 2n floats).
+void scale_f32(float* dst, const float* src, float gain, std::size_t n);
+
+/// dst[i] += gain * src[i] over n floats.
+void axpy_f32(float* dst, const float* src, float gain, std::size_t n);
+
+/// Real FIR across outputs; see sse2::fir_f32 for the contract.
+void fir_f32(const float* x, std::size_t phases, std::size_t row_len,
+             const float* rt, std::size_t nt, float* out,
+             std::size_t out_stride, std::size_t n);
+
+/// Complex FIR across outputs; see sse2::fir_cx for the contract.
+void fir_cx(const float* x, std::size_t phases, std::size_t row_len,
+            const float* rt, std::size_t nt, float* out,
+            std::size_t out_stride, std::size_t n);
 
 /// 4-lane single-precision sin/cos (Cephes-style range reduction + minimax
 /// polynomials, the classic sse_mathfun construction). Accurate to ~2 ulp

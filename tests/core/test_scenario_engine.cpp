@@ -610,6 +610,29 @@ TEST(ScenarioEngine, RejectsNonFiniteStationInputs) {
         }}});
 }
 
+// A finite deviation outside (0, kMpxRate / 2) used to pass the plan and
+// fail only where SceneRenderer built the station's modulator, which
+// FleetEngine's analytic path never does.
+TEST(ScenarioEngine, RejectsOutOfRangeStationDeviation) {
+  Scenario base;
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
+                                       audio::ProgramGenre::kSilence));
+  base.receivers.emplace_back();
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  for (const double v : {-75e3, 0.0, fm::kMpxRate / 2.0, 200e3}) {
+    Scenario legacy = base;
+    legacy.station.deviation = units::Hertz{v};
+    EXPECT_THROW((void)resolve_scenario_plan(legacy), std::invalid_argument)
+        << "station.deviation = " << v;
+    Scenario multi = base;
+    multi.stations[1].config.deviation = units::Hertz{v};
+    EXPECT_THROW((void)resolve_scenario_plan(multi), std::invalid_argument)
+        << "config.deviation = " << v;
+  }
+}
+
 TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
   Scenario base;
   ScenarioTag t;

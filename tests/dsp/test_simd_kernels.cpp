@@ -1,8 +1,10 @@
 // Pins the FMBS_SIMD contract from dsp/simd.h:
-//  * elementwise and FIR kernels (scale/axpy, fir_apply at every block edge
-//    and stride, FirFilter, FirDecimator, FirInterpolator) are
-//    BIT-IDENTICAL to scalar references — they vectorize across outputs and
-//    never reassociate an accumulation;
+//  * elementwise and FIR kernels (scale/axpy, fir_apply at every block edge,
+//    phase layout and output stride, FirFilter, FirDecimator over any cut of
+//    its input, FirInterpolator) are BIT-IDENTICAL to scalar references —
+//    they vectorize across outputs and never reassociate an accumulation;
+//  * both kernel sets, SSE2 and AVX2, called directly, match the scalar
+//    loops byte for byte (the AVX2 cases skip on CPUs without AVX2);
 //  * the tolerance-pinned exception (the subcarrier's vector sincos) stays
 //    within its justified bound. The Mixer's rotator is one plain C++ path
 //    in every build; tests/dsp/test_nco.cpp pins its accuracy.
@@ -12,8 +14,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <random>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "channel/superpose.h"
@@ -92,33 +98,63 @@ std::vector<Sample> fir_reference(const std::vector<Sample>& in,
   return fir_reference(std::span<const Sample>(work), 1, rt, in.size());
 }
 
-// Every block edge of the register-blocked kernels: output counts around
-// the main step (16 real or 8 complex outputs), the one-vector loop (4 real
-// or 2 complex) and the scalar tail, at the decimators' input strides and
-// the interpolator's output stride. Output slots between strided outputs
-// and past the last one must keep their sentinel.
+template <typename T>
+bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// A FIR kernel under test, reading the phase layout of dsp/simd.h.
 template <typename Sample>
-void expect_fir_apply_matches_reference(std::span<const Sample> pool) {
+using FirKernel = std::function<void(
+    const Sample* x, std::size_t phases, std::size_t row_len, const float* rt,
+    std::size_t nt, Sample* out, std::size_t out_stride, std::size_t n)>;
+
+// Every block edge of the register-blocked kernels: output counts from 0
+// through two AVX2 main steps (32 real or 16 complex outputs) plus every
+// tail, so the SSE2 steps (16 or 8), both one-vector loops and the scalar
+// tail are all crossed, at the decimators' phase counts (1, 5, 10) and the
+// interpolator's output stride. The input is laid out in phases the way
+// FirDecimator stages it, with NaN in the slots past each row's end, and
+// must reproduce the strided scalar loop byte for byte. Output slots
+// between strided outputs and past the last one must keep their sentinel.
+template <typename Sample>
+void expect_fir_matches_reference(const FirKernel<Sample>& fir,
+                                  std::size_t main_step) {
   const Sample sentinel(42.0F);
-  for (const std::size_t nt : {1U, 17U, 31U, 127U}) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t max_n = 3 * main_step;
+  for (const std::size_t nt : {1U, 17U, 31U, 89U, 127U}) {
     const std::vector<float> rt = random_floats(nt, static_cast<unsigned>(nt));
-    for (const std::size_t n :
-         {0U, 1U, 2U, 3U, 7U, 8U, 9U, 15U, 16U, 17U, 33U}) {
-      for (const std::size_t in_stride : {1U, 5U, 10U}) {
+    for (const std::size_t phases : {1U, 5U, 10U}) {
+      std::vector<Sample> w(max_n * phases + nt - 1);
+      const std::vector<float> re = random_floats(w.size(), 31);
+      const std::vector<float> im = random_floats(w.size(), 32);
+      for (std::size_t k = 0; k < w.size(); ++k) {
+        if constexpr (std::is_same_v<Sample, float>) {
+          w[k] = re[k];
+        } else {
+          w[k] = Sample(re[k], im[k]);
+        }
+      }
+      for (std::size_t n = 0; n < max_n; ++n) {
+        const std::size_t len = n * phases + nt - 1;
+        const std::size_t row_len = n + (nt - 1 + phases - 1) / phases;
+        std::vector<Sample> rows(phases * row_len, Sample(nan));
+        for (std::size_t k = 0; k < len; ++k) {
+          rows[(k % phases) * row_len + k / phases] = w[k];
+        }
+        const std::vector<Sample> ref =
+            fir_reference(std::span<const Sample>(w), phases, rt, n);
         for (const std::size_t out_stride : {1U, 10U}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "nt=" << nt << " n=" << n << " in_stride="
-                       << in_stride << " out_stride=" << out_stride);
-          ASSERT_LE(n * in_stride + nt, pool.size());
-          const std::vector<Sample> ref =
-              fir_reference(pool, in_stride, rt, n);
           std::vector<Sample> out(n * out_stride + out_stride, sentinel);
-          dsp::detail::fir_apply(pool.data(), in_stride, rt.data(), nt,
-                                 out.data(), out_stride, n);
+          fir(rows.data(), phases, row_len, rt.data(), nt, out.data(),
+              out_stride, n);
           for (std::size_t k = 0; k < out.size(); ++k) {
             const bool is_output = k % out_stride == 0 && k / out_stride < n;
-            ASSERT_EQ(out[k], is_output ? ref[k / out_stride] : sentinel)
-                << "slot " << k;
+            ASSERT_TRUE(
+                same_bytes(out[k], is_output ? ref[k / out_stride] : sentinel))
+                << "nt=" << nt << " phases=" << phases << " n=" << n
+                << " out_stride=" << out_stride << " slot " << k;
           }
         }
       }
@@ -127,14 +163,80 @@ void expect_fir_apply_matches_reference(std::span<const Sample> pool) {
 }
 
 TEST(SimdKernels, FirApplyBlockEdgesFloat) {
-  const std::vector<float> pool = random_floats(512, 31);
-  expect_fir_apply_matches_reference(std::span<const float>(pool));
+  expect_fir_matches_reference<float>(&dsp::detail::fir_apply<float>, 32);
 }
 
 TEST(SimdKernels, FirApplyBlockEdgesComplex) {
-  const dsp::cvec pool = random_complex(512, 32);
-  expect_fir_apply_matches_reference(std::span<const dsp::cfloat>(pool));
+  expect_fir_matches_reference<dsp::cfloat>(
+      &dsp::detail::fir_apply<dsp::cfloat>, 16);
 }
+
+#if FMBS_SIMD_ENABLED
+// One kernel set of dsp/simd.h, called directly rather than through the
+// per-process dispatch.
+struct KernelSet {
+  bool available;
+  void (*scale_f32)(float*, const float*, float, std::size_t);
+  void (*axpy_f32)(float*, const float*, float, std::size_t);
+  void (*fir_f32)(const float*, std::size_t, std::size_t, const float*,
+                  std::size_t, float*, std::size_t, std::size_t);
+  void (*fir_cx)(const float*, std::size_t, std::size_t, const float*,
+                 std::size_t, float*, std::size_t, std::size_t);
+};
+
+KernelSet sse2_kernels() {
+  namespace k = dsp::simd::sse2;
+  return {true, &k::scale_f32, &k::axpy_f32, &k::fir_f32, &k::fir_cx};
+}
+
+KernelSet avx2_kernels() {
+  namespace k = dsp::simd::avx2;
+  return {dsp::simd::avx2_available(), &k::scale_f32, &k::axpy_f32,
+          &k::fir_f32, &k::fir_cx};
+}
+
+// Lengths 0..40 cross the 8- and 4-lane loops and the scalar tail.
+void expect_elementwise_match_scalar(const KernelSet& k) {
+  const std::vector<float> src = random_floats(40, 51);
+  const std::vector<float> base = random_floats(40, 52);
+  const float gain = -0.7311F;
+  for (std::size_t n = 0; n <= src.size(); ++n) {
+    std::vector<float> scaled(n + 1, 42.0F);
+    std::vector<float> acc = base;
+    k.scale_f32(scaled.data(), src.data(), gain, n);
+    k.axpy_f32(acc.data(), src.data(), gain, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_bytes(scaled[i], gain * src[i])) << "n=" << n;
+      ASSERT_TRUE(same_bytes(acc[i], base[i] + gain * src[i])) << "n=" << n;
+    }
+    ASSERT_EQ(scaled[n], 42.0F) << "n=" << n;
+    for (std::size_t i = n; i < acc.size(); ++i) ASSERT_EQ(acc[i], base[i]);
+  }
+}
+
+void expect_kernels_match_scalar(const KernelSet& k) {
+  expect_elementwise_match_scalar(k);
+  expect_fir_matches_reference<float>(k.fir_f32, 32);
+  expect_fir_matches_reference<dsp::cfloat>(
+      [&k](const dsp::cfloat* x, std::size_t phases, std::size_t row_len,
+           const float* rt, std::size_t nt, dsp::cfloat* out,
+           std::size_t out_stride, std::size_t n) {
+        k.fir_cx(reinterpret_cast<const float*>(x), phases, row_len, rt, nt,
+                 reinterpret_cast<float*>(out), out_stride, n);
+      },
+      16);
+}
+
+TEST(SimdKernels, Sse2KernelsMatchScalarByteForByte) {
+  expect_kernels_match_scalar(sse2_kernels());
+}
+
+TEST(SimdKernels, Avx2KernelsMatchScalarByteForByte) {
+  const KernelSet k = avx2_kernels();
+  if (!k.available) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_kernels_match_scalar(k);
+}
+#endif
 
 TEST(SimdKernels, FirFilterFloatBitIdentical) {
   const auto taps = dsp::fir_design_lowpass(37, 0.2);
@@ -189,6 +291,43 @@ TEST(SimdKernels, FirDecimatorFloatBitIdentical) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], full[i * factor]) << "i=" << i;
   }
+}
+
+// The decimator stages each call's history plus input in its phase rows, so
+// every way of cutting a stream must give the bytes of one whole call: empty
+// cuts, cuts shorter than the history (the history then shifts) and cuts of
+// several filter lengths.
+template <typename Sample>
+void expect_decimator_cut_invariant(std::size_t factor, std::size_t nt,
+                                    const std::vector<Sample>& x) {
+  const auto taps = dsp::fir_design_lowpass(nt, 0.45 / factor);
+  dsp::FirDecimator<Sample> whole(taps, factor);
+  const std::vector<Sample> ref = whole.process(x);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> cut_frames(0, 3 * nt / factor);
+  for (int trial = 0; trial < 20; ++trial) {
+    dsp::FirDecimator<Sample> dec(taps, factor);
+    std::vector<Sample> got;
+    for (std::size_t at = 0; at < x.size();) {
+      const std::size_t len =
+          std::min(cut_frames(rng) * factor, x.size() - at);
+      const std::vector<Sample> part =
+          dec.process(std::span<const Sample>(x).subspan(at, len));
+      got.insert(got.end(), part.begin(), part.end());
+      at += len;
+    }
+    ASSERT_EQ(got.size(), ref.size());
+    ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(Sample)),
+              0)
+        << "trial " << trial;
+  }
+}
+
+TEST(SimdKernels, FirDecimatorRandomCutsMatchOneCall) {
+  // The tuner's shape (/10, complex) and the stereo decoder's (/5, real).
+  expect_decimator_cut_invariant(10, 127, random_complex(4000, 26));
+  expect_decimator_cut_invariant(5, 127, random_floats(3000, 27));
+  expect_decimator_cut_invariant(3, 4, random_floats(600, 28));
 }
 
 TEST(SimdKernels, FirInterpolatorBitIdentical) {
