@@ -44,10 +44,12 @@ BENCHMARK(BM_FftForward)->Arg(1024)->Arg(4096)->Arg(16384);
 void BM_FirFilterFloat(benchmark::State& state) {
   const auto taps = static_cast<std::size_t>(state.range(0));
   dsp::FirFilter<float> filt(dsp::fir_design_lowpass(taps, 0.1));
-  std::vector<float> block(24000, 0.5F);
+  const std::vector<float> block(24000, 0.5F);
+  std::vector<float> out(block.size());
   for (auto _ : state) {
-    auto out = filt.process(block);
+    filt.process_into(block, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
 }
@@ -80,10 +82,12 @@ BENCHMARK(BM_AccumulateScaled);
 void BM_PolyphaseInterpolator(benchmark::State& state) {
   dsp::FirInterpolator<dsp::cfloat> interp(
       dsp::fir_design_lowpass(16 * 10 + 1, 0.45 / 10.0), 10);
-  dsp::cvec block(24000, dsp::cfloat(0.3F, -0.2F));
+  const dsp::cvec block(24000, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(block.size() * 10);
   for (auto _ : state) {
-    auto out = interp.process(block);
+    interp.process_into(block, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
 }
@@ -91,10 +95,12 @@ BENCHMARK(BM_PolyphaseInterpolator);
 
 void BM_PolyphaseDecimator(benchmark::State& state) {
   dsp::FirDecimator<dsp::cfloat> dec(dsp::fir_design_lowpass(127, 0.04), 10);
-  dsp::cvec block(240000, dsp::cfloat(0.3F, -0.2F));
+  const dsp::cvec block(240000, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(block.size() / 10);
   for (auto _ : state) {
-    auto out = dec.process(block);
+    dec.process_into(block, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 240000);
 }
@@ -104,10 +110,12 @@ BENCHMARK(BM_PolyphaseDecimator);
 // 240 kHz -> 48 kHz.
 void BM_FirDecimatorFloat(benchmark::State& state) {
   dsp::FirDecimator<float> dec(dsp::fir_design_lowpass(127, 0.45 / 5.0), 5);
-  std::vector<float> block(24000, 0.5F);
+  const std::vector<float> block(24000, 0.5F);
+  std::vector<float> out(block.size() / 5);
   for (auto _ : state) {
-    auto out = dec.process(block);
+    dec.process_into(block, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
 }
@@ -164,60 +172,62 @@ void BM_EngineNoiseShaper(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineNoiseShaper);
 
-// One of the stereo decoder's three 127-tap filters over a 24,000-sample
-// (0.1 s) MPX block.
+// One of the stereo decoder's three 127-tap filters over one 480-sample
+// chain block of MPX.
 void BM_EngineStereoFir(benchmark::State& state) {
   dsp::FirFilter<float> filt(
       dsp::fir_design_bandpass(127, fm::kStereoBandLoHz / fm::kMpxRate,
                                fm::kStereoBandHiHz / fm::kMpxRate));
-  const std::vector<float> in(24000, 0.5F);
-  std::vector<float> out(24000);
+  const std::vector<float> in(480, 0.5F);
+  std::vector<float> out(480);
   for (auto _ : state) {
     filt.process_into(in, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
 }
 BENCHMARK(BM_EngineStereoFir);
 
-// One of the stereo decoder's /5 audio decimators: 24,000 MPX samples to
-// 4,800 audio samples through 127 taps.
+// One of the stereo decoder's /5 audio decimators: one 480-sample chain
+// block of MPX to 96 audio samples through 127 taps.
 void BM_EngineStereoDecimator(benchmark::State& state) {
   dsp::FirDecimator<float> dec(dsp::fir_design_lowpass(127, 0.45 / 5.0), 5);
-  const std::vector<float> in(24000, 0.5F);
-  std::vector<float> out(4800);
+  const std::vector<float> in(480, 0.5F);
+  std::vector<float> out(96);
   for (auto _ : state) {
     dec.process_into(in, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
 }
 BENCHMARK(BM_EngineStereoDecimator);
 
-// The RDS decoder's 101-tap complex low-pass over a 24,000-sample block of
-// the downconverted 57 kHz subcarrier.
+// The RDS decoder's 101-tap complex low-pass over one 480-sample sub-block
+// of the downconverted 57 kHz subcarrier.
 void BM_EngineRdsLowpass(benchmark::State& state) {
   dsp::FirFilter<dsp::cfloat> lp(
       dsp::fir_design_lowpass(101, 2400.0 / fm::kMpxRate));
-  const dsp::cvec in(24000, dsp::cfloat(0.3F, -0.2F));
-  dsp::cvec out(24000);
+  const dsp::cvec in(480, dsp::cfloat(0.3F, -0.2F));
+  dsp::cvec out(480);
   for (auto _ : state) {
     lp.process_into(in, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 24000);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
 }
 BENCHMARK(BM_EngineRdsLowpass);
 
 void BM_FmModulator(benchmark::State& state) {
   fm::FmModulator mod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
   const auto tone = audio::make_tone(1000.0, 0.8, 0.1, fm::kMpxRate);
+  dsp::cvec iq(tone.size());
   for (auto _ : state) {
-    auto iq = mod.process(tone.samples);
+    mod.process_into(tone.samples, iq);
     benchmark::DoNotOptimize(iq.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(tone.size()));
@@ -228,10 +238,13 @@ void BM_QuadratureDemodulator(benchmark::State& state) {
   fm::FmModulator mod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
   fm::QuadratureDemodulator demod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
   const auto tone = audio::make_tone(1000.0, 0.8, 0.1, fm::kMpxRate);
-  const auto iq = mod.process(tone.samples);
+  dsp::cvec iq(tone.size());
+  mod.process_into(tone.samples, iq);
+  dsp::rvec mpx(iq.size());
   for (auto _ : state) {
-    auto mpx = demod.process(iq);
+    demod.process_into(iq, mpx);
     benchmark::DoNotOptimize(mpx.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(iq.size()));
@@ -241,10 +254,12 @@ BENCHMARK(BM_QuadratureDemodulator);
 void BM_SubcarrierGenerator(benchmark::State& state) {
   tag::SubcarrierConfig cfg;
   tag::SubcarrierGenerator gen(cfg);
-  std::vector<float> bb(24000, 0.2F);
+  const std::vector<float> bb(24000, 0.2F);
+  dsp::cvec b(240000);
   for (auto _ : state) {
-    auto b = gen.process(bb);
+    gen.process_into(bb, b);
     benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 240000);
 }
@@ -253,9 +268,11 @@ BENCHMARK(BM_SubcarrierGenerator);
 void BM_Tuner(benchmark::State& state) {
   rx::Tuner tuner{rx::TunerConfig{}};
   dsp::cvec rf(240000, dsp::cfloat(0.1F, 0.1F));
+  dsp::cvec out(rf.size() / tuner.decimation());
   for (auto _ : state) {
-    auto out = tuner.process(rf);
+    tuner.process_into(rf, out);  // mixes rf in place; the cost is the same
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 240000);
 }

@@ -14,7 +14,7 @@ fm::StereoDecoderConfig at_mpx_rate(fm::StereoDecoderConfig config) {
   return config;
 }
 
-void append(std::vector<float>& to, const std::vector<float>& from) {
+void append(std::vector<float>& to, std::span<const float> from) {
   to.insert(to.end(), from.begin(), from.end());
 }
 
@@ -39,7 +39,8 @@ ReceiverDecoder::ReceiverDecoder(
              plan.receiver_noise_seed[index], scene.noise_shaping_taps(index)),
       demod_(units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate),
       stereo_(at_mpx_rate(sc.receivers[index].stereo_decoder),
-              scene.padded_samples(), decision_window) {
+              scene.padded_samples(), decision_window),
+      mpx_(kSubBlockMpx) {
   const ScenarioReceiver& rx = sc.receivers[index];
   const ReceiverRoute& route = scene.routes()[index];
   const std::size_t padded = scene.padded_samples();
@@ -83,7 +84,7 @@ std::size_t ReceiverDecoder::buffer_bytes() const {
   std::size_t bytes = stereo_.decision_buffer_bytes();
   bytes += (stereo_.decision_buffer_bytes() / sizeof(float) / decim_) * 2 *
            sizeof(float);  // the L/R chunk the decision flush emits
-  bytes += kBlockMpx * sizeof(float);  // per-block MPX scratch
+  bytes += kSubBlockMpx * sizeof(float);  // the sub-block MPX scratch
   // The noise draws and the shaping filter's staging, a sub-block each.
   bytes += 2 * kSubBlockMpx * sizeof(dsp::cfloat);
   for (const FskCollector& c : fsk_) bytes += c.demod.buffer_bytes();
@@ -168,25 +169,30 @@ void ReceiverDecoder::tap_audio(dsp::rvec& left, dsp::rvec& right,
 }
 
 void ReceiverDecoder::push(std::span<dsp::cfloat> iq, double now) {
-  // The draws and the shaping filter stream, so noising a sub-block at a
-  // time is bit-identical to noising the block and keeps the scratch small.
+  // Every stage streams (the noise draws, the shaping filter, the
+  // discriminator, the RDS front ends, the stereo chain and the device
+  // chain), so decoding a sub-block at a time is bit-identical to decoding
+  // the block and keeps every scratch a sub-block long.
   for (std::size_t at = 0; at < iq.size(); at += kSubBlockMpx) {
-    noise_.add_to(iq.subspan(at, std::min(kSubBlockMpx, iq.size() - at)));
+    const std::span<dsp::cfloat> sub =
+        iq.subspan(at, std::min(kSubBlockMpx, iq.size() - at));
+    noise_.add_to(sub);
+    const std::span<float> mpx(mpx_.data(), sub.size());
+    demod_.process_into(sub, mpx);
+    if (tap_) append(tap_->capture.fm.mpx, mpx);
+    if (station_rds_) {
+      station_rds_->push(mpx);
+      if (station_rds_->window_complete()) finalize_station_rds(now);
+    }
+    for (RdsCollector& c : rds_) {
+      if (c.done) continue;
+      c.decoder.push(mpx);
+      if (c.decoder.window_complete()) finalize_rds(c, now);
+    }
+    dsp::rvec left, right;
+    stereo_.push(mpx, left, right);
+    feed_audio(left, right, now);
   }
-  const dsp::rvec mpx = demod_.process(iq);
-  if (tap_) append(tap_->capture.fm.mpx, mpx);
-  if (station_rds_) {
-    station_rds_->push(mpx);
-    if (station_rds_->window_complete()) finalize_station_rds(now);
-  }
-  for (RdsCollector& c : rds_) {
-    if (c.done) continue;
-    c.decoder.push(mpx);
-    if (c.decoder.window_complete()) finalize_rds(c, now);
-  }
-  dsp::rvec left, right;
-  stereo_.push(mpx, left, right);
-  feed_audio(left, right, now);
 }
 
 /// Truncated windows were clamped to the capture up front, so their reports

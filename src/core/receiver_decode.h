@@ -9,6 +9,13 @@
 // per receiver serially with a whole-capture decision window;
 // StreamingEngine drives them from its consumer threads with bounded
 // windows and a live link callback.
+//
+// Every stage of the chain has one block method that gives the same bytes
+// however its stream is cut (process_into or process_inplace), so push()
+// walks each block in kSubBlockMpx sub-blocks, the renderer's unit: the
+// discriminator writes into a member scratch of one sub-block, and no
+// buffer the chain fills per call outgrows that sub-block's audio, except
+// the audio the pilot decision's one flush emits.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +67,7 @@ class ReceiverDecoder {
   void finish(double now, ScenarioReceiverResult& rr);
 
   /// Bytes of decode buffering held at peak: the pilot decision window and
-  /// the audio chunk its flush emits, the per-block MPX scratch, the noise
+  /// the audio chunk its flush emits, the sub-block MPX scratch, the noise
   /// scratch and every burst and RDS window. Independent of the run
   /// duration when the windows are bounded.
   std::size_t buffer_bytes() const;
@@ -106,6 +113,7 @@ class ReceiverDecoder {
   channel::AwgnSource noise_;
   fm::QuadratureDemodulator demod_;
   fm::StereoStreamDecoder stereo_;
+  dsp::rvec mpx_;  // one sub-block of discriminator output
   std::optional<rx::PhoneChainStream> phone_;
   std::optional<rx::CabinAcousticsStream> cabin_;
   std::vector<FskCollector> fsk_;

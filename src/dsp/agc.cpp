@@ -32,10 +32,8 @@ float Agc::process_sample(float x) {
   return static_cast<float>(static_cast<double>(x) * gain_);
 }
 
-std::vector<float> Agc::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
+void Agc::process_inplace(std::span<float> data) {
+  for (float& v : data) v = process_sample(v);
 }
 
 void Agc::reset() {

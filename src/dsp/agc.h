@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace fmbs::dsp {
 
@@ -25,8 +24,9 @@ class Agc {
   /// Processes one sample.
   float process_sample(float x);
 
-  /// Processes a block.
-  std::vector<float> process(std::span<const float> in);
+  /// Processes a block in place; the one block method (same bytes however
+  /// the stream is cut into calls).
+  void process_inplace(std::span<float> data);
 
   /// Current applied gain (observable for tests and calibration).
   double gain() const { return gain_; }

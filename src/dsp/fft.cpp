@@ -72,14 +72,4 @@ cvec fft(std::span<const cfloat> input) {
   return data;
 }
 
-cvec ifft(std::span<const cfloat> input) {
-  if (!is_pow2(input.size())) {
-    throw std::invalid_argument("ifft: size must be a power of two");
-  }
-  cvec data(input.begin(), input.end());
-  FftPlan plan(data.size());
-  plan.inverse(data);
-  return data;
-}
-
 }  // namespace fmbs::dsp

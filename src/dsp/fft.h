@@ -47,7 +47,4 @@ class FftPlan {
 /// to the next power of two. Returns the transformed vector.
 cvec fft(std::span<const cfloat> input);
 
-/// Out-of-place inverse FFT; input length must be a power of two.
-cvec ifft(std::span<const cfloat> input);
-
 }  // namespace fmbs::dsp

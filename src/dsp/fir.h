@@ -18,6 +18,11 @@
 // t % M, column i + t / M. The taps are read in the same order either way,
 // so the output is the same to the bit as reading every Mth sample of one
 // run, without strided loads.
+//
+// Stage contract: each filter has one block method, process_into(in, out),
+// with `out` sized by the rate ratio (in.size(), / M or * L). State carries
+// across calls, so any cut of a stream (multiples of M for a decimator)
+// gives the same bytes as one call.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +93,7 @@ inline void fir_apply(const Sample* x, std::size_t phases,
 }  // namespace detail
 
 /// Streaming FIR filter over float or complex samples. Maintains history
-/// across process() calls so block boundaries are seamless.
+/// across process_into() calls so block boundaries are seamless.
 template <typename Sample>
 class FirFilter {
  public:
@@ -102,13 +107,6 @@ class FirFilter {
 
   /// Group delay in samples ((N-1)/2 for these linear-phase designs).
   double group_delay() const { return (static_cast<double>(taps_.size()) - 1.0) / 2.0; }
-
-  /// Filters a block; output has the same length as the input.
-  std::vector<Sample> process(std::span<const Sample> in) {
-    std::vector<Sample> out(in.size());
-    process_into(in, out);
-    return out;
-  }
 
   /// Filters a block into a caller-provided buffer of equal length.
   void process_into(std::span<const Sample> in, std::span<Sample> out) {
@@ -152,12 +150,6 @@ class FirDecimator {
   std::size_t factor() const { return factor_; }
   const std::vector<float>& taps() const { return taps_; }
 
-  std::vector<Sample> process(std::span<const Sample> in) {
-    std::vector<Sample> out(in.size() / factor_);
-    process_into(in, out);
-    return out;
-  }
-
   /// Decimates a block into a caller-provided buffer of in.size() / factor()
   /// samples.
   void process_into(std::span<const Sample> in, std::span<Sample> out) {
@@ -169,7 +161,10 @@ class FirDecimator {
     }
     const std::size_t h = history_.size();
     const std::size_t n = out.size();
-    // The M-phase staging (header): ceil((h + in.size()) / M) columns.
+    // The M-phase staging (header): ceil((h + in.size()) / M) columns,
+    // filled a row at a time. At the engines' call sizes the run is in
+    // cache, and this beats dealing it out one M-sample column at a time
+    // (one store per row per column).
     const std::size_t row_len = n + (h + factor_ - 1) / factor_;
     work_.resize(factor_ * row_len);
     for (std::size_t p = 0; p < factor_; ++p) {
@@ -232,6 +227,7 @@ class FirInterpolator {
 
   std::size_t factor() const { return factor_; }
 
+  // Stays for perfbench until ROADMAP item 1b; nothing else calls it.
   std::vector<Sample> process(std::span<const Sample> in) {
     std::vector<Sample> out(in.size() * factor_);
     process_into(in, out);

@@ -61,12 +61,6 @@ BiquadCoeffs biquad_notch(double frequency, double q) {
                    1.0 - r.alpha);
 }
 
-std::vector<float> Biquad::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
-}
-
 BiquadCascade::BiquadCascade(const std::vector<BiquadCoeffs>& sections) {
   if (sections.empty()) {
     throw std::invalid_argument("BiquadCascade: need at least one section");
@@ -78,12 +72,6 @@ BiquadCascade::BiquadCascade(const std::vector<BiquadCoeffs>& sections) {
 float BiquadCascade::process_sample(float x) {
   for (auto& s : sections_) x = s.process_sample(x);
   return x;
-}
-
-std::vector<float> BiquadCascade::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
 }
 
 OnePoleLowpass OnePoleLowpass::from_corner(double corner_hz,
@@ -102,12 +90,6 @@ OnePoleLowpass::OnePoleLowpass(double alpha) : alpha_(alpha) {
   if (alpha <= 0.0 || alpha > 1.0) {
     throw std::invalid_argument("OnePoleLowpass: alpha must be in (0, 1]");
   }
-}
-
-std::vector<float> OnePoleLowpass::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
 }
 
 }  // namespace fmbs::dsp

@@ -1,5 +1,9 @@
-// Small IIR building blocks: RBJ biquads, one-pole smoothers, and a DC
-// blocker. Used for de-emphasis, pilot extraction and audio shaping.
+// Small IIR building blocks: RBJ biquads and one-pole smoothers. Used for
+// pilot extraction, envelope smoothing and audio shaping.
+//
+// Stage contract: each filter has one block method, process_inplace(span),
+// next to its per-sample step. State carries across calls, so cutting a
+// stream into calls of any size gives the same bytes as one call.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +36,9 @@ class Biquad {
     return static_cast<float>(y);
   }
 
-  std::vector<float> process(std::span<const float> in);
+  void process_inplace(std::span<float> data) {
+    for (float& v : data) v = process_sample(v);
+  }
 
   void reset() { s1_ = s2_ = 0.0; }
 
@@ -46,7 +52,9 @@ class BiquadCascade {
  public:
   explicit BiquadCascade(const std::vector<BiquadCoeffs>& sections);
   float process_sample(float x);
-  std::vector<float> process(std::span<const float> in);
+  void process_inplace(std::span<float> data) {
+    for (float& v : data) v = process_sample(v);
+  }
 
  private:
   std::vector<Biquad> sections_;
@@ -66,7 +74,9 @@ class OnePoleLowpass {
     return static_cast<float>(state_);
   }
 
-  std::vector<float> process(std::span<const float> in);
+  void process_inplace(std::span<float> data) {
+    for (float& v : data) v = process_sample(v);
+  }
 
   double alpha() const { return alpha_; }
 

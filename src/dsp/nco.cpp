@@ -110,10 +110,4 @@ void Mixer::process_inplace(std::span<cfloat> data) {
   phase_ += n * step_;
 }
 
-cvec Mixer::process(std::span<const cfloat> data) {
-  cvec out(data.begin(), data.end());
-  process_inplace(out);
-  return out;
-}
-
 }  // namespace fmbs::dsp

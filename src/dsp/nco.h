@@ -84,11 +84,8 @@ class Mixer {
  public:
   Mixer(double frequency_hz, double sample_rate, double initial_phase = 0.0);
 
-  /// Mixes in-place.
+  /// Mixes in place: the mixer's one block method.
   void process_inplace(std::span<cfloat> data);
-
-  /// Mixes out-of-place.
-  cvec process(std::span<const cfloat> data);
 
  private:
   static constexpr std::size_t kSpan = 16;

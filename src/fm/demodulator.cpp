@@ -15,8 +15,11 @@ QuadratureDemodulator::QuadratureDemodulator(units::Hertz deviation,
   gain_ = sample_rate / (dsp::kTwoPi * deviation.raw());
 }
 
-dsp::rvec QuadratureDemodulator::process(std::span<const dsp::cfloat> iq) {
-  dsp::rvec out(iq.size());
+void QuadratureDemodulator::process_into(std::span<const dsp::cfloat> iq,
+                                         std::span<float> out) {
+  if (out.size() != iq.size()) {
+    throw std::invalid_argument("QuadratureDemodulator: size mismatch");
+  }
   dsp::cfloat prev = prev_;
   const auto g = static_cast<float>(gain_);
   for (std::size_t i = 0; i < iq.size(); ++i) {
@@ -27,6 +30,11 @@ dsp::rvec QuadratureDemodulator::process(std::span<const dsp::cfloat> iq) {
     prev = cur;
   }
   prev_ = prev;
+}
+
+dsp::rvec QuadratureDemodulator::process(std::span<const dsp::cfloat> iq) {
+  dsp::rvec out(iq.size());
+  process_into(iq, out);
   return out;
 }
 

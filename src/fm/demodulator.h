@@ -19,7 +19,11 @@ class QuadratureDemodulator {
  public:
   QuadratureDemodulator(units::Hertz deviation, double sample_rate);
 
-  /// Demodulates a block of IQ into composite baseband samples.
+  /// Demodulates a block of IQ into `out`, iq.size() composite baseband
+  /// samples: the one block method (same bytes however the stream is cut).
+  void process_into(std::span<const dsp::cfloat> iq, std::span<float> out);
+
+  // Stays for perfbench until ROADMAP item 1b; nothing else calls it.
   dsp::rvec process(std::span<const dsp::cfloat> iq);
 
  private:

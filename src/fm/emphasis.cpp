@@ -22,10 +22,8 @@ float DeEmphasis::process_sample(float x) {
   return static_cast<float>(state_);
 }
 
-std::vector<float> DeEmphasis::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
+void DeEmphasis::process_inplace(std::span<float> data) {
+  for (float& v : data) v = process_sample(v);
 }
 
 PreEmphasis::PreEmphasis(units::Seconds tau, double sample_rate)
@@ -42,10 +40,8 @@ float PreEmphasis::process_sample(float x) {
   return static_cast<float>(y);
 }
 
-std::vector<float> PreEmphasis::process(std::span<const float> in) {
-  std::vector<float> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process_sample(in[i]);
-  return out;
+void PreEmphasis::process_inplace(std::span<float> data) {
+  for (float& v : data) v = process_sample(v);
 }
 
 }  // namespace fmbs::fm

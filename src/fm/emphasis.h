@@ -1,10 +1,10 @@
 // FM pre-emphasis / de-emphasis (75 us RC network, 50 us variant supported).
 // Broadcast FM boosts treble before modulation and the receiver cuts it
-// back, which also cuts the triangular FM noise spectrum.
+// back, which also cuts the triangular FM noise spectrum. Each filter's one
+// block method is process_inplace(span); state carries across calls.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/units.h"
 
@@ -15,7 +15,7 @@ class DeEmphasis {
  public:
   DeEmphasis(units::Seconds tau, double sample_rate);
   float process_sample(float x);
-  std::vector<float> process(std::span<const float> in);
+  void process_inplace(std::span<float> data);
 
  private:
   double alpha_;
@@ -28,7 +28,7 @@ class PreEmphasis {
  public:
   PreEmphasis(units::Seconds tau, double sample_rate);
   float process_sample(float x);
-  std::vector<float> process(std::span<const float> in);
+  void process_inplace(std::span<float> data);
 
  private:
   double alpha_;

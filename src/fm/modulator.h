@@ -24,11 +24,12 @@ class FmModulator {
 
   units::Hertz deviation() const { return units::Hertz{deviation_hz_}; }
 
-  /// Modulates a block of composite baseband into unit-amplitude IQ.
-  dsp::cvec process(std::span<const float> mpx);
-
-  /// Modulates into a caller-provided buffer of mpx.size() samples.
+  /// Modulates a block of composite baseband into a caller-provided buffer
+  /// of mpx.size() unit-amplitude IQ samples: the one block method.
   void process_into(std::span<const float> mpx, std::span<dsp::cfloat> out);
+
+  // Stays for perfbench until ROADMAP item 1b; nothing else calls it.
+  dsp::cvec process(std::span<const float> mpx);
 
  private:
   double deviation_hz_;

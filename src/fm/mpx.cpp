@@ -22,7 +22,9 @@ dsp::rvec upsample_audio(std::span<const float> in, std::size_t factor) {
   dsp::FirInterpolator<float> interp(
       dsp::fir_design_lowpass(static_cast<std::size_t>(16 * factor) | 1U, cutoff),
       factor);
-  return interp.process(in);
+  dsp::rvec out(in.size() * factor);
+  interp.process_into(in, out);
+  return out;
 }
 
 }  // namespace
@@ -43,8 +45,8 @@ dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& confi
   if (config.preemphasis) {
     PreEmphasis pe_l(units::Seconds{kDeemphasisSeconds}, program.sample_rate);
     PreEmphasis pe_r(units::Seconds{kDeemphasisSeconds}, program.sample_rate);
-    left = pe_l.process(left);
-    right = pe_r.process(right);
+    pe_l.process_inplace(left);
+    pe_r.process_inplace(right);
   }
 
   const dsp::rvec l_up = upsample_audio(left, factor);

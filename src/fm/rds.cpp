@@ -151,7 +151,8 @@ RdsDecodeResult decode_rds(std::span<const float> mpx, double sample_rate) {
   mixer.process_inplace(z);
   dsp::FirFilter<dsp::cfloat> lp(
       dsp::fir_design_lowpass(101, 2400.0 / sample_rate));
-  dsp::cvec base = lp.process(z);
+  dsp::cvec base(z.size());
+  lp.process_into(z, base);
 
   return decode_rds_baseband(base, sample_rate);
 }

@@ -60,7 +60,8 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
   // ---- Mono path: L+R below 15 kHz. ----
   dsp::FirFilter<float> mono_lp(
       dsp::fir_design_lowpass(kChannelFilterTaps, kMonoAudioHiHz / rate));
-  dsp::rvec mid = mono_lp.process(mpx);
+  dsp::rvec mid(mpx.size());
+  mono_lp.process_into(mpx, mid);
 
   dsp::rvec side(mid.size(), 0.0F);
   if (stereo_mode) {
@@ -80,7 +81,8 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
     // ---- Stereo subband, synchronous demodulation. ----
     dsp::FirFilter<float> stereo_bp(dsp::fir_design_bandpass(
         kChannelFilterTaps, kStereoBandLoHz / rate, kStereoBandHiHz / rate));
-    dsp::rvec sub = stereo_bp.process(mpx);
+    dsp::rvec sub(mpx.size());
+    stereo_bp.process_into(mpx, sub);
     // The band-pass delays the subcarrier by (N-1)/2 samples; delay the
     // regenerated carrier equally so the product is phase-coherent.
     const std::size_t delay = (kChannelFilterTaps - 1) / 2;
@@ -90,7 +92,7 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
     }
     dsp::FirFilter<float> side_lp(
         dsp::fir_design_lowpass(kChannelFilterTaps, kMonoAudioHiHz / rate));
-    side = side_lp.process(product);
+    side_lp.process_into(product, side);
     // `side` now lags `mid` by one extra channel-filter delay; realign.
     dsp::rvec aligned(side.size(), 0.0F);
     const std::size_t lag = (kChannelFilterTaps - 1) / 2;
@@ -121,14 +123,16 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
       kChannelFilterTaps, 0.45 / static_cast<double>(decim));
   dsp::FirDecimator<float> dec_l(audio_taps, decim);
   dsp::FirDecimator<float> dec_r(audio_taps, decim);
-  std::vector<float> left = dec_l.process(left_mpx);
-  std::vector<float> right = dec_r.process(right_mpx);
+  std::vector<float> left(trimmed / decim);
+  std::vector<float> right(trimmed / decim);
+  dec_l.process_into(left_mpx, left);
+  dec_r.process_into(right_mpx, right);
 
   if (config.deemphasis) {
     DeEmphasis de_l(units::Seconds{kDeemphasisSeconds}, config.audio_rate);
     DeEmphasis de_r(units::Seconds{kDeemphasisSeconds}, config.audio_rate);
-    left = de_l.process(left);
-    right = de_r.process(right);
+    de_l.process_inplace(left);
+    de_r.process_inplace(right);
   }
 
   result.audio =

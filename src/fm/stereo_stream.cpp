@@ -11,7 +11,8 @@ namespace fmbs::fm {
 
 namespace {
 constexpr std::size_t kChannelFilterTaps = 127;  // odd -> integer group delay
-constexpr std::size_t kFlushBlock = 24000;       // 0.1 s at the MPX rate
+constexpr std::size_t kChainBlock = 480;         // 2 ms at 240 kHz
+static_assert((kChannelFilterTaps - 1) / 2 <= kChainBlock);  // see finish()
 }
 
 StereoStreamDecoder::StereoStreamDecoder(const StereoDecoderConfig& config,
@@ -82,7 +83,12 @@ void StereoStreamDecoder::decide() {
         dsp::fir_design_lowpass(kChannelFilterTaps, kMonoAudioHiHz / rate));
     carrier_hist_.assign(delay_, 0.0F);
     mid_hist_.assign(delay_, 0.0F);
+    sub_.resize(kChainBlock);
+    side_.resize(kChainBlock);
+    pend_r_.resize(kChainBlock + decim_);
   }
+  mid_.resize(kChainBlock);
+  pend_l_.resize(kChainBlock + decim_);
   const auto audio_taps = dsp::fir_design_lowpass(
       kChannelFilterTaps, 0.45 / static_cast<double>(decim_));
   dec_l_.emplace(audio_taps, decim_);
@@ -100,27 +106,39 @@ void StereoStreamDecoder::decide() {
 
 void StereoStreamDecoder::process_chain(std::span<const float> mpx,
                                         dsp::rvec& left, dsp::rvec& right) {
+  // The chain is causal and every stage keeps its state, so walking the
+  // block a chain block at a time changes no sample and keeps the scratch
+  // chain-block sized even when the block is the whole decision window.
+  for (std::size_t at = 0; at < mpx.size(); at += kChainBlock) {
+    chain_block(mpx.subspan(at, std::min(kChainBlock, mpx.size() - at)), left,
+                right);
+  }
+}
+
+void StereoStreamDecoder::chain_block(std::span<const float> mpx,
+                                      dsp::rvec& left, dsp::rvec& right) {
   const std::size_t n = mpx.size();
-  if (n == 0) return;
-  const dsp::rvec mid = mono_lp_->process(mpx);
+  const std::span<float> mid(mid_.data(), n);
+  mono_lp_->process_into(mpx, mid);
   if (stereo_mode_) {
-    const dsp::rvec sub = stereo_bp_->process(mpx);
-    product_.resize(n);
+    const std::span<float> sub(sub_.data(), n);
+    const std::span<float> side(side_.data(), n);
+    stereo_bp_->process_into(mpx, sub);
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t g = processed_ + j;
       // 38 kHz carrier regeneration, sample by sample as in the one-shot
       // decoder; the ring holds the last `delay_` carrier values so the
-      // product stays phase-coherent with the delayed subband.
+      // product (written over the subband) stays phase-coherent with the
+      // delayed subband.
       const float p = pilot_bp_->process_sample(mpx[j]);
       const float e2 = env_lp_->process_sample(p * p) * 2.0F;
       const float amp = std::sqrt(std::max(e2, 1e-12F));
       const float s = std::clamp(p / amp, -1.0F, 1.0F);
       const float c = 2.0F * s * s - 1.0F;
-      product_[j] =
-          g >= delay_ ? 2.0F * sub[j] * carrier_hist_[g % delay_] : 0.0F;
+      sub[j] = g >= delay_ ? 2.0F * sub[j] * carrier_hist_[g % delay_] : 0.0F;
       carrier_hist_[g % delay_] = c;
     }
-    const dsp::rvec side = side_lp_->process(product_);
+    side_lp_->process_into(sub, side);
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t g = processed_ + j;
       if (g >= delay_) {
@@ -128,8 +146,8 @@ void StereoStreamDecoder::process_chain(std::span<const float> mpx,
         // its mid value went into the ring delay_ samples ago.
         const float m = mid_hist_[g % delay_] * inv_level_;
         const float sv = side[j] * inv_level_;
-        pend_l_.push_back(m + sv);
-        pend_r_.push_back(m - sv);
+        pend_l_[pending_] = m + sv;
+        pend_r_[pending_++] = m - sv;
       }
       mid_hist_[g % delay_] = mid[j];
     }
@@ -140,43 +158,43 @@ void StereoStreamDecoder::process_chain(std::span<const float> mpx,
     for (std::size_t j = 0; j < n; ++j) {
       const float m = mid[j] * inv_level_;
       const float sv = 0.0F * inv_level_;
-      pend_l_.push_back(m + sv);
+      pend_l_[pending_++] = m + sv;
     }
   }
   processed_ += n;
   drain(left, right);
 }
 
+/// Decimates every whole stride of the pending L/R straight onto the end of
+/// the caller's audio and moves the remainder to the front.
 void StereoStreamDecoder::drain(dsp::rvec& left, dsp::rvec& right) {
-  const std::size_t len = pend_l_.size() / decim_ * decim_;
+  const std::size_t len = pending_ / decim_ * decim_;
   if (len == 0) return;
-  dsp::rvec out_l =
-      dec_l_->process(std::span<const float>(pend_l_.data(), len));
-  if (de_l_) out_l = de_l_->process(out_l);
-  left.insert(left.end(), out_l.begin(), out_l.end());
-  pend_l_.erase(pend_l_.begin(),
-                pend_l_.begin() + static_cast<std::ptrdiff_t>(len));
-  if (!stereo_mode_) {
-    right.insert(right.end(), out_l.begin(), out_l.end());
-    return;
+  const auto decimate = [&](dsp::FirDecimator<float>& dec,
+                            std::optional<DeEmphasis>& de,
+                            std::vector<float>& pend, dsp::rvec& audio) {
+    const std::size_t at = audio.size();
+    audio.resize(at + len / decim_);
+    const std::span<float> out = std::span<float>(audio).subspan(at);
+    dec.process_into(std::span<const float>(pend).first(len), out);
+    if (de) de->process_inplace(out);
+    std::copy(pend.begin() + static_cast<std::ptrdiff_t>(len),
+              pend.begin() + static_cast<std::ptrdiff_t>(pending_),
+              pend.begin());
+  };
+  decimate(*dec_l_, de_l_, pend_l_, left);
+  if (stereo_mode_) {
+    decimate(*dec_r_, de_r_, pend_r_, right);
+  } else {
+    const auto emitted = static_cast<std::ptrdiff_t>(len / decim_);
+    right.insert(right.end(), left.end() - emitted, left.end());
   }
-  dsp::rvec out_r =
-      dec_r_->process(std::span<const float>(pend_r_.data(), len));
-  if (de_r_) out_r = de_r_->process(out_r);
-  right.insert(right.end(), out_r.begin(), out_r.end());
-  pend_r_.erase(pend_r_.begin(), pend_r_.begin() + static_cast<std::ptrdiff_t>(len));
+  pending_ -= len;
 }
 
 void StereoStreamDecoder::flush_decision(dsp::rvec& left, dsp::rvec& right) {
   decide();
-  // The chain is causal, so feeding the buffered window through it a block
-  // at a time changes no sample and keeps its scratch block-sized even when
-  // the window is the whole capture.
-  const std::span<const float> window(decision_buf_);
-  for (std::size_t at = 0; at < window.size(); at += kFlushBlock) {
-    process_chain(window.subspan(at, std::min(kFlushBlock, window.size() - at)),
-                  left, right);
-  }
+  process_chain(decision_buf_, left, right);
   std::vector<float>().swap(decision_buf_);  // decision memory is released
 }
 
@@ -204,13 +222,13 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
   if (stereo_mode_) {
     // The one-shot decoder zero-pads the realigned side past the capture:
     // the last `delay_` outputs carry side = 0 and the mids still in the
-    // ring.
+    // ring (shorter than a chain block, so the pending L/R hold them all).
     const std::size_t tail = std::min(processed_, delay_);
     for (std::size_t i = processed_ - tail; i < processed_; ++i) {
       const float m = mid_hist_[i % delay_] * inv_level_;
       const float sv = 0.0F * inv_level_;
-      pend_l_.push_back(m + sv);
-      pend_r_.push_back(m - sv);
+      pend_l_[pending_] = m + sv;
+      pend_r_[pending_++] = m - sv;
     }
   }
   drain(left, right);

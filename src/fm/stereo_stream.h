@@ -11,6 +11,12 @@
 // byte-identical to the one-shot decoder whenever the decision window covers
 // the capture (every committed golden scenario), and O(window) memory on
 // long runs where the one-shot decoder would hold the whole MPX.
+//
+// Every stage of the chain is a block method (dsp/fir.h, dsp/iir.h) that
+// gives the same bytes however its stream is cut, so the decoder walks each
+// block in chain blocks of 480 MPX samples through scratch of that size,
+// and keeps only the fewer-than-M-sample decimation remainder between
+// calls.
 #pragma once
 
 #include <cstddef>
@@ -62,6 +68,8 @@ class StereoStreamDecoder {
   void flush_decision(dsp::rvec& left, dsp::rvec& right);
   void process_chain(std::span<const float> mpx, dsp::rvec& left,
                      dsp::rvec& right);
+  void chain_block(std::span<const float> mpx, dsp::rvec& left,
+                   dsp::rvec& right);
   void drain(dsp::rvec& left, dsp::rvec& right);
 
   StereoDecoderConfig cfg_;
@@ -84,10 +92,14 @@ class StereoStreamDecoder {
   std::size_t delay_ = 0;             // (channel filter taps - 1) / 2
   std::vector<float> carrier_hist_;   // regenerated 38 kHz carrier, delayed
   std::vector<float> mid_hist_;       // mid samples awaiting realigned side
-  std::vector<float> product_;        // per-block scratch
   std::size_t processed_ = 0;         // MPX samples through the chain
 
-  std::vector<float> pend_l_, pend_r_;  // pre-decimation remainder
+  // Chain scratch, one chain block each: mid, subband (then the product),
+  // side, and the realigned L/R awaiting decimation, of which the first
+  // pending_ samples are live (fewer than decim_ between calls).
+  std::vector<float> mid_, sub_, side_;
+  std::vector<float> pend_l_, pend_r_;
+  std::size_t pending_ = 0;
   std::optional<dsp::FirDecimator<float>> dec_l_, dec_r_;
   std::optional<DeEmphasis> de_l_, de_r_;
 };

@@ -122,7 +122,7 @@ CooperativeResult cancel_ambient(const audio::MonoBuffer& phone1,
 
   if (config.notch_pilot) {
     dsp::Biquad notch(dsp::biquad_notch(config.pilot.pilot_hz / rate, 8.0));
-    down = notch.process(down);
+    notch.process_inplace(down);
   }
 
   CooperativeResult result;

@@ -27,13 +27,11 @@ void PhoneChainStream::process_inplace(std::span<float> audio) {
   // Same per-index order as apply_phone_chain's three passes: the cascade
   // never touches the RNG and the AGC sees the noise-added stream, so
   // interleaving the passes per block keeps every sequence identical.
-  for (auto& v : audio) v = lowpass_.process_sample(v);
+  lowpass_.process_inplace(audio);
   if (add_noise_) {
     for (auto& v : audio) v += noise_(rng_);
   }
-  if (agc_) {
-    for (auto& v : audio) v = agc_->process_sample(v);
-  }
+  if (agc_) agc_->process_inplace(audio);
 }
 
 CabinAcousticsStream::CabinAcousticsStream(const CabinConfig& config,

@@ -31,7 +31,8 @@ std::vector<float> process_channel(const std::vector<float>& in, double rate,
                                    const PhoneChainConfig& cfg,
                                    std::uint64_t noise_seed) {
   dsp::BiquadCascade lp(butterworth_lowpass(cfg.cutoff_hz / rate, cfg.filter_order));
-  std::vector<float> out = lp.process(in);
+  std::vector<float> out = in;
+  lp.process_inplace(out);
   if (cfg.codec_noise_rms > 0.0) {
     std::mt19937_64 rng(noise_seed);
     std::normal_distribution<float> n(0.0F, static_cast<float>(cfg.codec_noise_rms));
@@ -39,7 +40,7 @@ std::vector<float> process_channel(const std::vector<float>& in, double rate,
   }
   if (cfg.enable_agc) {
     dsp::Agc agc(cfg.agc, rate);
-    out = agc.process(out);
+    agc.process_inplace(out);
   }
   return out;
 }

@@ -46,15 +46,17 @@ void RdsStreamDecoder::push(std::span<const float> mpx) {
   // Front end of fm::decode_rds, block-streamed: complex downconversion of
   // the 57 kHz subcarrier (the mixer's phase started at the window begin,
   // exactly where the one-shot decoder starts it) into the persistent
-  // low-pass. Block-fed FIR state makes the chunked output bit-identical to
-  // one-shot filtering of the whole window.
+  // low-pass, which filters straight onto the end of the window's baseband.
+  // Block-fed FIR state makes the chunked output bit-identical to one-shot
+  // filtering of the whole window.
   work_.resize(to - from);
   for (std::size_t i = 0; i < work_.size(); ++i) {
     work_[i] = dsp::cfloat(mpx[from - block_lo + i], 0.0F);
   }
   mixer_.process_inplace(work_);
-  const dsp::cvec filtered = lowpass_.process(work_);
-  base_.insert(base_.end(), filtered.begin(), filtered.end());
+  base_.resize(filtered_ + work_.size());
+  lowpass_.process_into(work_,
+                        std::span<dsp::cfloat>(base_).subspan(filtered_));
   filtered_ += to - from;
 }
 

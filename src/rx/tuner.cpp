@@ -102,11 +102,14 @@ dsp::cvec Tuner::process(std::span<const dsp::cfloat> rf) {
     throw std::invalid_argument(
         "Tuner: block not a multiple of the decimation");
   }
+  dsp::cvec out(rf.size() / factor_);
   // A channel already at DC needs no shift: decimate straight from the input.
-  if (cfg_.offset_hz == 0.0) return decimator_.process(rf);
+  if (cfg_.offset_hz == 0.0) {
+    decimator_.process_into(rf, out);
+    return out;
+  }
   // Otherwise shift a cache-sized chunk at a time through work_, so no copy
   // of the whole block is made; process_into does not depend on the cut.
-  dsp::cvec out(rf.size() / factor_);
   const std::size_t chunk = kProcessChunkOut * factor_;
   work_.resize(std::min(chunk, rf.size()));
   for (std::size_t at = 0; at < rf.size(); at += chunk) {

@@ -40,16 +40,14 @@ class Tuner {
   /// of the Gaussian draws of noising the RF stream.
   const std::vector<float>& noise_shaping_taps() const { return noise_shaper_; }
 
-  /// Processes an RF block; block length must be a multiple of decimation().
-  /// Off-DC channels are shifted through a scratch of at most
-  /// kProcessChunkOut * decimation() samples, not a copy of the block.
-  dsp::cvec process(std::span<const dsp::cfloat> rf);
-
-  /// Allocation-free variant for a caller's scratch block: mixes `rf` in
+  /// The one block method, over a caller's scratch block: mixes `rf` in
   /// place (leaving it shifted to the channel) and decimates it into `out`,
-  /// rf.size() / decimation() samples. Bit-identical to process() however
-  /// the stream is cut into blocks.
+  /// rf.size() / decimation() samples; rf.size() must be a multiple of
+  /// decimation(). The same bytes however the stream is cut into blocks.
   void process_into(std::span<dsp::cfloat> rf, std::span<dsp::cfloat> out);
+
+  // Stays for perfbench until ROADMAP item 1b; nothing else calls it.
+  dsp::cvec process(std::span<const dsp::cfloat> rf);
 
  private:
   static constexpr std::size_t kProcessChunkOut = 1024;

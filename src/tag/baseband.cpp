@@ -27,7 +27,9 @@ dsp::rvec upsample_to_mpx(const audio::MonoBuffer& content, double mpx_rate) {
       dsp::fir_design_lowpass((16 * factor) | 1U,
                               0.45 / static_cast<double>(factor)),
       factor);
-  return interp.process(content.samples);
+  dsp::rvec out(content.samples.size() * factor);
+  interp.process_into(content.samples, out);
+  return out;
 }
 
 }  // namespace

@@ -65,16 +65,16 @@ class SubcarrierGenerator {
   /// Number of synthesized odd harmonics (1 means fundamental only).
   int harmonics_used() const { return harmonics_; }
 
-  /// Generates B(t) for one baseband block. Output length is
-  /// block.size() * (rf_rate / baseband_rate).
-  dsp::cvec process(std::span<const float> baseband);
-
-  /// Generates into a caller-provided buffer of that output length. The
-  /// output is a pure function of the sample stream, however it is cut into
-  /// calls, as long as every call but the last spans a multiple of four RF
-  /// samples (the vector sincos groups).
+  /// Generates B(t) for one baseband block into a caller-provided buffer of
+  /// baseband.size() * (rf_rate / baseband_rate) samples: the one block
+  /// method. The output is a pure function of the sample stream, however it
+  /// is cut into calls, as long as every call but the last spans a multiple
+  /// of four RF samples (the vector sincos groups).
   void process_into(std::span<const float> baseband,
                     std::span<dsp::cfloat> out);
+
+  // Stays for perfbench until ROADMAP item 1b; nothing else calls it.
+  dsp::cvec process(std::span<const float> baseband);
 
  private:
   SubcarrierConfig cfg_;

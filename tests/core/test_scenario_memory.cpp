@@ -26,7 +26,9 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <vector>
 
+#include "core/receiver_decode.h"
 #include "core/scenario.h"
 #include "core/scene_render.h"
 #include "dsp/types.h"
@@ -181,6 +183,64 @@ TEST(ScenarioMemory, OneSecondStationRenderHoldsNoIq) {
   const std::size_t held = g_live.load() - before;
   ASSERT_EQ(render->mpx.size(), static_cast<std::size_t>(fm::kMpxRate));
   EXPECT_LT(held, 2U << 20) << "a 1 s station render holds " << held << " B";
+}
+
+// A receiver decodes each block in kSubBlockMpx sub-blocks through member
+// scratch, like the renderer that produced it: once the pilot decision is
+// made, decoding a whole block never holds as much as one block of floats
+// on top of what the decoder already owns. Decoding the block whole held
+// the demodulated MPX and the stereo chain's mid, subband and side at once,
+// four block-sized buffers (96 KB each) before the decimators' and the
+// device chain's.
+TEST(ScenarioMemory, ReceiverDecoderPushStagesSubBlocks) {
+  Scenario sc;
+  sc.name = "decode_probe";
+  sc.seed = 12;
+  sc.station.program.genre = audio::ProgramGenre::kPop;
+  sc.station.program.stereo = true;
+  sc.station.seed = 4343;
+  sc.duration = units::Seconds{0.5};
+  ScenarioReceiver phone;
+  phone.name = "station-phone";
+  phone.tune_offset = units::Hertz{0.0};
+  sc.receivers.push_back(phone);
+  const ScenarioPlan plan = resolve_scenario_plan(sc);
+  SceneRenderer scene(sc, plan, SceneRendering::kSparse, std::nullopt);
+  std::vector<dsp::cvec> blocks(scene.num_blocks());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::vector<dsp::cvec> out;
+    scene.render_block(b, out);
+    blocks[b] = std::move(out[0]);
+  }
+  constexpr std::size_t kMeasured = 4;  // the decision closes in block 1
+  ASSERT_GT(blocks.size(), kMeasured);
+
+  // The probe drives its decoder past a 0.2 s pilot decision, keeping no
+  // capture; a twin that keeps one confirms the chain went stereo.
+  const units::Seconds decision{0.2};
+  const units::Seconds whole_capture{-1.0};
+  ReceiverDecoder probe(sc, plan, scene, 0, decision, whole_capture, nullptr,
+                        false);
+  ReceiverDecoder twin(sc, plan, scene, 0, decision, whole_capture, nullptr,
+                       true);
+  std::size_t transient = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const double now = static_cast<double>(b + 1) * kBlockSeconds;
+    dsp::cvec iq = blocks[b];
+    dsp::cvec twin_iq = blocks[b];
+    const std::size_t baseline = g_live.load();
+    g_peak.store(baseline);
+    probe.push(iq, now);
+    if (b == kMeasured) transient = g_peak.load() - baseline;
+    twin.push(twin_iq, now);
+  }
+  ScenarioReceiverResult rr;
+  twin.finish(static_cast<double>(blocks.size()) * kBlockSeconds, rr);
+  ASSERT_TRUE(rr.capture.fm.stereo_mode)
+      << "the probe must run the stereo chain";
+
+  EXPECT_LT(transient, kBlockMpx * sizeof(float))
+      << "a steady-state push allocated " << transient << " B on top";
 }
 
 }  // namespace

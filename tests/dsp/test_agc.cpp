@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dsp/math_util.h"
+#include "support/run_stage.h"
 
 namespace fmbs::dsp {
 namespace {
@@ -22,7 +23,7 @@ TEST(Agc, ConvergesToTargetRms) {
   cfg.target_rms = 0.25;
   Agc agc(cfg, 48000.0);
   const auto x = tone(0.05, 96000);  // quiet input
-  const auto y = agc.process(x);
+  const auto y = test::run_stage(agc, x);
   // Measure tail RMS after convergence.
   double acc = 0.0;
   const std::size_t tail = y.size() / 2;
@@ -36,9 +37,9 @@ TEST(Agc, ConvergesToTargetRms) {
 TEST(Agc, GainDropsWhenSignalGetsLouder) {
   Agc::Config cfg;
   Agc agc(cfg, 48000.0);
-  (void)agc.process(tone(0.1, 48000));
+  (void)test::run_stage(agc, tone(0.1, 48000));
   const double gain_quiet = agc.gain();
-  (void)agc.process(tone(0.8, 48000));
+  (void)test::run_stage(agc, tone(0.8, 48000));
   const double gain_loud = agc.gain();
   EXPECT_LT(gain_loud, gain_quiet);
 }
@@ -48,9 +49,9 @@ TEST(Agc, RespectsGainLimits) {
   cfg.min_gain = 0.5;
   cfg.max_gain = 2.0;
   Agc agc(cfg, 48000.0);
-  (void)agc.process(tone(1e-4, 48000));  // would need gain >> 2
+  (void)test::run_stage(agc, tone(1e-4, 48000));  // would need gain >> 2
   EXPECT_LE(agc.gain(), 2.0 + 1e-9);
-  (void)agc.process(tone(10.0, 48000));  // would need gain << 0.5
+  (void)test::run_stage(agc, tone(10.0, 48000));  // would need gain << 0.5
   EXPECT_GE(agc.gain(), 0.5 - 1e-9);
 }
 
@@ -59,22 +60,22 @@ TEST(Agc, AttackFasterThanRelease) {
   cfg.attack_seconds = 0.01;
   cfg.release_seconds = 0.5;
   Agc agc(cfg, 48000.0);
-  (void)agc.process(tone(0.1, 96000));
+  (void)test::run_stage(agc, tone(0.1, 96000));
   const double g0 = agc.gain();
   // A loud burst: gain should drop quickly (attack)...
-  (void)agc.process(tone(1.0, 4800));  // 100 ms
+  (void)test::run_stage(agc, tone(1.0, 4800));  // 100 ms
   const double g_after_burst = agc.gain();
   EXPECT_LT(g_after_burst, g0 * 0.7);
   // ...then recover slowly (release): after another 100 ms of quiet it
   // should NOT be back to g0 yet.
-  (void)agc.process(tone(0.1, 4800));
+  (void)test::run_stage(agc, tone(0.1, 4800));
   EXPECT_LT(agc.gain(), g0 * 0.9);
 }
 
 TEST(Agc, ResetRestoresInitialState) {
   Agc::Config cfg;
   Agc agc(cfg, 48000.0);
-  (void)agc.process(tone(1.0, 48000));
+  (void)test::run_stage(agc, tone(1.0, 48000));
   agc.reset();
   EXPECT_NEAR(agc.gain(), 1.0, 1e-12);
 }

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "dsp/math_util.h"
+#include "support/run_stage.h"
 
 namespace fmbs::dsp {
 namespace {
@@ -62,7 +63,7 @@ TEST(FirFilter, ImpulseResponseEqualsTaps) {
   FirFilter<float> filt(taps);
   std::vector<float> impulse(8, 0.0F);
   impulse[0] = 1.0F;
-  const auto out = filt.process(impulse);
+  const auto out = test::run_stage(filt, impulse);
   EXPECT_NEAR(out[0], 0.5F, 1e-6F);
   EXPECT_NEAR(out[1], 0.25F, 1e-6F);
   EXPECT_NEAR(out[2], 0.125F, 1e-6F);
@@ -77,14 +78,14 @@ TEST(FirFilter, BlockBoundariesSeamless) {
   for (auto& v : x) v = u(rng);
 
   FirFilter<float> whole(taps);
-  const auto ref = whole.process(x);
+  const auto ref = test::run_stage(whole, x);
 
   FirFilter<float> chunked(taps);
   std::vector<float> got;
   for (std::size_t start = 0; start < x.size(); start += 37) {
     const std::size_t len = std::min<std::size_t>(37, x.size() - start);
-    const auto part = chunked.process(
-        std::span<const float>(x.data() + start, len));
+    const auto part = test::run_stage(
+        chunked, std::span<const float>(x.data() + start, len));
     got.insert(got.end(), part.begin(), part.end());
   }
   ASSERT_EQ(got.size(), ref.size());
@@ -97,7 +98,7 @@ TEST(FirFilter, ComplexSamplesWork) {
   const auto taps = fir_design_lowpass(21, 0.25);
   FirFilter<cfloat> filt(taps);
   cvec x(64, cfloat(1.0F, -1.0F));
-  const auto out = filt.process(x);
+  const auto out = test::run_stage(filt, x);
   // DC gain 1: steady state should approach the input value.
   EXPECT_NEAR(out.back().real(), 1.0F, 1e-3F);
   EXPECT_NEAR(out.back().imag(), -1.0F, 1e-3F);
@@ -107,9 +108,9 @@ TEST(FirFilter, ResetClearsHistory) {
   const std::vector<float> taps{1.0F, 1.0F};
   FirFilter<float> filt(taps);
   std::vector<float> ones(4, 1.0F);
-  (void)filt.process(ones);
+  (void)test::run_stage(filt, ones);
   filt.reset();
-  const auto out = filt.process(ones);
+  const auto out = test::run_stage(filt, ones);
   EXPECT_NEAR(out[0], 1.0F, 1e-6F);  // history zero again
 }
 
@@ -121,9 +122,9 @@ TEST(FirDecimator, MatchesFilterThenKeep) {
   for (auto& v : x) v = u(rng);
 
   FirFilter<float> full(taps);
-  const auto filtered = full.process(x);
+  const auto filtered = test::run_stage(full, x);
   FirDecimator<float> dec(taps, 5);
-  const auto decimated = dec.process(x);
+  const auto decimated = test::run_stage(dec, x);
   ASSERT_EQ(decimated.size(), x.size() / 5);
   for (std::size_t i = 0; i < decimated.size(); ++i) {
     EXPECT_NEAR(decimated[i], filtered[i * 5], 1e-5F);
@@ -133,7 +134,7 @@ TEST(FirDecimator, MatchesFilterThenKeep) {
 TEST(FirDecimator, RejectsBadBlocks) {
   FirDecimator<float> dec(fir_design_lowpass(11, 0.1), 4);
   std::vector<float> x(10);
-  EXPECT_THROW(dec.process(x), std::invalid_argument);
+  EXPECT_THROW(test::run_stage(dec, x), std::invalid_argument);
 }
 
 TEST(FirInterpolator, PreservesAmplitudeAndSpectrum) {
@@ -145,7 +146,7 @@ TEST(FirInterpolator, PreservesAmplitudeAndSpectrum) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = std::sin(static_cast<float>(kTwoPi * 0.01 * i));
   }
-  const auto y = interp.process(x);
+  const auto y = test::run_stage(interp, x);
   ASSERT_EQ(y.size(), x.size() * factor);
   float peak = 0.0F;
   for (std::size_t i = y.size() / 2; i < y.size(); ++i) {
@@ -163,12 +164,13 @@ TEST(FirInterpolator, StreamingMatchesOneShot) {
   for (auto& v : x) v = u(rng);
 
   FirInterpolator<float> whole(proto, factor);
-  const auto ref = whole.process(x);
+  const auto ref = test::run_stage(whole, x);
   FirInterpolator<float> chunked(proto, factor);
   std::vector<float> got;
   for (std::size_t start = 0; start < x.size(); start += 17) {
     const std::size_t len = std::min<std::size_t>(17, x.size() - start);
-    const auto part = chunked.process(std::span<const float>(x.data() + start, len));
+    const auto part = test::run_stage(
+        chunked, std::span<const float>(x.data() + start, len));
     got.insert(got.end(), part.begin(), part.end());
   }
   ASSERT_EQ(got.size(), ref.size());
@@ -187,8 +189,8 @@ TEST(FirInterpolator, InterpolateThenDecimateIsNearIdentity) {
     x[i] = std::sin(static_cast<float>(kTwoPi * 0.02 * i)) +
            0.5F * std::sin(static_cast<float>(kTwoPi * 0.07 * i));
   }
-  const auto hi = up.process(x);
-  const auto back = down.process(hi);
+  const auto hi = test::run_stage(up, x);
+  const auto back = test::run_stage(down, hi);
   // Compare mid-signal (skip both filters' group delays).
   const std::size_t delay = (proto.size() - 1) / factor;  // in low-rate samples
   double err = 0.0, ref = 0.0;

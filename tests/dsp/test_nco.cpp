@@ -10,6 +10,7 @@
 
 #include "dsp/goertzel.h"
 #include "dsp/math_util.h"
+#include "support/run_stage.h"
 
 namespace fmbs::dsp {
 namespace {
@@ -107,15 +108,15 @@ TEST(Mixer, DownShiftToDc) {
 void expect_same_when_cut(double freq, double fs, double phase, const cvec& x,
                           const std::vector<std::size_t>& sizes) {
   Mixer whole(freq, fs, phase);
-  const cvec ref = whole.process(x);
+  const cvec ref = test::run_stage(whole, x);
   Mixer chunked(freq, fs, phase);
   cvec got;
   std::size_t next = 0;
   for (std::size_t start = 0; start < x.size();) {
     const std::size_t len =
         std::min(sizes[next++ % sizes.size()], x.size() - start);
-    const cvec part =
-        chunked.process(std::span<const cfloat>(x.data() + start, len));
+    const cvec part = test::run_stage(
+        chunked, std::span<const cfloat>(x.data() + start, len));
     got.insert(got.end(), part.begin(), part.end());
     start += len;
   }

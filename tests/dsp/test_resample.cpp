@@ -64,34 +64,5 @@ TEST(DownsampleKeep, InverseOfUpsampleLinear) {
   }
 }
 
-TEST(ResampleRational, UpsampleByTwoKeepsTone) {
-  const auto x = tone(1000.0, 24000.0, 4800);
-  const auto y = resample_rational(x, 2, 1);
-  EXPECT_NEAR(static_cast<double>(y.size()), 9600.0, 16.0);
-  EXPECT_NEAR(goertzel_power(y, 1000.0, 48000.0), 0.25, 0.03);
-}
-
-TEST(ResampleRational, FortyFourOneToFortyEight) {
-  // The classic audio conversion 44.1 kHz -> 48 kHz is 160/147.
-  const auto x = tone(997.0, 44100.0, 44100);
-  const auto y = resample_rational(x, 160, 147);
-  EXPECT_NEAR(static_cast<double>(y.size()), 48000.0, 200.0);
-  EXPECT_NEAR(goertzel_power(y, 997.0, 48000.0), 0.25, 0.03);
-}
-
-TEST(ResampleRational, ReducesGcdInternally) {
-  const auto x = tone(100.0, 8000.0, 800);
-  const auto a = resample_rational(x, 4, 2);
-  const auto b = resample_rational(x, 2, 1);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-5F);
-}
-
-TEST(ResampleRational, Validation) {
-  const std::vector<float> x{1.0F};
-  EXPECT_THROW(resample_rational(x, 0, 1), std::invalid_argument);
-  EXPECT_THROW(resample_rational(x, 1, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fmbs::dsp

@@ -28,6 +28,7 @@
 #include "dsp/nco.h"
 #include "dsp/simd.h"
 #include "dsp/types.h"
+#include "support/run_stage.h"
 #include "tag/subcarrier.h"
 
 namespace fmbs {
@@ -242,7 +243,7 @@ TEST(SimdKernels, FirFilterFloatBitIdentical) {
   const auto taps = dsp::fir_design_lowpass(37, 0.2);
   const auto x = random_floats(517, 21);
   dsp::FirFilter<float> filt(taps);
-  const auto got = filt.process(x);
+  const auto got = test::run_stage(filt, x);
   const auto ref = fir_reference(x, taps);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -254,7 +255,7 @@ TEST(SimdKernels, FirFilterComplexBitIdentical) {
   const auto taps = dsp::fir_design_lowpass(33, 0.15);
   const dsp::cvec x = random_complex(259, 22);
   dsp::FirFilter<dsp::cfloat> filt(taps);
-  const auto got = filt.process(x);
+  const auto got = test::run_stage(filt, x);
   const std::vector<dsp::cfloat> xv(x.begin(), x.end());
   const auto ref = fir_reference(xv, taps);
   ASSERT_EQ(got.size(), ref.size());
@@ -267,7 +268,7 @@ TEST(SimdKernels, FirDecimatorBitIdentical) {
   const auto taps = dsp::fir_design_lowpass(31, 0.08);
   const dsp::cvec x = random_complex(400, 23);
   dsp::FirDecimator<dsp::cfloat> dec(taps, 5);
-  const auto got = dec.process(x);
+  const auto got = test::run_stage(dec, x);
   const std::vector<dsp::cfloat> xv(x.begin(), x.end());
   const auto full = fir_reference(xv, taps);
   ASSERT_EQ(got.size(), x.size() / 5);
@@ -283,8 +284,9 @@ TEST(SimdKernels, FirDecimatorFloatBitIdentical) {
   const auto taps = dsp::fir_design_lowpass(127, 0.45 / factor);
   const auto x = random_floats(1685, 25);
   dsp::FirDecimator<float> dec(taps, factor);
-  auto got = dec.process(std::span<const float>(x.data(), 485));
-  const auto second = dec.process(std::span<const float>(x).subspan(485));
+  auto got = test::run_stage(dec, std::span<const float>(x.data(), 485));
+  const auto second =
+      test::run_stage(dec, std::span<const float>(x).subspan(485));
   got.insert(got.end(), second.begin(), second.end());
   const auto full = fir_reference(x, taps);
   ASSERT_EQ(got.size(), x.size() / factor);
@@ -302,7 +304,7 @@ void expect_decimator_cut_invariant(std::size_t factor, std::size_t nt,
                                     const std::vector<Sample>& x) {
   const auto taps = dsp::fir_design_lowpass(nt, 0.45 / factor);
   dsp::FirDecimator<Sample> whole(taps, factor);
-  const std::vector<Sample> ref = whole.process(x);
+  const std::vector<Sample> ref = test::run_stage(whole, x);
   std::mt19937 rng(7);
   std::uniform_int_distribution<std::size_t> cut_frames(0, 3 * nt / factor);
   for (int trial = 0; trial < 20; ++trial) {
@@ -312,7 +314,7 @@ void expect_decimator_cut_invariant(std::size_t factor, std::size_t nt,
       const std::size_t len =
           std::min(cut_frames(rng) * factor, x.size() - at);
       const std::vector<Sample> part =
-          dec.process(std::span<const Sample>(x).subspan(at, len));
+          test::run_stage(dec, std::span<const Sample>(x).subspan(at, len));
       got.insert(got.end(), part.begin(), part.end());
       at += len;
     }
@@ -335,7 +337,7 @@ TEST(SimdKernels, FirInterpolatorBitIdentical) {
   auto proto = dsp::fir_design_lowpass(16 * factor + 1, 0.45 / factor);
   const dsp::cvec x = random_complex(203, 24);
   dsp::FirInterpolator<dsp::cfloat> interp(proto, factor);
-  const auto got = interp.process(x);
+  const auto got = test::run_stage(interp, x);
 
   // Reference: the polyphase decomposition evaluated one output at a time.
   const std::size_t padded = (proto.size() + factor - 1) / factor * factor;
@@ -396,7 +398,7 @@ dsp::cvec subcarrier_reference(const tag::SubcarrierConfig& cfg, int harmonics,
                   : dsp::fir_design_lowpass((16 * factor) | 1U,
                                             0.45 / static_cast<double>(factor)),
       factor);
-  const dsp::rvec up = interp.process(baseband);
+  const dsp::rvec up = test::run_stage(interp, baseband);
   const double base_step = dsp::kTwoPi * cfg.shift.raw() / cfg.rf_rate;
   const double dev_step = dsp::kTwoPi * cfg.deviation.raw() / cfg.rf_rate;
   const double levels =
@@ -438,7 +440,7 @@ TEST(SimdKernels, SubcarrierSquarePinnedToScalarReference) {
   tag::SubcarrierGenerator gen(cfg);
   ASSERT_GE(gen.harmonics_used(), 3) << "config should synthesize harmonics";
   const auto bb = random_floats(480, 41);
-  const auto got = gen.process(bb);
+  const auto got = test::run_stage(gen, bb);
   const auto ref = subcarrier_reference(cfg, gen.harmonics_used(), bb);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -452,7 +454,7 @@ TEST(SimdKernels, SubcarrierSsbPinnedToScalarReference) {
   cfg.mode = tag::SubcarrierMode::kSingleSideband;
   tag::SubcarrierGenerator gen(cfg);
   const auto bb = random_floats(480, 42);
-  const auto got = gen.process(bb);
+  const auto got = test::run_stage(gen, bb);
   const auto ref = subcarrier_reference(cfg, gen.harmonics_used(), bb);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -469,7 +471,7 @@ TEST(SimdKernels, SubcarrierHardSquareStaysBitExact) {
   cfg.mode = tag::SubcarrierMode::kHardSquare;
   tag::SubcarrierGenerator gen(cfg);
   const auto bb = random_floats(480, 43);
-  const auto got = gen.process(bb);
+  const auto got = test::run_stage(gen, bb);
   const auto ref = subcarrier_reference(cfg, gen.harmonics_used(), bb);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < got.size(); ++i) {

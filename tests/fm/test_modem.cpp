@@ -7,6 +7,7 @@
 #include "dsp/spectrum.h"
 #include "fm/demodulator.h"
 #include "fm/modulator.h"
+#include "support/run_stage.h"
 
 namespace fmbs::fm {
 namespace {
@@ -16,7 +17,7 @@ using audio::make_tone;
 TEST(FmModulator, UnitEnvelope) {
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   const auto t = make_tone(1000.0, 0.8, 0.1, kMpxRate);
-  const auto iq = mod.process(t.samples);
+  const auto iq = test::run_stage(mod, t.samples);
   for (const auto& v : iq) {
     EXPECT_NEAR(std::abs(v), 1.0F, 1e-4F);
   }
@@ -27,7 +28,7 @@ TEST(FmModulator, CarsonBandwidth) {
   // 2(75+15) = 180 kHz.
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   const auto t = make_tone(15000.0, 1.0, 0.5, kMpxRate);
-  const auto iq = mod.process(t.samples);
+  const auto iq = test::run_stage(mod, t.samples);
   // Measure occupied bandwidth from the complex spectrum: power outside
   // +-120 kHz should be tiny, power inside +-90 kHz nearly total.
   std::vector<float> re(iq.size());
@@ -47,8 +48,8 @@ TEST(FmModem, RoundTripRecoversBaseband) {
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   QuadratureDemodulator demod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   const auto t = make_tone(7000.0, 0.7, 0.2, kMpxRate);
-  const auto iq = mod.process(t.samples);
-  const auto back = demod.process(iq);
+  const auto iq = test::run_stage(mod, t.samples);
+  const auto back = test::run_stage(demod, iq);
   ASSERT_EQ(back.size(), t.samples.size());
   // The discriminator measures the phase increment between samples, so its
   // output is the baseband delayed by exactly one sample.
@@ -67,8 +68,10 @@ TEST(FmModem, AmplitudeProportionalToDeviation) {
   // Demodulate both with the same receiver assumption (75 kHz).
   QuadratureDemodulator demod1( units::Hertz{75000.0}, kMpxRate);
   QuadratureDemodulator demod2( units::Hertz{75000.0}, kMpxRate);
-  const auto out_full = demod1.process(mod_full.process(t.samples));
-  const auto out_half = demod2.process(mod_half.process(t.samples));
+  const auto out_full =
+      test::run_stage(demod1, test::run_stage(mod_full, t.samples));
+  const auto out_half =
+      test::run_stage(demod2, test::run_stage(mod_half, t.samples));
   const double rms_full = dsp::rms({out_full.data() + 100, out_full.size() - 100});
   const double rms_half = dsp::rms({out_half.data() + 100, out_half.size() - 100});
   EXPECT_NEAR(rms_full / rms_half, 2.0, 0.05);
@@ -84,7 +87,7 @@ TEST(FmModem, FrequencyAdditionBecomesBasebandAddition) {
   for (std::size_t i = 0; i < sum.size(); ++i) sum[i] = a.samples[i] + b.samples[i];
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   QuadratureDemodulator demod( units::Hertz{kMaxDeviationHz}, kMpxRate);
-  const auto back = demod.process(mod.process(sum));
+  const auto back = test::run_stage(demod, test::run_stage(mod, sum));
   for (std::size_t i = 10; i < back.size(); ++i) {
     EXPECT_NEAR(back[i], sum[i - 1], 0.02F);
   }
@@ -95,10 +98,10 @@ TEST(FmModem, SurvivesPhaseRotation) {
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   QuadratureDemodulator demod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   const auto t = make_tone(3000.0, 0.6, 0.1, kMpxRate);
-  auto iq = mod.process(t.samples);
+  auto iq = test::run_stage(mod, t.samples);
   const dsp::cfloat rot(std::cos(1.234F), std::sin(1.234F));
   for (auto& v : iq) v *= rot;
-  const auto back = demod.process(iq);
+  const auto back = test::run_stage(demod, iq);
   for (std::size_t i = 10; i < back.size(); ++i) {
     EXPECT_NEAR(back[i], t.samples[i - 1], 0.01F);
   }
@@ -109,9 +112,9 @@ TEST(FmModem, SurvivesAmplitudeScaling) {
   FmModulator mod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   QuadratureDemodulator demod( units::Hertz{kMaxDeviationHz}, kMpxRate);
   const auto t = make_tone(3000.0, 0.6, 0.1, kMpxRate);
-  auto iq = mod.process(t.samples);
+  auto iq = test::run_stage(mod, t.samples);
   for (auto& v : iq) v *= 0.001F;
-  const auto back = demod.process(iq);
+  const auto back = test::run_stage(demod, iq);
   for (std::size_t i = 10; i < back.size(); ++i) {
     EXPECT_NEAR(back[i], t.samples[i - 1], 0.01F);
   }

@@ -8,6 +8,7 @@
 #include "dsp/spectrum.h"
 #include "fm/constants.h"
 #include "fm/emphasis.h"
+#include "support/run_stage.h"
 
 namespace fmbs::fm {
 namespace {
@@ -98,8 +99,8 @@ TEST(Emphasis, PreThenDeIsIdentity) {
   const MonoBuffer t = make_tone(5000.0, 0.5, 0.2, kAudioRate);
   PreEmphasis pre( units::Seconds{kDeemphasisSeconds}, kAudioRate);
   DeEmphasis de( units::Seconds{kDeemphasisSeconds}, kAudioRate);
-  const auto boosted = pre.process(t.samples);
-  const auto restored = de.process(boosted);
+  const auto boosted = test::run_stage(pre, t.samples);
+  const auto restored = test::run_stage(de, boosted);
   for (std::size_t i = 100; i < restored.size(); ++i) {
     EXPECT_NEAR(restored[i], t.samples[i], 5e-3F);
   }
@@ -108,7 +109,7 @@ TEST(Emphasis, PreThenDeIsIdentity) {
 TEST(Emphasis, PreEmphasisBoostsTreble) {
   PreEmphasis pre( units::Seconds{kDeemphasisSeconds}, kAudioRate);
   const MonoBuffer hi = make_tone(10000.0, 0.1, 0.2, kAudioRate);
-  const auto boosted = pre.process(hi.samples);
+  const auto boosted = test::run_stage(pre, hi.samples);
   double in = 0.0, out = 0.0;
   for (std::size_t i = boosted.size() / 2; i < boosted.size(); ++i) {
     in += static_cast<double>(hi.samples[i]) * hi.samples[i];
@@ -121,7 +122,7 @@ TEST(Emphasis, PreEmphasisBoostsTreble) {
 TEST(Emphasis, DeEmphasisCutsTreble) {
   DeEmphasis de( units::Seconds{kDeemphasisSeconds}, kAudioRate);
   const MonoBuffer hi = make_tone(10000.0, 0.5, 0.2, kAudioRate);
-  const auto cut = de.process(hi.samples);
+  const auto cut = test::run_stage(de, hi.samples);
   double in = 0.0, out = 0.0;
   for (std::size_t i = cut.size() / 2; i < cut.size(); ++i) {
     in += static_cast<double>(hi.samples[i]) * hi.samples[i];

@@ -9,6 +9,7 @@
 #include "fm/rds.h"
 #include "fm/stereo_decoder.h"
 #include "fm/transmitter.h"
+#include "support/run_stage.h"
 
 namespace fmbs::fm {
 namespace {
@@ -16,13 +17,13 @@ namespace {
 /// The station's carrier: its MPX through paper Eq. 1.
 dsp::cvec modulate(const StationConfig& cfg, const StationSignal& sig) {
   FmModulator mod(cfg.deviation, kMpxRate);
-  return mod.process(sig.mpx);
+  return test::run_stage(mod, sig.mpx);
 }
 
 /// The receiver front end: discriminator at the MPX rate.
 dsp::rvec discriminate(const dsp::cvec& iq) {
   QuadratureDemodulator demod(units::Hertz{kMaxDeviationHz}, kMpxRate);
-  return demod.process(iq);
+  return test::run_stage(demod, iq);
 }
 
 TEST(Station, RendersConsistentLengths) {

@@ -35,6 +35,7 @@
 #include "golden_scenarios.h"
 #include "rx/car.h"
 #include "rx/phone_chain.h"
+#include "support/run_stage.h"
 #include "tag/baseband.h"
 
 namespace fmbs::golden {
@@ -289,7 +290,7 @@ std::size_t expect_captures_match_reference(const core::Scenario& sc) {
     noise.add_to(iq[r]);
     fm::QuadratureDemodulator demod(units::Hertz{fm::kMaxDeviationHz},
                                     fm::kMpxRate);
-    const dsp::rvec mpx = demod.process(iq[r]);
+    const dsp::rvec mpx = test::run_stage(demod, iq[r]);
     fm::StereoDecoderConfig sdc = rx.stereo_decoder;
     sdc.mpx_rate = fm::kMpxRate;
     const fm::StereoDecodeResult decoded = fm::decode_stereo(mpx, sdc);

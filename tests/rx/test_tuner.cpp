@@ -12,6 +12,7 @@
 #include "dsp/math_util.h"
 #include "dsp/nco.h"
 #include "dsp/spectrum.h"
+#include "support/run_stage.h"
 
 namespace fmbs::rx {
 namespace {
@@ -27,7 +28,7 @@ TEST(Tuner, ShiftsWantedChannelToDc) {
   // A tone exactly at the offset becomes DC after tuning.
   dsp::Oscillator osc(600000.0, cfg.rf_rate);
   const dsp::cvec rf = osc.block_complex(240000);
-  const dsp::cvec out = tuner.process(rf);
+  const dsp::cvec out = test::run_stage(tuner, rf);
   ASSERT_EQ(out.size(), 24000U);
   // After settle, the output should be constant (DC) with near-unity power.
   double p = 0.0;
@@ -45,7 +46,7 @@ TEST(Tuner, RejectsAdjacentChannel) {
   TunerConfig cfg;
   Tuner tuner(cfg);
   dsp::cvec rf(240000, dsp::cfloat(1.0F, 0.0F));  // carrier at 0 Hz
-  const dsp::cvec out = tuner.process(rf);
+  const dsp::cvec out = test::run_stage(tuner, rf);
   double p = 0.0;
   for (std::size_t i = out.size() / 2; i < out.size(); ++i) p += std::norm(out[i]);
   p /= static_cast<double>(out.size() / 2);
@@ -59,7 +60,7 @@ TEST(Tuner, PassbandIsFlatEnough) {
   Tuner tuner(cfg);
   dsp::Oscillator osc(680000.0, cfg.rf_rate);
   const dsp::cvec rf = osc.block_complex(240000);
-  const dsp::cvec out = tuner.process(rf);
+  const dsp::cvec out = test::run_stage(tuner, rf);
   double p = 0.0;
   for (std::size_t i = out.size() / 2; i < out.size(); ++i) p += std::norm(out[i]);
   p /= static_cast<double>(out.size() / 2);
@@ -69,14 +70,14 @@ TEST(Tuner, PassbandIsFlatEnough) {
 TEST(Tuner, BlockSizeValidation) {
   Tuner tuner{TunerConfig{}};
   dsp::cvec bad(1001);
-  EXPECT_THROW(tuner.process(bad), std::invalid_argument);
+  EXPECT_THROW(test::run_stage(tuner, bad), std::invalid_argument);
   dsp::cvec out(100);
   EXPECT_THROW(tuner.process_into(bad, out), std::invalid_argument);
 }
 
 // The scene renderer tunes each receiver a sub-block at a time, mixing its
-// scratch superposition in place: the stream must match whole-block
-// process() bit for bit, on a shifted channel and on one already at DC.
+// scratch superposition in place: the stream must match one whole-block
+// call bit for bit, on a shifted channel and on one already at DC.
 TEST(Tuner, ProcessIntoSubBlocksIsBitIdentical) {
   for (const double offset_hz : {600000.0, 0.0}) {
     TunerConfig cfg;
@@ -87,7 +88,7 @@ TEST(Tuner, ProcessIntoSubBlocksIsBitIdentical) {
     dsp::Oscillator b(-230000.0, cfg.rf_rate);
     dsp::cvec rf(48000);
     for (dsp::cfloat& v : rf) v = a.next_complex() + 0.3F * b.next_complex();
-    const dsp::cvec ref = whole.process(rf);
+    const dsp::cvec ref = test::run_stage(whole, rf);
     dsp::cvec got(ref.size());
     constexpr std::size_t kChunk = 4800;
     dsp::cvec scratch(kChunk);
@@ -176,7 +177,7 @@ TEST(Tuner, RfRateNoiseThroughTunerMatchesTunedRateNoise) {
     for (std::size_t n = 0; n < kOutSamples; n += kBlockOut) {
       std::fill(rf.begin(), rf.end(), dsp::cfloat{});
       rf_noise.add_to(rf);
-      const dsp::cvec out = tuner.process(rf);
+      const dsp::cvec out = test::run_stage(tuner, rf);
       through_tuner.insert(through_tuner.end(), out.begin(), out.end());
       shaped.add_to(
           std::span<dsp::cfloat>(direct_shaped.data() + n, kBlockOut));
@@ -231,11 +232,11 @@ TEST(Tuner, StreamingContinuity) {
   Tuner chunked(cfg);
   dsp::Oscillator osc1(612000.0, cfg.rf_rate);
   const dsp::cvec rf = osc1.block_complex(120000);
-  const dsp::cvec ref = whole.process(rf);
+  const dsp::cvec ref = test::run_stage(whole, rf);
   dsp::cvec got;
   for (std::size_t start = 0; start < rf.size(); start += 24000) {
-    const auto part = chunked.process(
-        std::span<const dsp::cfloat>(rf.data() + start, 24000));
+    const auto part = test::run_stage(
+        chunked, std::span<const dsp::cfloat>(rf.data() + start, 24000));
     got.insert(got.end(), part.begin(), part.end());
   }
   ASSERT_EQ(got.size(), ref.size());

@@ -9,6 +9,7 @@
 
 #include "dsp/math_util.h"
 #include "dsp/spectrum.h"
+#include "support/run_stage.h"
 
 namespace fmbs::tag {
 namespace {
@@ -25,7 +26,7 @@ TEST(Subcarrier, IdleToneSitsAtShiftFrequency) {
   SubcarrierConfig cfg;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> silence(24000, 0.0F);
-  const dsp::cvec b = gen.process(silence);
+  const dsp::cvec b = test::run_stage(gen, silence);
   ASSERT_EQ(b.size(), 240000U);
   const double p_at_shift = real_band_power(b, cfg.rf_rate, 595000.0, 605000.0);
   const double p_elsewhere = real_band_power(b, cfg.rf_rate, 100000.0, 500000.0);
@@ -36,7 +37,7 @@ TEST(Subcarrier, FundamentalAmplitudeIsFourOverPi) {
   SubcarrierConfig cfg;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> silence(24000, 0.0F);
-  const dsp::cvec b = gen.process(silence);
+  const dsp::cvec b = test::run_stage(gen, silence);
   // Power of (4/pi) cos = (4/pi)^2 / 2 = 0.811.
   double p = 0.0;
   for (const auto& v : b) p += std::norm(v);
@@ -49,7 +50,7 @@ TEST(Subcarrier, BasebandShiftsInstantaneousFrequency) {
   SubcarrierConfig cfg;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> high(24000, 1.0F);
-  const dsp::cvec b = gen.process(high);
+  const dsp::cvec b = test::run_stage(gen, high);
   const double p_at_dev = real_band_power(b, cfg.rf_rate, 670000.0, 680000.0);
   const double p_at_center = real_band_power(b, cfg.rf_rate, 595000.0, 605000.0);
   EXPECT_GT(p_at_dev, 30.0 * p_at_center);
@@ -60,7 +61,7 @@ TEST(Subcarrier, HardSquareIsPlusMinusOne) {
   cfg.mode = SubcarrierMode::kHardSquare;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> silence(2400, 0.0F);
-  const dsp::cvec b = gen.process(silence);
+  const dsp::cvec b = test::run_stage(gen, silence);
   for (const auto& v : b) {
     EXPECT_EQ(std::abs(v.real()), 1.0F);
     EXPECT_EQ(v.imag(), 0.0F);
@@ -72,7 +73,7 @@ TEST(Subcarrier, SsbIsComplexWithConstantModulus) {
   cfg.mode = SubcarrierMode::kSingleSideband;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> silence(2400, 0.0F);
-  const dsp::cvec b = gen.process(silence);
+  const dsp::cvec b = test::run_stage(gen, silence);
   for (const auto& v : b) {
     EXPECT_NEAR(std::abs(v), static_cast<float>(2.0 / dsp::kPi), 1e-3F);
   }
@@ -85,7 +86,7 @@ TEST(Subcarrier, SsbSuppressesMirror) {
   cfg.mode = SubcarrierMode::kSingleSideband;
   SubcarrierGenerator gen(cfg);
   const std::vector<float> silence(24000, 0.0F);
-  const dsp::cvec b = gen.process(silence);
+  const dsp::cvec b = test::run_stage(gen, silence);
   std::complex<double> pos{0.0, 0.0}, neg{0.0, 0.0};
   for (std::size_t i = 0; i < b.size(); ++i) {
     const double ph = dsp::kTwoPi * 600000.0 * static_cast<double>(i) / cfg.rf_rate;
@@ -108,8 +109,8 @@ TEST(Subcarrier, DcoQuantizationAddsSpurs) {
   for (std::size_t i = 0; i < ramp.size(); ++i) {
     ramp[i] = static_cast<float>(std::sin(dsp::kTwoPi * 0.0005 * i));
   }
-  const dsp::cvec b1 = g1.process(ramp);
-  const dsp::cvec b2 = g2.process(ramp);
+  const dsp::cvec b1 = test::run_stage(g1, ramp);
+  const dsp::cvec b2 = test::run_stage(g2, ramp);
   // Out-of-band spur power (well away from the subcarrier band).
   const double spur1 = real_band_power(b1, ideal.rf_rate, 100000.0, 400000.0);
   const double spur2 = real_band_power(b2, ideal.rf_rate, 100000.0, 400000.0);
@@ -127,8 +128,8 @@ TEST(Subcarrier, EightBitDcoIsNearIdeal) {
   for (std::size_t i = 0; i < ramp.size(); ++i) {
     ramp[i] = static_cast<float>(std::sin(dsp::kTwoPi * 0.0005 * i));
   }
-  const dsp::cvec b1 = g1.process(ramp);
-  const dsp::cvec b2 = g2.process(ramp);
+  const dsp::cvec b1 = test::run_stage(g1, ramp);
+  const dsp::cvec b2 = test::run_stage(g2, ramp);
   const double band1 = real_band_power(b1, ideal.rf_rate, 520000.0, 680000.0);
   const double band2 = real_band_power(b2, ideal.rf_rate, 520000.0, 680000.0);
   EXPECT_NEAR(band2 / band1, 1.0, 0.05);
@@ -139,11 +140,11 @@ TEST(Subcarrier, StreamingPhaseContinuity) {
   SubcarrierGenerator whole(cfg);
   SubcarrierGenerator chunked(cfg);
   const std::vector<float> silence(4800, 0.0F);
-  const dsp::cvec ref = whole.process(silence);
+  const dsp::cvec ref = test::run_stage(whole, silence);
   dsp::cvec got;
   for (std::size_t start = 0; start < silence.size(); start += 1200) {
-    const auto part = chunked.process(
-        std::span<const float>(silence.data() + start, 1200));
+    const auto part = test::run_stage(
+        chunked, std::span<const float>(silence.data() + start, 1200));
     got.insert(got.end(), part.begin(), part.end());
   }
   ASSERT_EQ(got.size(), ref.size());
@@ -154,7 +155,7 @@ TEST(Subcarrier, StreamingPhaseContinuity) {
 
 // The scene renderer composes reflections a sub-block at a time through
 // process_into: cut on multiples of four RF samples (the vector sincos
-// groups), the stream must match one whole-block process() bit for bit.
+// groups), the stream must match one whole-block call bit for bit.
 TEST(Subcarrier, ProcessIntoSubBlocksIsBitIdentical) {
   std::vector<float> baseband(4800);
   for (std::size_t i = 0; i < baseband.size(); ++i) {
@@ -167,7 +168,7 @@ TEST(Subcarrier, ProcessIntoSubBlocksIsBitIdentical) {
     cfg.mode = mode;
     SubcarrierGenerator whole(cfg);
     SubcarrierGenerator chunked(cfg);
-    const dsp::cvec ref = whole.process(baseband);
+    const dsp::cvec ref = test::run_stage(whole, baseband);
     dsp::cvec got(ref.size());
     constexpr std::size_t kChunk = 480;
     for (std::size_t at = 0; at < baseband.size(); at += kChunk) {
