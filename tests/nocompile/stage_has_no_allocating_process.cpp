@@ -2,7 +2,7 @@
 // through process_into(in, out); the allocating process(span) -> vector
 // that used to sit beside it is gone, so a second code path that returns a
 // fresh vector per block cannot creep back unnoticed.
-// expect-error: has no member named .process.
+// expect-error: no member named .process.
 #include <vector>
 
 #include "dsp/fir.h"
