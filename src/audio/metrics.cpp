@@ -23,40 +23,6 @@ double snr_db(std::span<const float> reference, std::span<const float> test) {
   return dsp::db_from_power_ratio(sig / noise);
 }
 
-double segmental_snr_db(std::span<const float> reference,
-                        std::span<const float> test, double sample_rate) {
-  if (sample_rate <= 0.0) throw std::invalid_argument("segmental_snr_db: bad rate");
-  const std::size_t n = std::min(reference.size(), test.size());
-  const auto frame = static_cast<std::size_t>(0.030 * sample_rate);
-  if (frame == 0 || n < frame) {
-    return snr_db(reference.first(n), test.first(n));
-  }
-  double total_ref = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total_ref += static_cast<double>(reference[i]) * reference[i];
-  }
-  const double activity_threshold = 0.01 * total_ref / static_cast<double>(n);
-
-  double acc = 0.0;
-  std::size_t count = 0;
-  for (std::size_t start = 0; start + frame <= n; start += frame) {
-    double sig = 0.0, noise = 0.0;
-    for (std::size_t i = start; i < start + frame; ++i) {
-      const double r = reference[i];
-      const double e = static_cast<double>(test[i]) - r;
-      sig += r * r;
-      noise += e * e;
-    }
-    if (sig / static_cast<double>(frame) < activity_threshold) continue;
-    double s = dsp::db_from_power_ratio(noise > 0.0 ? sig / noise : 1e12);
-    s = std::clamp(s, -10.0, 35.0);
-    acc += s;
-    ++count;
-  }
-  if (count == 0) return snr_db(reference.first(n), test.first(n));
-  return acc / static_cast<double>(count);
-}
-
 AlignedPair align_and_scale(std::span<const float> reference,
                             std::span<const float> test, std::size_t max_lag) {
   if (reference.empty() || test.empty()) {

@@ -1,4 +1,4 @@
-// Objective audio metrics: plain and segmental SNR against a reference,
+// Objective audio metrics: SNR against a reference,
 // with alignment and gain matching helpers shared with the PESQ-like metric.
 #pragma once
 
@@ -11,11 +11,6 @@ namespace fmbs::audio {
 /// SNR (dB) of `test` against `reference`: power(ref) / power(test - ref).
 /// Assumes the signals are already time aligned and gain matched.
 double snr_db(std::span<const float> reference, std::span<const float> test);
-
-/// Segmental SNR (dB): mean of per-frame SNRs clamped to [-10, 35] dB over
-/// frames where the reference is active. frame = 30 ms at the given rate.
-double segmental_snr_db(std::span<const float> reference,
-                        std::span<const float> test, double sample_rate);
 
 /// Aligns `test` to `reference` (cross-correlation over +-max_lag samples)
 /// and scales it to the least-squares gain; returns the aligned/scaled test

@@ -83,9 +83,9 @@ StereoBuffer render_program(const ProgramConfig& config, double duration_seconds
   switch (config.genre) {
     case ProgramGenre::kSilence: width = 0.0; break;
     case ProgramGenre::kNews: width = 0.0; break;
-    case ProgramGenre::kMixed: width = config.stereo_width * 0.4; break;
-    case ProgramGenre::kPop: width = config.stereo_width; break;
-    case ProgramGenre::kRock: width = config.stereo_width * 1.2; break;
+    case ProgramGenre::kMixed: width = kStereoWidth * 0.4; break;
+    case ProgramGenre::kPop: width = kStereoWidth; break;
+    case ProgramGenre::kRock: width = kStereoWidth * 1.2; break;
   }
 
   MonoBuffer side_content = make_silence(main.duration_seconds(), sample_rate);
@@ -100,8 +100,8 @@ StereoBuffer render_program(const ProgramConfig& config, double duration_seconds
   }
 
   std::mt19937_64 rng(seed ^ 0xa111b1e2ceULL);
-  std::normal_distribution<float> ambience(0.0F,
-                                           static_cast<float>(config.ambience_level));
+  std::normal_distribution<float> ambience(
+      0.0F, static_cast<float>(kAmbienceLevel));
   for (std::size_t i = 0; i < n; ++i) {
     const float mid = main.samples[i];
     float side = 0.0F;

@@ -25,16 +25,18 @@ enum class ProgramGenre {
 /// Human-readable genre name (matches the paper's figure legends).
 std::string to_string(ProgramGenre genre);
 
+/// L-R content level relative to L+R for music genres (stereo width).
+inline constexpr double kStereoWidth = 0.35;
+
+/// Level of uncorrelated studio/ambience noise that leaks into L-R even on
+/// news stations (keeps P_stereo/P_noise finite, as measured in Fig. 5).
+inline constexpr double kAmbienceLevel = 0.004;
+
 /// Program content descriptor.
 struct ProgramConfig {
   ProgramGenre genre = ProgramGenre::kNews;
   /// True if the station transmits a stereo (L-R) stream + pilot.
   bool stereo = true;
-  /// L-R content level relative to L+R for music genres (stereo width).
-  double stereo_width = 0.35;
-  /// Level of uncorrelated studio/ambience noise that leaks into L-R even on
-  /// news stations (keeps P_stereo/P_noise finite, as measured in Fig. 5).
-  double ambience_level = 0.004;
 };
 
 /// Renders station program audio. Deterministic per (config, seed). Throws

@@ -41,30 +41,27 @@ double pair_distance_m(const ScenarioTag& tag, const ScenePosition& tag_at,
 void validate_receiver_chain(const ScenarioReceiver& rx) {
   const double rate = rx.stereo_decoder.audio_rate;
   const double ratio = fm::kMpxRate / rate;
-  const auto corner = [rate](double hz) { return hz > 0.0 && hz < rate / 2.0; };
-  const auto level = [](double v) { return v >= 0.0 && std::isfinite(v); };
-  const rx::CabinConfig& cab = rx.cabin;
-  const bool chain_ok =
-      rx.kind == ReceiverKind::kCar
-          ? corner(cab.mic_highpass_hz) && corner(cab.mic_lowpass_hz) &&
-                level(cab.engine_noise_rms) &&
-                level(cab.reflection1_delay_s) && level(cab.reflection2_delay_s)
-          : corner(rx.phone.cutoff_hz) && level(rx.phone.codec_noise_rms);
+  const bool car = rx.kind == ReceiverKind::kCar;
+  // The device chain's top corner: the car's microphone or the phone's codec.
+  const double corner = car ? rx::kMicLowpassHz : rx::kPhoneCutoffHz;
+  const double noise = rx.cabin.engine_noise_rms;
   if (!(ratio >= 1.0 && std::abs(ratio - std::round(ratio)) <= 1e-9) ||
-      !chain_ok) {
+      !(corner < rate / 2.0) ||
+      (car && !(noise >= 0.0 && std::isfinite(noise)))) {
     throw std::invalid_argument(
         "ScenarioEngine: receiver \"" + rx.name +
-        "\" needs an audio rate dividing the MPX rate, filter corners in "
-        "(0, Nyquist) and finite, non-negative noise levels and cabin delays");
+        "\" needs an audio rate dividing the MPX rate with its device "
+        "chain's corners below Nyquist, and a finite, non-negative engine "
+        "noise level");
   }
 }
 
 /// Rejects a non-finite station offset, power or deviation (the legacy
-/// station's too), tag power, start, subcarrier shift or deviation or
-/// distance, receiver tune, set receiver power, noise floor or antenna gain,
-/// and any non-finite position or waypoint coordinate. units.h checks
-/// finiteness only with assert(), and NaN would slip past every range check
-/// after this.
+/// station's too), tag power, start, subcarrier shift or deviation,
+/// distance, antenna or fading input, receiver tune, set receiver power,
+/// noise floor, antenna gain or link input, and any non-finite position or
+/// waypoint coordinate. units.h checks finiteness only with assert(), and
+/// NaN would slip past every range check after this.
 void validate_finite_inputs(const Scenario& sc) {
   const auto finite = [](std::initializer_list<double> values) {
     return std::all_of(values.begin(), values.end(),
@@ -96,15 +93,27 @@ void validate_finite_inputs(const Scenario& sc) {
               finite_path(st.position.value_or(ScenePosition{}), {}),
           "station", st.name);
   }
+  const auto finite_fading = [&](const channel::FadingConfig& f) {
+    return finite({f.carrier.raw(), f.speed_mps, f.rician_k.raw(),
+                   f.shadow_sigma.raw(), f.shadow_rate.raw()});
+  };
   for (const ScenarioTag& t : sc.tags) {
+    const tag::AntennaModel& a = t.antenna;
     check(finite({t.tag_power.raw(), t.start.raw(), t.subcarrier.shift.raw(),
-                  t.subcarrier.deviation.raw()}) &&
+                  t.subcarrier.deviation.raw(), a.gain_dbi, a.efficiency_db,
+                  a.body_loss_db}) &&
               unset_or_finite(t.distance_override) &&
+              (!t.fading || finite_fading(*t.fading)) &&
               finite_path(t.position, t.waypoints),
           "tag", t.name);
   }
   for (const ScenarioReceiver& rx : sc.receivers) {
-    check(finite({rx.tune_offset.raw()}) && unset_or_finite(rx.direct_power) &&
+    const channel::LinkBudgetConfig& l = rx.link;
+    check(finite({rx.tune_offset.raw(), l.carrier.raw(),
+                  l.tag_antenna_gain.raw(), l.rx_antenna_gain.raw(),
+                  l.reflection_amplitude, l.implementation_loss.raw(),
+                  l.tag_height.raw(), l.rx_height.raw()}) &&
+              unset_or_finite(rx.direct_power) &&
               unset_or_finite(rx.noise_200khz) &&
               unset_or_finite(rx.rx_antenna_gain) &&
               finite_path(rx.position, rx.waypoints),
@@ -113,9 +122,11 @@ void validate_finite_inputs(const Scenario& sc) {
 }
 
 /// Every station's deviation must lie in (0, kMpxRate / 2), the range its
-/// fm::FmModulator accepts. Checked in the plan so that FleetEngine, whose
-/// analytic links never build a modulator, rejects what ScenarioEngine does.
-void validate_station_deviations(const Scenario& sc) {
+/// fm::FmModulator accepts, and every tag's subcarrier must pass
+/// tag::subcarrier_fits, the rule its tag::SubcarrierGenerator applies.
+/// Checked in the plan so that FleetEngine, whose analytic links build
+/// neither, rejects what ScenarioEngine does.
+void validate_modulators(const Scenario& sc) {
   const auto check = [](units::Hertz deviation, const std::string& name) {
     if (!(deviation.raw() > 0.0 && deviation.raw() < fm::kMpxRate / 2.0)) {
       throw std::invalid_argument(
@@ -126,6 +137,14 @@ void validate_station_deviations(const Scenario& sc) {
   check(sc.station.deviation, "legacy");
   for (const ScenarioStation& st : sc.stations) {
     check(st.config.deviation, st.name);
+  }
+  for (const ScenarioTag& t : sc.tags) {
+    if (!tag::subcarrier_fits(t.subcarrier)) {
+      throw std::invalid_argument(
+          "ScenarioEngine: tag \"" + t.name +
+          "\" subcarrier needs a nonzero shift and a positive deviation "
+          "whose sum fits below the RF Nyquist rate");
+    }
   }
 }
 
@@ -344,7 +363,7 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   }
   for (const ScenarioReceiver& rx : sc.receivers) validate_receiver_chain(rx);
   validate_finite_inputs(sc);
-  validate_station_deviations(sc);
+  validate_modulators(sc);
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
   const double total_seconds = plan.total_seconds;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/fft.h"
-
 namespace fmbs::dsp {
 
 std::vector<double> cross_correlate(std::span<const float> a,
@@ -28,33 +26,6 @@ std::vector<double> cross_correlate(std::span<const float> a,
     r[static_cast<std::size_t>(k + static_cast<long>(max_lag))] = acc;
   }
   return r;
-}
-
-std::vector<double> cross_correlate_fft(std::span<const float> a,
-                                        std::span<const float> b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("cross_correlate_fft: empty input");
-  }
-  const std::size_t full = a.size() + b.size() - 1;
-  const std::size_t n = next_pow2(full);
-  cvec fa(n), fb(n);
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = cfloat(a[i], 0.0F);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = cfloat(b[i], 0.0F);
-  FftPlan plan(n);
-  plan.forward(fa);
-  plan.forward(fb);
-  for (std::size_t i = 0; i < n; ++i) fa[i] = std::conj(fa[i]) * fb[i];
-  plan.inverse(fa);
-  // fa now holds circular correlation; unwrap so index i = lag i-(lb-1).
-  std::vector<double> out(full);
-  const std::size_t lb = b.size();
-  for (std::size_t i = 0; i < full; ++i) {
-    const long lag = static_cast<long>(i) - static_cast<long>(lb - 1);
-    const std::size_t src = lag >= 0 ? static_cast<std::size_t>(lag)
-                                     : n - static_cast<std::size_t>(-lag);
-    out[i] = static_cast<double>(fa[src].real());
-  }
-  return out;
 }
 
 DelayEstimate estimate_delay(std::span<const float> a, std::span<const float> b,

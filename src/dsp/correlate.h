@@ -14,12 +14,6 @@ std::vector<double> cross_correlate(std::span<const float> a,
                                     std::span<const float> b,
                                     std::size_t max_lag);
 
-/// FFT-based full cross-correlation (linear, zero-padded). Output length is
-/// a.size() + b.size() - 1 with lag 0 at index b.size() - 1; entry i
-/// corresponds to lag i - (b.size() - 1) applied to b.
-std::vector<double> cross_correlate_fft(std::span<const float> a,
-                                        std::span<const float> b);
-
 /// Result of delay estimation between two signals.
 struct DelayEstimate {
   /// Samples by which `b` must be advanced to align with `a` (may be

@@ -64,12 +64,4 @@ void FftPlan::transform(std::span<cfloat> data, bool invert) const {
 void FftPlan::forward(std::span<cfloat> data) const { transform(data, false); }
 void FftPlan::inverse(std::span<cfloat> data) const { transform(data, true); }
 
-cvec fft(std::span<const cfloat> input) {
-  cvec data(input.begin(), input.end());
-  data.resize(next_pow2(data.size()));
-  FftPlan plan(data.size());
-  plan.forward(data);
-  return data;
-}
-
 }  // namespace fmbs::dsp

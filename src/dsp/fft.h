@@ -43,8 +43,4 @@ class FftPlan {
   std::vector<cfloat> twiddles_;  // e^{-2 pi i k / n} for k < n/2
 };
 
-/// Out-of-place forward FFT of arbitrary input length: input is zero-padded
-/// to the next power of two. Returns the transformed vector.
-cvec fft(std::span<const cfloat> input);
-
 }  // namespace fmbs::dsp

@@ -11,8 +11,10 @@
 // pinned by tests/dsp/test_simd_kernels.cpp.
 //
 // The kernels read a phase layout, in which every load is contiguous across
-// outputs. FirFilter and FirInterpolator stage history plus input as one
-// run (one phase). FirDecimator stages it in its M phases instead, in the
+// outputs. FirFilter and FirInterpolator keep history plus input as one run
+// (one phase) whose first h samples are the history: a call copies only its
+// input in behind them and moves the run's last h samples to the front
+// afterwards. FirDecimator stages it in its M phases instead, in the
 // buffer that held the run: row p holds samples p, p + M, p + 2M, ... of
 // history plus input, so tap t of output i, sample i * M + t, sits at row
 // t % M, column i + t / M. The taps are read in the same order either way,
@@ -25,6 +27,7 @@
 // gives the same bytes as one call.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -90,6 +93,25 @@ inline void fir_apply(const Sample* x, std::size_t phases,
   }
 }
 
+/// Copies `in` into the run behind its first h samples (the history).
+template <typename Sample>
+inline void append_to_run(std::vector<Sample>& run, std::size_t h,
+                          std::span<const Sample> in) {
+  run.resize(h + in.size());
+  std::copy(in.begin(), in.end(), run.begin() + static_cast<std::ptrdiff_t>(h));
+}
+
+/// Moves the last h samples of a run of h + n to its front: the next call's
+/// history.
+template <typename Sample>
+inline void keep_history(std::vector<Sample>& run, std::size_t h,
+                         std::size_t n) {
+  if (n > 0) {
+    std::copy(run.begin() + static_cast<std::ptrdiff_t>(n),
+              run.begin() + static_cast<std::ptrdiff_t>(n + h), run.begin());
+  }
+}
+
 }  // namespace detail
 
 /// Streaming FIR filter over float or complex samples. Maintains history
@@ -100,7 +122,7 @@ class FirFilter {
   explicit FirFilter(std::vector<float> taps) : taps_(std::move(taps)) {
     if (taps_.empty()) throw std::invalid_argument("FirFilter: empty taps");
     rtaps_ = detail::reverse_taps(taps_);
-    history_.assign(taps_.size() - 1, Sample{});
+    run_.assign(taps_.size() - 1, Sample{});
   }
 
   std::size_t num_taps() const { return taps_.size(); }
@@ -111,26 +133,20 @@ class FirFilter {
   /// Filters a block into a caller-provided buffer of equal length.
   void process_into(std::span<const Sample> in, std::span<Sample> out) {
     if (out.size() != in.size()) throw std::invalid_argument("FirFilter: size mismatch");
-    const std::size_t h = history_.size();
-    work_.resize(h + in.size());
-    std::copy(history_.begin(), history_.end(), work_.begin());
-    std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    detail::fir_apply(work_.data(), 1, 0, rtaps_.data(), taps_.size(),
+    const std::size_t h = taps_.size() - 1;
+    detail::append_to_run(run_, h, in);
+    detail::fir_apply(run_.data(), 1, 0, rtaps_.data(), taps_.size(),
                       out.data(), 1, in.size());
-    if (h > 0) {
-      std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
-                history_.begin());
-    }
+    detail::keep_history(run_, h, in.size());
   }
 
   /// Clears the filter history.
-  void reset() { std::fill(history_.begin(), history_.end(), Sample{}); }
+  void reset() { std::fill_n(run_.begin(), taps_.size() - 1, Sample{}); }
 
  private:
   std::vector<float> taps_;
   std::vector<float> rtaps_;
-  std::vector<Sample> history_;
-  std::vector<Sample> work_;
+  std::vector<Sample> run_;  // history (first taps - 1 samples), then input
 };
 
 /// Polyphase decimator: low-pass filter + keep-every-Mth-sample, computing
@@ -222,7 +238,7 @@ class FirInterpolator {
     for (const std::vector<float>& b : branches_) {
       rbranches_.push_back(detail::reverse_taps(b));
     }
-    history_.assign(branch_len - 1, Sample{});
+    run_.assign(branch_len - 1, Sample{});
   }
 
   std::size_t factor() const { return factor_; }
@@ -240,32 +256,26 @@ class FirInterpolator {
     if (out.size() != in.size() * factor_) {
       throw std::invalid_argument("FirInterpolator: size mismatch");
     }
-    const std::size_t h = history_.size();
-    work_.resize(h + in.size());
-    std::copy(history_.begin(), history_.end(), work_.begin());
-    std::copy(in.begin(), in.end(), work_.begin() + static_cast<std::ptrdiff_t>(h));
-    const std::size_t bl = branches_.empty() ? 0 : branches_[0].size();
+    const std::size_t bl = branches_[0].size();
+    const std::size_t h = bl - 1;
+    detail::append_to_run(run_, h, in);
     // Branch-major: each polyphase branch is one strided FIR pass across
     // every input sample (out[i*L + p] = branch p applied at input i), which
     // is the across-outputs layout the SIMD kernels want. Identical
     // arithmetic to the historical sample-major loop — each output is still
     // its branch's taps accumulated serially.
     for (std::size_t p = 0; p < factor_; ++p) {
-      detail::fir_apply(work_.data(), 1, 0, rbranches_[p].data(), bl,
+      detail::fir_apply(run_.data(), 1, 0, rbranches_[p].data(), bl,
                         out.data() + p, factor_, in.size());
     }
-    if (h > 0) {
-      std::copy(work_.end() - static_cast<std::ptrdiff_t>(h), work_.end(),
-                history_.begin());
-    }
+    detail::keep_history(run_, h, in.size());
   }
 
  private:
   std::size_t factor_;
   std::vector<std::vector<float>> branches_;
   std::vector<std::vector<float>> rbranches_;
-  std::vector<Sample> history_;
-  std::vector<Sample> work_;
+  std::vector<Sample> run_;  // history (first branch taps - 1), then input
 };
 
 }  // namespace fmbs::dsp

@@ -14,7 +14,6 @@ double db_from_power_ratio(double ratio) {
   return units::Db::from_power_ratio(ratio).raw();
 }
 
-double power_ratio_from_db(double db) { return units::Db{db}.power_ratio(); }
 
 double db_from_amplitude_ratio(double ratio) {
   return units::Db::from_amplitude_ratio(ratio).raw();
@@ -82,17 +81,6 @@ double quantile(std::span<const double> x, double p) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = idx - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<CdfPoint> cdf(sorted.size());
-  const double n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf[i] = {sorted[i], static_cast<double>(i + 1) / n};
-  }
-  return cdf;
 }
 
 std::vector<double> cdf_at(std::span<const double> samples,

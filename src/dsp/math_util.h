@@ -17,9 +17,6 @@ inline constexpr double kTwoPi = 2.0 * kPi;
 /// printing stay well defined.
 double db_from_power_ratio(double ratio);
 
-/// Converts decibels to a linear power ratio.
-double power_ratio_from_db(double db);
-
 /// Converts a linear amplitude ratio to decibels (20 log10).
 double db_from_amplitude_ratio(double ratio);
 
@@ -52,16 +49,6 @@ double rms(std::span<const float> x);
 /// Linear interpolated p-quantile (p in [0,1]) of a copy-sorted sequence.
 /// Throws std::invalid_argument when the sequence is empty.
 double quantile(std::span<const double> x, double p);
-
-/// One (value, cumulative probability) point of an empirical CDF.
-struct CdfPoint {
-  double value = 0.0;
-  double probability = 0.0;
-};
-
-/// Builds an empirical CDF from unsorted samples: sorted values paired with
-/// probabilities (i+1)/N. Useful for reproducing the paper's CDF figures.
-std::vector<CdfPoint> empirical_cdf(std::span<const double> samples);
 
 /// Values of the empirical CDF at the requested probabilities (for compact
 /// table output). Probabilities outside [0,1] throw std::invalid_argument.

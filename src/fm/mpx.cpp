@@ -31,13 +31,15 @@ dsp::rvec upsample_audio(std::span<const float> in, std::size_t factor) {
 
 dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& config,
                       std::span<const unsigned char> rds_bitstream) {
-  if (program.sample_rate <= 0.0 || config.mpx_rate <= 0.0) {
+  if (program.sample_rate <= 0.0) {
     throw std::invalid_argument("compose_mpx: bad sample rate");
   }
-  const double ratio = config.mpx_rate / program.sample_rate;
+  const double ratio = kMpxRate / program.sample_rate;
   const auto factor = static_cast<std::size_t>(ratio + 0.5);
   if (std::abs(ratio - static_cast<double>(factor)) > 1e-9 || factor == 0) {
-    throw std::invalid_argument("compose_mpx: mpx_rate must be an integer multiple of the audio rate");
+    throw std::invalid_argument(
+        "compose_mpx: the MPX rate must be an integer multiple of the audio "
+        "rate");
   }
 
   std::vector<float> left = program.left;
@@ -55,11 +57,11 @@ dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& confi
 
   dsp::rvec rds_wave;
   if (config.rds_level > 0.0 && !rds_bitstream.empty()) {
-    rds_wave = modulate_rds_subcarrier(rds_bitstream, n, config.mpx_rate);
+    rds_wave = modulate_rds_subcarrier(rds_bitstream, n, kMpxRate);
   }
 
-  dsp::Oscillator pilot(kPilotHz, config.mpx_rate);
-  dsp::Oscillator stereo_carrier(kStereoCarrierHz, config.mpx_rate);
+  dsp::Oscillator pilot(kPilotHz, kMpxRate);
+  dsp::Oscillator stereo_carrier(kStereoCarrierHz, kMpxRate);
 
   // Hoist the oscillators out of the combine loop. Each oscillator's sample
   // sequence is exactly what interleaved next_real() calls produced (the two
@@ -71,8 +73,8 @@ dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& confi
   const dsp::rvec sc_w = stereo_carrier.block_real(n);
 
   dsp::rvec mpx(n);
-  const auto prog = static_cast<float>(config.program_level);
-  const auto pil = static_cast<float>(config.pilot_level);
+  const auto prog = static_cast<float>(kProgramLevel);
+  const auto pil = static_cast<float>(kPilotLevel);
   const auto rds_g = static_cast<float>(config.rds_level);
   const bool have_rds = !rds_wave.empty();
   std::size_t i = 0;

@@ -13,19 +13,17 @@
 
 namespace fmbs::fm {
 
-/// MPX composition options.
+/// MPX composition options. The program and pilot take kProgramLevel and
+/// kPilotLevel of the deviation, and the MPX runs at kMpxRate.
 struct MpxConfig {
   bool stereo = true;        // emit pilot + (L-R) subcarrier
-  double program_level = kProgramLevel;
-  double pilot_level = kPilotLevel;
   double rds_level = 0.0;    // 0 disables RDS injection (typical 0.03-0.06)
-  double mpx_rate = kMpxRate;
   /// Apply 75 us pre-emphasis to L/R before multiplexing.
   bool preemphasis = false;
 };
 
 /// Composes the FM composite baseband from stereo audio. Audio is resampled
-/// from its own rate to config.mpx_rate internally (integer factor required).
+/// from its own rate to kMpxRate internally (integer factor required).
 /// `rds_bitstream`, when non-empty and rds_level > 0, is BPSK-modulated onto
 /// the 57 kHz subcarrier (see rds.h for framing).
 dsp::rvec compose_mpx(const audio::StereoBuffer& program, const MpxConfig& config,

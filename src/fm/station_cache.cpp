@@ -15,8 +15,6 @@ StationCache::Key StationCache::make_key(const StationConfig& config,
   Key key;
   key.genre = static_cast<int>(config.program.genre);
   key.stereo = config.program.stereo;
-  key.stereo_width = config.program.stereo_width;
-  key.ambience_level = config.program.ambience_level;
   key.rds_level = config.rds_level;
   key.rds_ps_name = config.rds_ps_name;
   key.preemphasis = config.preemphasis;
@@ -117,14 +115,9 @@ std::shared_ptr<const StationSignal> StationCache::render_impl(
 StationCache::SceneScope::~SceneScope() {
   std::lock_guard<std::mutex> lock(cache_.mutex_);
   for (const Key& key : keys_) {
-    for (std::size_t i = 0; i < cache_.entries_.size(); ++i) {
-      Entry& entry = cache_.entries_[i];
+    for (Entry& entry : cache_.entries_) {
       if (!(entry.key == key)) continue;
       if (entry.pins > 0) --entry.pins;
-      if (evict_on_exit_ && entry.pins == 0) {
-        cache_.entries_.erase(cache_.entries_.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-      }
       break;
     }
   }
@@ -142,11 +135,6 @@ std::shared_ptr<const StationSignal> StationCache::SceneScope::render(
 void StationCache::set_enabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mutex_);
   enabled_ = enabled;
-}
-
-bool StationCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
 }
 
 void StationCache::set_capacity(std::size_t capacity) {

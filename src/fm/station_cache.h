@@ -49,7 +49,6 @@ class StationCache {
   /// Enables/disables caching globally (enabled by default). Disabling does
   /// not drop resident entries; call clear() for that.
   void set_enabled(bool enabled);
-  bool enabled() const;
 
   /// Maximum resident renders; least-recently-used unpinned entries are
   /// evicted. Renders are large (about 1.3 MB per second of station signal:
@@ -71,8 +70,6 @@ class StationCache {
     // audio::ProgramConfig, flattened.
     int genre = 0;
     bool stereo = false;
-    double stereo_width = 0.0;
-    double ambience_level = 0.0;
     // Remaining StationConfig fields the render reads.
     double rds_level = 0.0;
     std::string rds_ps_name;
@@ -112,13 +109,10 @@ class StationCache {
 /// the scope behave exactly like StationCache::render, plus the entries stay
 /// pinned (unevictable) for the scope's lifetime; a scene with more stations
 /// than the cache capacity overflows transiently rather than thrashing. On
-/// destruction the pins are released and the cache shrinks back to capacity;
-/// with `evict_on_exit` the scope's entries are dropped immediately (one-off
-/// giant scenes that should not displace a sweep's working set).
+/// destruction the pins are released and the cache shrinks back to capacity.
 class StationCache::SceneScope {
  public:
-  explicit SceneScope(StationCache& cache, bool evict_on_exit = false)
-      : cache_(cache), evict_on_exit_(evict_on_exit) {}
+  explicit SceneScope(StationCache& cache) : cache_(cache) {}
   ~SceneScope();
 
   SceneScope(const SceneScope&) = delete;
@@ -132,7 +126,6 @@ class StationCache::SceneScope {
   friend class StationCache;
 
   StationCache& cache_;
-  bool evict_on_exit_;
   std::vector<Key> keys_;  // distinct keys pinned by this scope
 };
 

@@ -54,7 +54,7 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
                          1e-30))
           : dsp::quantile(window_snr, 0.5);
   const bool stereo_mode = !config.force_mono &&
-                           result.pilot_snr_db >= config.pilot_detect_threshold.raw();
+                           result.pilot_snr_db >= kPilotDetectThreshold.raw();
   result.pilot_detected = stereo_mode;
 
   // ---- Mono path: L+R below 15 kHz. ----
@@ -105,9 +105,7 @@ StereoDecodeResult decode_stereo(std::span<const float> mpx,
   }
 
   // ---- Matrix back to L/R, undo the program level, decimate to audio rate.
-  const float inv_level = config.program_level > 0.0
-                              ? static_cast<float>(1.0 / config.program_level)
-                              : 1.0F;
+  const auto inv_level = static_cast<float>(1.0 / kProgramLevel);
   dsp::rvec left_mpx(mid.size()), right_mpx(mid.size());
   for (std::size_t i = 0; i < mid.size(); ++i) {
     const float m = mid[i] * inv_level;

@@ -19,14 +19,15 @@
 
 namespace fmbs::fm {
 
-/// Stereo decoding options.
+/// Pilot detection: required power ratio of the 19 kHz bin over the
+/// adjacent noise bins. Below this the decoder stays in mono mode.
+inline constexpr units::Db kPilotDetectThreshold{16.0};
+
+/// Stereo decoding options. The decoder undoes the transmitter's
+/// kProgramLevel.
 struct StereoDecoderConfig {
   double mpx_rate = kMpxRate;
   double audio_rate = kAudioRate;
-  double program_level = kProgramLevel;
-  /// Pilot detection: required power ratio of the 19 kHz bin over the
-  /// adjacent noise bins. Below this the decoder stays in mono mode.
-  units::Db pilot_detect_threshold{16.0};
   /// Force mono decoding regardless of pilot (car radios in mono mode, and
   /// the paper's mono-only experiments).
   bool force_mono = false;

@@ -12,6 +12,8 @@ namespace fmbs::fm {
 namespace {
 constexpr std::size_t kChannelFilterTaps = 127;  // odd -> integer group delay
 constexpr std::size_t kChainBlock = 480;         // 2 ms at 240 kHz
+/// Undoes the transmitter's program level.
+constexpr auto kInvLevel = static_cast<float>(1.0 / kProgramLevel);
 static_assert((kChannelFilterTaps - 1) / 2 <= kChainBlock);  // see finish()
 }
 
@@ -31,9 +33,6 @@ StereoStreamDecoder::StereoStreamDecoder(const StereoDecoderConfig& config,
   if (total_ == 0) {
     throw std::invalid_argument("StereoStreamDecoder: empty capture");
   }
-  inv_level_ = cfg_.program_level > 0.0
-                   ? static_cast<float>(1.0 / cfg_.program_level)
-                   : 1.0F;
   decision_len_ =
       decision_window_seconds > 0.0
           ? std::min(total_, static_cast<std::size_t>(
@@ -69,7 +68,7 @@ void StereoStreamDecoder::decide() {
                          1e-30))
           : dsp::quantile(window_snr, 0.5);
   stereo_mode_ =
-      !cfg_.force_mono && pilot_snr_db_ >= cfg_.pilot_detect_threshold.raw();
+      !cfg_.force_mono && pilot_snr_db_ >= kPilotDetectThreshold.raw();
 
   mono_lp_.emplace(
       dsp::fir_design_lowpass(kChannelFilterTaps, kMonoAudioHiHz / rate));
@@ -144,8 +143,8 @@ void StereoStreamDecoder::chain_block(std::span<const float> mpx,
       if (g >= delay_) {
         // Realigned output sample g - delay_: its side value is side[g],
         // its mid value went into the ring delay_ samples ago.
-        const float m = mid_hist_[g % delay_] * inv_level_;
-        const float sv = side[j] * inv_level_;
+        const float m = mid_hist_[g % delay_] * kInvLevel;
+        const float sv = side[j] * kInvLevel;
         pend_l_[pending_] = m + sv;
         pend_r_[pending_++] = m - sv;
       }
@@ -156,8 +155,8 @@ void StereoStreamDecoder::chain_block(std::span<const float> mpx,
     // zero, which no FIR accumulator (all start at +0) carries to its
     // output. drain() decimates L alone and copies it to R.
     for (std::size_t j = 0; j < n; ++j) {
-      const float m = mid[j] * inv_level_;
-      const float sv = 0.0F * inv_level_;
+      const float m = mid[j] * kInvLevel;
+      const float sv = 0.0F * kInvLevel;
       pend_l_[pending_++] = m + sv;
     }
   }
@@ -225,8 +224,8 @@ void StereoStreamDecoder::finish(dsp::rvec& left, dsp::rvec& right) {
     // ring (shorter than a chain block, so the pending L/R hold them all).
     const std::size_t tail = std::min(processed_, delay_);
     for (std::size_t i = processed_ - tail; i < processed_; ++i) {
-      const float m = mid_hist_[i % delay_] * inv_level_;
-      const float sv = 0.0F * inv_level_;
+      const float m = mid_hist_[i % delay_] * kInvLevel;
+      const float sv = 0.0F * kInvLevel;
       pend_l_[pending_] = m + sv;
       pend_r_[pending_++] = m - sv;
     }

@@ -74,7 +74,6 @@ class StereoStreamDecoder {
 
   StereoDecoderConfig cfg_;
   std::size_t decim_ = 1;
-  float inv_level_ = 1.0F;
   std::size_t total_ = 0;
   std::size_t decision_len_ = 0;
 

@@ -14,14 +14,14 @@ audio::MonoBuffer apply_cabin_acoustics(const audio::MonoBuffer& in,
                                         std::uint64_t noise_seed) {
   if (in.empty()) throw std::invalid_argument("apply_cabin_acoustics: empty input");
   const double rate = in.sample_rate;
-  const auto d1 = static_cast<std::size_t>(config.reflection1_delay_s * rate);
-  const auto d2 = static_cast<std::size_t>(config.reflection2_delay_s * rate);
+  const auto d1 = static_cast<std::size_t>(kReflection1DelaySeconds * rate);
+  const auto d2 = static_cast<std::size_t>(kReflection2DelaySeconds * rate);
 
   std::vector<float> out(in.size(), 0.0F);
   for (std::size_t i = 0; i < in.size(); ++i) {
     float v = in.samples[i];
-    if (i >= d1) v += static_cast<float>(config.reflection1_gain) * in.samples[i - d1];
-    if (i >= d2) v += static_cast<float>(config.reflection2_gain) * in.samples[i - d2];
+    if (i >= d1) v += static_cast<float>(kReflection1Gain) * in.samples[i - d1];
+    if (i >= d2) v += static_cast<float>(kReflection2Gain) * in.samples[i - d2];
     out[i] = v;
   }
 
@@ -30,7 +30,7 @@ audio::MonoBuffer apply_cabin_acoustics(const audio::MonoBuffer& in,
   if (config.engine_noise_rms > 0.0) {
     std::mt19937_64 rng(noise_seed);
     std::normal_distribution<float> g(0.0F, 1.0F);
-    const double f0 = config.engine_fundamental_hz;
+    const double f0 = kEngineFundamentalHz;
     double ph1 = 0.0, ph2 = 0.0, ph3 = 0.0;
     const double s1 = dsp::kTwoPi * f0 / rate;
     const double s2 = dsp::kTwoPi * 2.0 * f0 / rate;
@@ -46,8 +46,8 @@ audio::MonoBuffer apply_cabin_acoustics(const audio::MonoBuffer& in,
     }
   }
 
-  dsp::Biquad hp(dsp::biquad_highpass(config.mic_highpass_hz / rate, 0.707));
-  dsp::Biquad lp(dsp::biquad_lowpass(config.mic_lowpass_hz / rate, 0.707));
+  dsp::Biquad hp(dsp::biquad_highpass(kMicHighpassHz / rate, 0.707));
+  dsp::Biquad lp(dsp::biquad_lowpass(kMicLowpassHz / rate, 0.707));
   for (auto& v : out) v = lp.process_sample(hp.process_sample(v));
   return audio::MonoBuffer(std::move(out), rate);
 }

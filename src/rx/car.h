@@ -11,19 +11,22 @@
 
 namespace fmbs::rx {
 
+/// Direct-plus-reflection impulse response of the cabin (seconds, gain).
+inline constexpr double kReflection1DelaySeconds = 0.0021;
+inline constexpr double kReflection1Gain = 0.35;
+inline constexpr double kReflection2DelaySeconds = 0.0057;
+inline constexpr double kReflection2Gain = 0.18;
+/// Engine-idle rumble fundamental: ~900 rpm idle.
+inline constexpr double kEngineFundamentalHz = 30.0;
+/// Microphone band limits.
+inline constexpr double kMicHighpassHz = 80.0;
+inline constexpr double kMicLowpassHz = 14000.0;
+
 /// Cabin acoustics / measurement-chain options.
 struct CabinConfig {
-  /// Direct-plus-reflection impulse response of the cabin (seconds, gain).
-  double reflection1_delay_s = 0.0021;
-  double reflection1_gain = 0.35;
-  double reflection2_delay_s = 0.0057;
-  double reflection2_gain = 0.18;
-  /// Engine-idle rumble level (the paper runs the engine).
+  /// Engine-idle rumble level (the paper runs the engine); 0 measures a
+  /// silent cabin.
   double engine_noise_rms = 0.004;
-  double engine_fundamental_hz = 30.0;  // ~900 rpm idle
-  /// Microphone band limits.
-  double mic_highpass_hz = 80.0;
-  double mic_lowpass_hz = 14000.0;
 };
 
 /// Applies the cabin speaker -> microphone path to receiver audio.

@@ -11,13 +11,10 @@ namespace fmbs::rx {
 PhoneChainStream::PhoneChainStream(const PhoneChainConfig& config,
                                    double sample_rate,
                                    std::uint64_t noise_seed)
-    : lowpass_(butterworth_lowpass(config.cutoff_hz / sample_rate,
-                                   config.filter_order)),
-      add_noise_(config.codec_noise_rms > 0.0),
+    : lowpass_(butterworth_lowpass(kPhoneCutoffHz / sample_rate)),
       rng_(noise_seed),
-      noise_(0.0F, static_cast<float>(std::max(config.codec_noise_rms,
-                                               1e-30))) {
-  if (config.cutoff_hz >= sample_rate / 2.0) {
+      noise_(0.0F, static_cast<float>(kCodecNoiseRms)) {
+  if (kPhoneCutoffHz >= sample_rate / 2.0) {
     throw std::invalid_argument("PhoneChainStream: cutoff above Nyquist");
   }
   if (config.enable_agc) agc_.emplace(config.agc, sample_rate);
@@ -28,35 +25,30 @@ void PhoneChainStream::process_inplace(std::span<float> audio) {
   // never touches the RNG and the AGC sees the noise-added stream, so
   // interleaving the passes per block keeps every sequence identical.
   lowpass_.process_inplace(audio);
-  if (add_noise_) {
-    for (auto& v : audio) v += noise_(rng_);
-  }
+  for (auto& v : audio) v += noise_(rng_);
   if (agc_) agc_->process_inplace(audio);
 }
 
 CabinAcousticsStream::CabinAcousticsStream(const CabinConfig& config,
                                            double sample_rate,
                                            std::uint64_t noise_seed)
-    : cfg_(config),
-      d1_(static_cast<std::size_t>(config.reflection1_delay_s * sample_rate)),
-      d2_(static_cast<std::size_t>(config.reflection2_delay_s * sample_rate)),
+    : d1_(static_cast<std::size_t>(kReflection1DelaySeconds * sample_rate)),
+      d2_(static_cast<std::size_t>(kReflection2DelaySeconds * sample_rate)),
       engine_noise_(config.engine_noise_rms > 0.0),
       rng_(noise_seed),
       gauss_(0.0F, 1.0F),
-      s1_(dsp::kTwoPi * config.engine_fundamental_hz / sample_rate),
-      s2_(dsp::kTwoPi * 2.0 * config.engine_fundamental_hz / sample_rate),
-      s3_(dsp::kTwoPi * 4.0 * config.engine_fundamental_hz / sample_rate),
+      s1_(dsp::kTwoPi * kEngineFundamentalHz / sample_rate),
+      s2_(dsp::kTwoPi * 2.0 * kEngineFundamentalHz / sample_rate),
+      s3_(dsp::kTwoPi * 4.0 * kEngineFundamentalHz / sample_rate),
       rms_(static_cast<float>(config.engine_noise_rms)),
-      mic_hp_(dsp::biquad_highpass(config.mic_highpass_hz / sample_rate,
-                                   0.707)),
-      mic_lp_(dsp::biquad_lowpass(config.mic_lowpass_hz / sample_rate,
-                                  0.707)) {
+      mic_hp_(dsp::biquad_highpass(kMicHighpassHz / sample_rate, 0.707)),
+      mic_lp_(dsp::biquad_lowpass(kMicLowpassHz / sample_rate, 0.707)) {
   hist_.assign(std::max({d1_, d2_, std::size_t{1}}), 0.0F);
 }
 
 void CabinAcousticsStream::process_inplace(std::span<float> audio) {
-  const auto g1 = static_cast<float>(cfg_.reflection1_gain);
-  const auto g2 = static_cast<float>(cfg_.reflection2_gain);
+  const auto g1 = static_cast<float>(kReflection1Gain);
+  const auto g2 = static_cast<float>(kReflection2Gain);
   const std::size_t cap = hist_.size();
   for (auto& sample : audio) {
     const std::size_t i = index_++;

@@ -32,7 +32,6 @@ class PhoneChainStream {
 
  private:
   dsp::BiquadCascade lowpass_;
-  bool add_noise_;
   std::mt19937_64 rng_;
   std::normal_distribution<float> noise_;
   std::optional<dsp::Agc> agc_;
@@ -49,7 +48,6 @@ class CabinAcousticsStream {
   void process_inplace(std::span<float> audio);
 
  private:
-  CabinConfig cfg_;
   std::size_t d1_, d2_;
   std::vector<float> hist_;  // input delay line (max(d1, d2) samples)
   std::size_t index_ = 0;    // absolute stream position

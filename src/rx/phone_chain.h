@@ -14,19 +14,22 @@
 
 namespace fmbs::rx {
 
-/// Butterworth low-pass as cascaded second-order sections (even order >= 2;
-/// throws otherwise). Exposed so the streaming device chain builds the same
-/// cascade the one-shot chain uses.
-std::vector<dsp::BiquadCoeffs> butterworth_lowpass(double cutoff_norm,
-                                                   int order);
+/// App/codec low-pass corner (Fig. 6).
+inline constexpr double kPhoneCutoffHz = 13000.0;
+/// Cascaded-biquad order of that low-pass (steep cliff).
+inline constexpr int kPhoneFilterOrder = 8;
+static_assert(kPhoneFilterOrder >= 2 && kPhoneFilterOrder % 2 == 0);
+/// AAC-ish coding noise floor (caps the strongest-signal audio SNR near the
+/// paper's ~55 dB, Fig. 7).
+inline constexpr double kCodecNoiseRms = 5e-4;
+
+/// The phone's kPhoneFilterOrder Butterworth low-pass as cascaded
+/// second-order sections. Exposed so the streaming device chain builds the
+/// same cascade the one-shot chain uses.
+std::vector<dsp::BiquadCoeffs> butterworth_lowpass(double cutoff_norm);
 
 /// Phone chain options.
 struct PhoneChainConfig {
-  double cutoff_hz = 13000.0;      // app/codec low-pass (Fig. 6)
-  int filter_order = 8;            // cascaded-biquad order (steep cliff)
-  double codec_noise_rms = 5e-4;   // AAC-ish coding noise floor (caps the
-                                   // strongest-signal audio SNR near the
-                                   // paper's ~55 dB, Fig. 7)
   bool enable_agc = false;         // hardware gain control
   dsp::Agc::Config agc;
 };

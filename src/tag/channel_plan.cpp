@@ -12,12 +12,12 @@ constexpr double kMinShiftHz = 2.0 * fm::kChannelSpacingHz;
 
 /// Positive channel-raster shifts that fit the scene: |f_back| + max
 /// deviation must clear Nyquist with the subcarrier generator's margin.
-std::vector<double> positive_shifts(double rf_rate) {
+std::vector<double> positive_shifts() {
   std::vector<double> shifts;
   for (double f = kMinShiftHz;; f += fm::kChannelSpacingHz) {
-    if (f + fm::kMaxDeviationHz >= rf_rate / 2.0) break;
+    if (f + fm::kMaxDeviationHz >= fm::kRfRate / 2.0) break;
     // The tuner needs the full channel passband alias-free.
-    if (f + fm::kCarsonBandwidthHz / 2.0 >= rf_rate / 2.0) break;
+    if (f + fm::kCarsonBandwidthHz / 2.0 >= fm::kRfRate / 2.0) break;
     shifts.push_back(f);
   }
   return shifts;
@@ -25,20 +25,11 @@ std::vector<double> positive_shifts(double rf_rate) {
 
 }  // namespace
 
-std::size_t max_disjoint_channels(double rf_rate) {
-  return 2 * positive_shifts(rf_rate).size();
-}
-
-std::vector<ChannelAssignment> plan_subcarrier_channels(std::size_t num_tags,
-                                                        double rf_rate) {
+std::vector<ChannelAssignment> plan_subcarrier_channels(std::size_t num_tags) {
   if (num_tags == 0) {
     throw std::invalid_argument("plan_subcarrier_channels: num_tags must be > 0");
   }
-  const std::vector<double> pos = positive_shifts(rf_rate);
-  if (pos.empty()) {
-    throw std::invalid_argument(
-        "plan_subcarrier_channels: rf_rate too small for any backscatter channel");
-  }
+  const std::vector<double> pos = positive_shifts();
 
   // Disjoint channel list: +f (real square OK while only positive channels
   // are used), then -f (requires SSB everywhere so mirrors don't collide).
@@ -53,7 +44,6 @@ std::vector<ChannelAssignment> plan_subcarrier_channels(std::size_t num_tags,
   std::vector<ChannelAssignment> plan(num_tags);
   for (std::size_t i = 0; i < num_tags; ++i) {
     ChannelAssignment& a = plan[i];
-    a.subcarrier.rf_rate = rf_rate;
     a.subcarrier.shift = units::Hertz{channels[i % channels.size()]};
     a.subcarrier.mode = need_ssb ? SubcarrierMode::kSingleSideband
                                  : SubcarrierMode::kBandlimitedSquare;

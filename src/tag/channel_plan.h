@@ -30,16 +30,10 @@ struct ChannelAssignment {
   bool shared = false;          // true when the channel is reused (needs a MAC)
 };
 
-/// Capacity of disjoint backscatter channels within `rf_rate` around one
-/// station (4 with real square switches, 8 with SSB switches).
-std::size_t max_disjoint_channels(double rf_rate = fm::kRfRate);
-
 /// Plans subcarrier assignments for `num_tags` tags backscattering one
 /// ambient station. Channels clear the station's Carson bandwidth (min
-/// |f_back| = 400 kHz) and stay inside the simulated RF bandwidth. Throws
-/// std::invalid_argument when num_tags is 0 or the scene cannot fit even one
-/// channel.
-std::vector<ChannelAssignment> plan_subcarrier_channels(
-    std::size_t num_tags, double rf_rate = fm::kRfRate);
+/// |f_back| = 400 kHz) and stay inside the fm::kRfRate scene. Throws
+/// std::invalid_argument when num_tags is 0.
+std::vector<ChannelAssignment> plan_subcarrier_channels(std::size_t num_tags);
 
 }  // namespace fmbs::tag

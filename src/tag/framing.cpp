@@ -66,14 +66,4 @@ std::optional<std::vector<std::uint8_t>> decode_frame(
   return std::nullopt;
 }
 
-std::vector<std::uint8_t> repeat_bits(std::span<const std::uint8_t> bits,
-                                      std::size_t count) {
-  std::vector<std::uint8_t> out;
-  out.reserve(bits.size() * count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.insert(out.end(), bits.begin(), bits.end());
-  }
-  return out;
-}
-
 }  // namespace fmbs::tag

@@ -28,9 +28,4 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
 std::optional<std::vector<std::uint8_t>> decode_frame(
     std::span<const std::uint8_t> bits);
 
-/// Repeats a bit sequence `count` times back-to-back (MRC transmissions:
-/// "we backscatter our data N times").
-std::vector<std::uint8_t> repeat_bits(std::span<const std::uint8_t> bits,
-                                      std::size_t count);
-
 }  // namespace fmbs::tag

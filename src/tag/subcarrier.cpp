@@ -12,59 +12,47 @@ namespace fmbs::tag {
 
 namespace {
 
-std::size_t compute_up_factor(const SubcarrierConfig& cfg) {
-  const double ratio = cfg.rf_rate / cfg.baseband_rate;
-  const auto factor = static_cast<std::size_t>(ratio + 0.5);
-  if (factor == 0 || std::abs(ratio - static_cast<double>(factor)) > 1e-9) {
-    throw std::invalid_argument(
-        "SubcarrierGenerator: rf_rate must be an integer multiple of baseband_rate");
-  }
-  return factor;
-}
-
-dsp::FirInterpolator<float> make_interpolator(std::size_t factor) {
-  if (factor == 1) {
-    return dsp::FirInterpolator<float>({1.0F}, 1);
-  }
-  const double cutoff = 0.45 / static_cast<double>(factor);
+dsp::FirInterpolator<float> make_interpolator() {
+  constexpr double kCutoff = 0.45 / static_cast<double>(kSubcarrierUpFactor);
   return dsp::FirInterpolator<float>(
-      dsp::fir_design_lowpass((16 * factor) | 1U, cutoff), factor);
+      dsp::fir_design_lowpass((16 * kSubcarrierUpFactor) | 1U, kCutoff),
+      kSubcarrierUpFactor);
 }
 
 }  // namespace
 
+bool subcarrier_fits(const SubcarrierConfig& config) {
+  const double shift = std::abs(config.shift.raw());
+  const double deviation = config.deviation.raw();
+  return shift > 0.0 && deviation > 0.0 &&
+         shift + deviation < fm::kRfRate / 2.0;
+}
+
 SubcarrierGenerator::SubcarrierGenerator(const SubcarrierConfig& config)
-    : cfg_(config),
-      up_factor_(compute_up_factor(config)),
-      interpolator_(make_interpolator(up_factor_)) {
-  if (!(std::abs(cfg_.shift.raw()) > 0.0) || !(cfg_.deviation.raw() > 0.0)) {
-    throw std::invalid_argument("SubcarrierGenerator: bad shift or deviation");
+    : cfg_(config), interpolator_(make_interpolator()) {
+  if (!subcarrier_fits(cfg_)) {
+    throw std::invalid_argument(
+        "SubcarrierGenerator: shift and deviation must be nonzero and fit "
+        "below the RF Nyquist rate");
   }
-  if (std::abs(cfg_.shift.raw()) + cfg_.deviation.raw() >= cfg_.rf_rate / 2.0) {
-    throw std::invalid_argument("SubcarrierGenerator: subcarrier exceeds Nyquist");
-  }
-  // Highest instantaneous frequency of harmonic k is roughly
-  // k (|shift| + deviation + baseband bandwidth); keep it below 0.48 fs.
-  const double top = std::abs(cfg_.shift.raw()) + cfg_.deviation.raw() + 58000.0;
-  int k_max = 1;
-  while ((k_max + 2) * top < 0.48 * cfg_.rf_rate) k_max += 2;
   if (cfg_.mode == SubcarrierMode::kBandlimitedSquare) {
-    harmonics_ = cfg_.max_harmonic > 0 ? std::min(cfg_.max_harmonic, k_max) : k_max;
-    if (harmonics_ % 2 == 0) --harmonics_;
-  } else {
-    harmonics_ = 1;
+    // Highest instantaneous frequency of harmonic k is roughly
+    // k (|shift| + deviation + baseband bandwidth); keep it below 0.48 fs.
+    const double top =
+        std::abs(cfg_.shift.raw()) + cfg_.deviation.raw() + 58000.0;
+    while ((harmonics_ + 2) * top < 0.48 * fm::kRfRate) harmonics_ += 2;
   }
 }
 
 dsp::cvec SubcarrierGenerator::process(std::span<const float> baseband) {
-  dsp::cvec out(baseband.size() * up_factor_);
+  dsp::cvec out(baseband.size() * kSubcarrierUpFactor);
   process_into(baseband, out);
   return out;
 }
 
 void SubcarrierGenerator::process_into(std::span<const float> baseband,
                                        std::span<dsp::cfloat> out) {
-  if (out.size() != baseband.size() * up_factor_) {
+  if (out.size() != baseband.size() * kSubcarrierUpFactor) {
     throw std::invalid_argument("SubcarrierGenerator: size mismatch");
   }
   up_.resize(out.size());
@@ -74,8 +62,8 @@ void SubcarrierGenerator::process_into(std::span<const float> baseband,
   // The accumulated phase follows the signed shift: for real square waves
   // cos() makes the sign irrelevant (both +-|f_back| copies exist), while
   // the SSB exponential rotates toward the requested side.
-  const double base_step = dsp::kTwoPi * cfg_.shift.raw() / cfg_.rf_rate;
-  const double dev_step = dsp::kTwoPi * cfg_.deviation.raw() / cfg_.rf_rate;
+  const double base_step = dsp::kTwoPi * cfg_.shift.raw() / fm::kRfRate;
+  const double dev_step = dsp::kTwoPi * cfg_.deviation.raw() / fm::kRfRate;
 
   // Optional DCO quantization: the IC's capacitor bank realizes 2^bits
   // discrete frequencies across [shift - dev, shift + dev].

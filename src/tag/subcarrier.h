@@ -43,30 +43,35 @@ struct SubcarrierConfig {
   units::Hertz shift{fm::kDefaultBackscatterShiftHz};
   units::Hertz deviation{fm::kMaxDeviationHz};  // df (max legal, as in paper)
   SubcarrierMode mode = SubcarrierMode::kBandlimitedSquare;
-  /// Highest odd harmonic to synthesize in kBandlimitedSquare mode;
-  /// 0 = every harmonic that fits below Nyquist.
-  int max_harmonic = 0;
   /// Frequency-quantization bits of the digitally controlled oscillator
   /// (the IC uses an 8-bit binary-weighted capacitor bank); 0 = ideal DCO.
   int dco_bits = 0;
-  double rf_rate = fm::kRfRate;
-  double baseband_rate = fm::kMpxRate;
 };
 
+/// RF samples of B(t) per tag baseband sample: the tag's oscillator runs at
+/// fm::kRfRate from baseband at fm::kMpxRate.
+inline constexpr std::size_t kSubcarrierUpFactor = fm::kMpxToRfFactor;
+
+/// True when the generator can synthesize `config`: a nonzero shift, a
+/// positive deviation, and |shift| + deviation below the RF Nyquist rate
+/// (fm::kRfRate / 2). NaN fails every check. The scenario plan and
+/// SubcarrierGenerator both apply this one rule.
+bool subcarrier_fits(const SubcarrierConfig& config);
+
 /// Streaming subcarrier generator. Feed tag baseband blocks at
-/// `baseband_rate`; receive B(t) at `rf_rate` (complex; imaginary part is
-/// zero except in SSB mode).
+/// fm::kMpxRate; receive B(t) at fm::kRfRate (complex; imaginary part is
+/// zero except in SSB mode). In kBandlimitedSquare mode it synthesizes every
+/// odd harmonic that fits below Nyquist.
 class SubcarrierGenerator {
  public:
+  /// Throws std::invalid_argument unless subcarrier_fits(config).
   explicit SubcarrierGenerator(const SubcarrierConfig& config);
-
-  const SubcarrierConfig& config() const { return cfg_; }
 
   /// Number of synthesized odd harmonics (1 means fundamental only).
   int harmonics_used() const { return harmonics_; }
 
   /// Generates B(t) for one baseband block into a caller-provided buffer of
-  /// baseband.size() * (rf_rate / baseband_rate) samples: the one block
+  /// baseband.size() * kSubcarrierUpFactor samples: the one block
   /// method. The output is a pure function of the sample stream, however it
   /// is cut into calls, as long as every call but the last spans a multiple
   /// of four RF samples (the vector sincos groups).
@@ -79,7 +84,6 @@ class SubcarrierGenerator {
  private:
   SubcarrierConfig cfg_;
   int harmonics_ = 1;
-  std::size_t up_factor_;
   dsp::FirInterpolator<float> interpolator_;
   dsp::PhaseAccumulator phase_;
   dsp::rvec up_;           // per-call interpolated baseband

@@ -28,25 +28,6 @@ TEST(Snr, EmptyThrows) {
   EXPECT_THROW(snr_db({}, {}), std::invalid_argument);
 }
 
-TEST(SegmentalSnr, TracksPlainSnrForStationarySignals) {
-  const MonoBuffer sig = make_tone(500.0, 1.0, 2.0, 48000.0);
-  const MonoBuffer noise = make_noise(0.05, 2.0, 48000.0, 4);
-  const MonoBuffer noisy = mix(sig, noise);
-  const double seg = segmental_snr_db(sig.samples, noisy.samples, 48000.0);
-  EXPECT_NEAR(seg, 23.0, 2.0);
-}
-
-TEST(SegmentalSnr, IgnoresSilentFrames) {
-  // Half tone, half silence; noise everywhere. Segmental SNR should reflect
-  // the active region only.
-  MonoBuffer sig = concat(make_tone(500.0, 1.0, 1.0, 48000.0),
-                          make_silence(1.0, 48000.0));
-  const MonoBuffer noise = make_noise(0.05, 2.0, 48000.0, 5);
-  const MonoBuffer noisy = mix(sig, noise);
-  const double seg = segmental_snr_db(sig.samples, noisy.samples, 48000.0);
-  EXPECT_GT(seg, 15.0);
-}
-
 TEST(AlignAndScale, RecoversDelayAndGain) {
   const MonoBuffer ref = synthesize_speech({}, 1.0, 48000.0, 6);
   // Delayed and attenuated copy.

@@ -213,6 +213,41 @@ TEST(FleetEngine, RejectsOutOfRangeStationDeviation) {
   }
 }
 
+// A tag subcarrier the generator cannot synthesize used to pass the plan:
+// ScenarioEngine threw only after it had rendered the stations, and
+// FleetEngine's analytic path, which builds no generator, reported a
+// delivered link. The plan now applies the generator's own rule.
+TEST(FleetEngine, RejectsTagSubcarriersTheGeneratorCannotSynthesize) {
+  Scenario base = spread_scenario(25);
+  base.tags.resize(1);
+  base.receivers.resize(1);
+  ASSERT_NO_THROW((void)resolve_scenario_plan(base));
+  const double nyquist = fm::kRfRate / 2.0;
+  const struct {
+    const char* what;
+    double shift;
+    double deviation;
+  } cases[] = {
+      {"deviation 0", 400e3, 0.0},
+      {"deviation -75 kHz", 400e3, -75e3},
+      {"shift 0", 0.0, 75e3},
+      {"|shift| + deviation at Nyquist", nyquist - 75e3, 75e3},
+      {"|shift| + deviation past Nyquist", -(nyquist - 50e3), 75e3},
+  };
+  for (const auto& c : cases) {
+    Scenario sc = base;
+    sc.tags[0].subcarrier.shift = units::Hertz{c.shift};
+    sc.tags[0].subcarrier.deviation = units::Hertz{c.deviation};
+    EXPECT_THROW((void)resolve_scenario_plan(sc), std::invalid_argument)
+        << c.what;
+    EXPECT_THROW((void)ScenarioEngine({.keep_captures = false}).run(sc),
+                 std::invalid_argument)
+        << c.what;
+    EXPECT_THROW((void)FleetEngine().run(sc), std::invalid_argument)
+        << c.what;
+  }
+}
+
 TEST(FleetEngine, FleetSweepBitIdenticalAcrossThreads) {
   const auto make_sweep = [] {
     std::vector<Scenario> sweep;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fleet.h"
 #include "core/streaming.h"
 #include "fm/station_cache.h"
 #include "tag/baseband.h"
@@ -124,9 +125,6 @@ TEST(ScenarioEngine, SameChannelOverlapCollidesAndStaggerRecovers) {
 // ---- Channel planner -------------------------------------------------------
 
 TEST(ChannelPlan, DisjointUpToCapacityThenShared) {
-  const std::size_t cap = tag::max_disjoint_channels();
-  EXPECT_EQ(cap, 8U);  // 4 raster channels x 2 signs at the 2.4 MHz scene
-
   const auto four = tag::plan_subcarrier_channels(4);
   for (const auto& a : four) {
     EXPECT_EQ(a.subcarrier.mode, tag::SubcarrierMode::kBandlimitedSquare);
@@ -141,7 +139,9 @@ TEST(ChannelPlan, DisjointUpToCapacityThenShared) {
     EXPECT_FALSE(a.shared);
     shifts.insert(a.subcarrier.shift.raw());
   }
-  EXPECT_EQ(shifts.size(), 8U);  // all distinct signed channels
+  // All distinct signed channels: 4 raster channels x 2 signs fill the
+  // 2.4 MHz scene.
+  EXPECT_EQ(shifts.size(), 8U);
 
   const auto ten = tag::plan_subcarrier_channels(10);
   EXPECT_FALSE(ten[7].shared);
@@ -492,10 +492,12 @@ TEST(ScenarioEngine, RejectsNonFiniteTimesInBothEngines) {
 }
 
 // A receiver's device chain and stereo decoder are validated up front, like
-// the scene times: a NaN corner or noise level would otherwise decode to
-// silent garbage, and a negative cabin delay is an undefined double-to-size
-// cast. Every field here is a plain double, so no units.h assert stands
-// between the value and the engine's check in a Debug build.
+// the scene times: a NaN engine noise level would otherwise decode to silent
+// garbage, and an audio rate whose Nyquist rate lies below the device
+// chain's fixed corners (the phone's 13 kHz codec, the car's 14 kHz
+// microphone) designs an unstable filter. Every field here is a plain
+// double, so no units.h assert stands between the value and the engine's
+// check in a Debug build.
 TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
   Scenario base;
   base.duration = units::Seconds{0.2};
@@ -506,43 +508,25 @@ TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
   const StreamingEngine streaming;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const double nyquist = fm::kAudioRate / 2.0;
   struct Case {
     std::string what;
     ReceiverKind kind;
     std::function<void(ScenarioReceiver&)> spoil;
   };
   std::vector<Case> cases;
-  for (const double v : {nan, inf, 0.0, -1000.0, nyquist}) {
-    const std::string at = " = " + std::to_string(v);
-    cases.push_back({"phone.cutoff_hz" + at, ReceiverKind::kPhone,
-                     [v](ScenarioReceiver& r) { r.phone.cutoff_hz = v; }});
-    cases.push_back(
-        {"cabin.mic_highpass_hz" + at, ReceiverKind::kCar,
-         [v](ScenarioReceiver& r) { r.cabin.mic_highpass_hz = v; }});
-    cases.push_back({"cabin.mic_lowpass_hz" + at, ReceiverKind::kCar,
-                     [v](ScenarioReceiver& r) { r.cabin.mic_lowpass_hz = v; }});
-  }
   for (const double v : {nan, inf, -1e-3}) {
-    const std::string at = " = " + std::to_string(v);
     cases.push_back(
-        {"phone.codec_noise_rms" + at, ReceiverKind::kPhone,
-         [v](ScenarioReceiver& r) { r.phone.codec_noise_rms = v; }});
-    cases.push_back(
-        {"cabin.engine_noise_rms" + at, ReceiverKind::kCar,
+        {"cabin.engine_noise_rms = " + std::to_string(v), ReceiverKind::kCar,
          [v](ScenarioReceiver& r) { r.cabin.engine_noise_rms = v; }});
-    cases.push_back(
-        {"cabin.reflection1_delay_s" + at, ReceiverKind::kCar,
-         [v](ScenarioReceiver& r) { r.cabin.reflection1_delay_s = v; }});
-    cases.push_back(
-        {"cabin.reflection2_delay_s" + at, ReceiverKind::kCar,
-         [v](ScenarioReceiver& r) { r.cabin.reflection2_delay_s = v; }});
   }
-  for (const double v : {nan, inf, 0.0, -48000.0, 50000.0}) {
-    cases.push_back(
-        {"stereo_decoder.audio_rate = " + std::to_string(v),
-         ReceiverKind::kPhone,
-         [v](ScenarioReceiver& r) { r.stereo_decoder.audio_rate = v; }});
+  // 24 kHz divides the MPX rate, but its 12 kHz Nyquist rate lies below
+  // both device chains' corners.
+  for (const ReceiverKind kind : {ReceiverKind::kPhone, ReceiverKind::kCar}) {
+    for (const double v : {nan, inf, 0.0, -48000.0, 50000.0, 24000.0}) {
+      cases.push_back(
+          {"stereo_decoder.audio_rate = " + std::to_string(v), kind,
+           [v](ScenarioReceiver& r) { r.stereo_decoder.audio_rate = v; }});
+    }
   }
   for (const Case& c : cases) {
     Scenario sc = base;
@@ -702,6 +686,80 @@ TEST(ScenarioEngine, RejectsNonFiniteReceiverInputs) {
        {"rx_antenna_gain", [](Scenario& sc, double v) {
           sc.receivers[0].rx_antenna_gain = std::bit_cast<units::Db>(v);
         }}});
+}
+
+// Link-budget, antenna and fading inputs sit one struct deeper and used to
+// slip past the finite-input check: a NaN reflection amplitude,
+// implementation loss or antenna gain reported a NaN backscatter power, a
+// NaN fading speed or Rician K decoded to a BER near 0.6 without an error,
+// and FleetEngine, whose analytic links ignore fading, reported a delivered
+// link.
+TEST(ScenarioEngine, RejectsNonFiniteLinkAntennaAndFadingInputs) {
+  Scenario base;
+  base.duration = units::Seconds{0.2};
+  ScenarioTag t;
+  t.name = "fsk";
+  t.num_bits = 64;
+  t.fading = channel::FadingConfig{};
+  base.tags.push_back(t);
+  base.receivers.push_back(phone_listening_to(t.subcarrier));
+  expect_rejects_non_finite(
+      base,
+      {{"link.carrier",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.carrier = std::bit_cast<units::Hertz>(v);
+        }},
+       {"link.tag_antenna_gain",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.tag_antenna_gain = std::bit_cast<units::Db>(v);
+        }},
+       {"link.rx_antenna_gain",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.rx_antenna_gain = std::bit_cast<units::Db>(v);
+        }},
+       {"link.reflection_amplitude",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.reflection_amplitude = v;
+        }},
+       {"link.implementation_loss",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.implementation_loss =
+              std::bit_cast<units::Db>(v);
+        }},
+       {"link.tag_height",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.tag_height = std::bit_cast<units::Meters>(v);
+        }},
+       {"link.rx_height",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.rx_height = std::bit_cast<units::Meters>(v);
+        }},
+       {"antenna.gain_dbi",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.gain_dbi = v; }},
+       {"antenna.efficiency_db",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.efficiency_db = v; }},
+       {"antenna.body_loss_db",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.body_loss_db = v; }},
+       {"fading.carrier",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->carrier = std::bit_cast<units::Hertz>(v);
+        }},
+       {"fading.speed_mps",
+        [](Scenario& sc, double v) { sc.tags[0].fading->speed_mps = v; }},
+       {"fading.rician_k",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->rician_k = std::bit_cast<units::Db>(v);
+        }},
+       {"fading.shadow_sigma",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->shadow_sigma = std::bit_cast<units::Db>(v);
+        }},
+       {"fading.shadow_rate", [](Scenario& sc, double v) {
+          sc.tags[0].fading->shadow_rate = std::bit_cast<units::Hertz>(v);
+        }}});
+  Scenario fading = base;
+  fading.tags[0].fading->speed_mps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)FleetEngine().run(fading), std::invalid_argument);
 }
 
 // A tag's payload level scales its baseband, so a NaN or infinite level

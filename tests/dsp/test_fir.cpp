@@ -70,30 +70,6 @@ TEST(FirFilter, ImpulseResponseEqualsTaps) {
   EXPECT_NEAR(out[3], 0.0F, 1e-6F);
 }
 
-TEST(FirFilter, BlockBoundariesSeamless) {
-  const auto taps = fir_design_lowpass(31, 0.2);
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<float> u(-1.0F, 1.0F);
-  std::vector<float> x(300);
-  for (auto& v : x) v = u(rng);
-
-  FirFilter<float> whole(taps);
-  const auto ref = test::run_stage(whole, x);
-
-  FirFilter<float> chunked(taps);
-  std::vector<float> got;
-  for (std::size_t start = 0; start < x.size(); start += 37) {
-    const std::size_t len = std::min<std::size_t>(37, x.size() - start);
-    const auto part = test::run_stage(
-        chunked, std::span<const float>(x.data() + start, len));
-    got.insert(got.end(), part.begin(), part.end());
-  }
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-5F) << "mismatch at " << i;
-  }
-}
-
 TEST(FirFilter, ComplexSamplesWork) {
   const auto taps = fir_design_lowpass(21, 0.25);
   FirFilter<cfloat> filt(taps);
@@ -153,30 +129,6 @@ TEST(FirInterpolator, PreservesAmplitudeAndSpectrum) {
     peak = std::max(peak, std::abs(y[i]));
   }
   EXPECT_NEAR(peak, 1.0F, 0.03F);
-}
-
-TEST(FirInterpolator, StreamingMatchesOneShot) {
-  const std::size_t factor = 3;
-  const auto proto = fir_design_lowpass(8 * factor + 1, 0.4 / factor);
-  std::mt19937 rng(9);
-  std::uniform_real_distribution<float> u(-1.0F, 1.0F);
-  std::vector<float> x(120);
-  for (auto& v : x) v = u(rng);
-
-  FirInterpolator<float> whole(proto, factor);
-  const auto ref = test::run_stage(whole, x);
-  FirInterpolator<float> chunked(proto, factor);
-  std::vector<float> got;
-  for (std::size_t start = 0; start < x.size(); start += 17) {
-    const std::size_t len = std::min<std::size_t>(17, x.size() - start);
-    const auto part = test::run_stage(
-        chunked, std::span<const float>(x.data() + start, len));
-    got.insert(got.end(), part.begin(), part.end());
-  }
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-5F);
-  }
 }
 
 TEST(FirInterpolator, InterpolateThenDecimateIsNearIdentity) {

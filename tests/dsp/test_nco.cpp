@@ -103,51 +103,6 @@ TEST(Mixer, DownShiftToDc) {
   }
 }
 
-/// Mixes x in one call and again cut into calls of the given sizes (cycled
-/// to the end of x); asserts the two outputs match bit for bit.
-void expect_same_when_cut(double freq, double fs, double phase, const cvec& x,
-                          const std::vector<std::size_t>& sizes) {
-  Mixer whole(freq, fs, phase);
-  const cvec ref = test::run_stage(whole, x);
-  Mixer chunked(freq, fs, phase);
-  cvec got;
-  std::size_t next = 0;
-  for (std::size_t start = 0; start < x.size();) {
-    const std::size_t len =
-        std::min(sizes[next++ % sizes.size()], x.size() - start);
-    const cvec part = test::run_stage(
-        chunked, std::span<const cfloat>(x.data() + start, len));
-    got.insert(got.end(), part.begin(), part.end());
-    start += len;
-  }
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(got[i], ref[i]) << "f=" << freq << " phase=" << phase
-                              << " i=" << i << " first cut=" << sizes[0];
-  }
-}
-
-TEST(Mixer, PhaseContinuousAcrossBlocks) {
-  // Reseeds and span steps sit on the absolute sample index, so however the
-  // stream is cut into calls the output is bit-identical to one call. At
-  // zero initial phase both frequencies put the rotator exactly on an axis
-  // at some samples; a real input passes its near-zero component (rounding
-  // residue, representable in float) straight to the output, where any
-  // change in the arithmetic path shows.
-  cvec x(60000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = cfloat(1.0F + 0.5F * std::cos(0.001F * static_cast<float>(i)),
-                  0.0F);
-  }
-  const std::vector<std::vector<std::size_t>> cuts = {
-      {41}, {1, 7, 1000, 2400, 24000}, {24000, 2400, 1000, 7, 1}};
-  for (const auto& sizes : cuts) {
-    expect_same_when_cut(1234.0, 48000.0, 0.0, x, sizes);
-    expect_same_when_cut(-400000.0, 2400000.0, 0.0, x, sizes);
-    expect_same_when_cut(-400000.0, 2400000.0, 1.0, x, sizes);
-  }
-}
-
 /// Largest |error| of a mixer fed ones (its output is then the float-rounded
 /// rotator itself) against a long-double phasor at the mixer's exact (double)
 /// frequency, over 100 simulated seconds. Checks the head of the first 0.1 s

@@ -391,16 +391,14 @@ TEST(SimdKernels, SincosMatchesLibmWithinTolerance) {
 // pre-vectorization loop, verbatim.
 dsp::cvec subcarrier_reference(const tag::SubcarrierConfig& cfg, int harmonics,
                                std::span<const float> baseband) {
-  const auto factor =
-      static_cast<std::size_t>(cfg.rf_rate / cfg.baseband_rate + 0.5);
+  const std::size_t factor = tag::kSubcarrierUpFactor;
   dsp::FirInterpolator<float> interp(
-      factor == 1 ? std::vector<float>{1.0F}
-                  : dsp::fir_design_lowpass((16 * factor) | 1U,
-                                            0.45 / static_cast<double>(factor)),
+      dsp::fir_design_lowpass((16 * factor) | 1U,
+                              0.45 / static_cast<double>(factor)),
       factor);
   const dsp::rvec up = test::run_stage(interp, baseband);
-  const double base_step = dsp::kTwoPi * cfg.shift.raw() / cfg.rf_rate;
-  const double dev_step = dsp::kTwoPi * cfg.deviation.raw() / cfg.rf_rate;
+  const double base_step = dsp::kTwoPi * cfg.shift.raw() / fm::kRfRate;
+  const double dev_step = dsp::kTwoPi * cfg.deviation.raw() / fm::kRfRate;
   const double levels =
       cfg.dco_bits > 0 ? std::pow(2.0, cfg.dco_bits) - 1.0 : 0.0;
   dsp::PhaseAccumulator phase;

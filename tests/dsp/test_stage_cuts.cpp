@@ -197,8 +197,8 @@ struct BiquadCascadeStage {
   static constexpr const char* kName = "BiquadCascade";
   using Stage = dsp::BiquadCascade;
   static std::vector<StageCase<Stage, float>> cases() {
-    return {{"butterworth4",
-             [] { return Stage(rx::butterworth_lowpass(0.2, 4)); },
+    return {{"butterworth",
+             [] { return Stage(rx::butterworth_lowpass(0.2)); },
              uniform_floats(2000, 17), 1, {{96}}}};
   }
 };

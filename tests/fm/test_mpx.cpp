@@ -89,10 +89,9 @@ TEST(Mpx, RdsInjectionAt57k) {
 }
 
 TEST(Mpx, RateValidation) {
-  const StereoBuffer prog = tone_pair(1000.0, 1000.0, 0.01);
-  MpxConfig cfg;
-  cfg.mpx_rate = 100000.0;  // not an integer multiple of 48 kHz
-  EXPECT_THROW(compose_mpx(prog, cfg), std::invalid_argument);
+  StereoBuffer prog = tone_pair(1000.0, 1000.0, 0.01);
+  prog.sample_rate = 100000.0;  // 240 kHz is not an integer multiple of it
+  EXPECT_THROW(compose_mpx(prog, MpxConfig{}), std::invalid_argument);
 }
 
 TEST(Emphasis, PreThenDeIsIdentity) {

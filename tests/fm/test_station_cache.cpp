@@ -1,7 +1,7 @@
 // StationCache scene scopes: a multi-station scene pins its renders for the
 // duration of a run — the cache overflows transiently rather than letting a
 // scene wider than the capacity thrash (or a concurrent scene evict) its
-// own stations — and optionally drops them on exit.
+// own stations.
 #include "fm/station_cache.h"
 
 #include <gtest/gtest.h>
@@ -85,30 +85,20 @@ TEST_F(StationCacheScopeTest, PinsProtectAgainstConcurrentScenes) {
   }
 }
 
-TEST_F(StationCacheScopeTest, EvictOnExitDropsTheSceneEntries) {
-  {
-    StationCache::SceneScope scope(cache_, /*evict_on_exit=*/true);
-    (void)scope.render(station_with_seed(31), units::Seconds{0.05});
-    (void)scope.render(station_with_seed(32), units::Seconds{0.05});
-  }
-  EXPECT_EQ(cache_.stats().misses, 2U);
-  // Dropped on exit: rendering again misses.
-  (void)cache_.render(station_with_seed(31), units::Seconds{0.05});
-  EXPECT_EQ(cache_.stats().misses, 3U);
-  EXPECT_EQ(cache_.stats().hits, 0U);
-}
-
 TEST_F(StationCacheScopeTest, SharedKeyStaysWhileAnotherScopeHoldsIt) {
+  cache_.set_capacity(1);
   {
     StationCache::SceneScope keeper(cache_);
     (void)keeper.render(station_with_seed(41), units::Seconds{0.05});
     {
-      StationCache::SceneScope dropper(cache_, /*evict_on_exit=*/true);
+      StationCache::SceneScope dropper(cache_);
       (void)dropper.render(station_with_seed(41), units::Seconds{0.05});
+      (void)dropper.render(station_with_seed(42), units::Seconds{0.05});
     }
-    // The dropper exits but the keeper still pins the entry.
+    // The dropper exits and the cache shrinks back to capacity 1, evicting
+    // its own render, but the keeper still pins the shared entry.
     (void)cache_.render(station_with_seed(41), units::Seconds{0.05});
-    EXPECT_EQ(cache_.stats().misses, 1U);
+    EXPECT_EQ(cache_.stats().misses, 2U);
     EXPECT_EQ(cache_.stats().hits, 2U);
   }
 }
@@ -149,9 +139,7 @@ TEST_F(StationCacheScopeTest, ConcurrentScopesPinAndEvictSafely) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int iter = 0; iter < kItersPerThread; ++iter) {
-        // Alternate keep/evict scopes so teardown exercises both paths.
-        StationCache::SceneScope scope(cache_,
-                                       /*evict_on_exit=*/(t + iter) % 2 == 0);
+        StationCache::SceneScope scope(cache_);
         // Each thread walks the key ring from its own offset: every pair of
         // threads overlaps on most keys most of the time.
         for (std::uint64_t k = 0; k < 3; ++k) {

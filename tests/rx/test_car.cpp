@@ -56,12 +56,12 @@ TEST(Cabin, MicBandLimits) {
 TEST(Cabin, ReflectionsCreateEcho) {
   CabinConfig cfg;
   cfg.engine_noise_rms = 0.0;
-  // An impulse should produce echoes at the configured delays.
+  // An impulse should produce echoes at the cabin's reflection delays.
   std::vector<float> impulse(4800, 0.0F);
   impulse[0] = 1.0F;
   const MonoBuffer out =
       apply_cabin_acoustics(MonoBuffer(impulse, 48000.0), cfg);
-  const auto d1 = static_cast<std::size_t>(cfg.reflection1_delay_s * 48000.0);
+  const auto d1 = static_cast<std::size_t>(kReflection1DelaySeconds * 48000.0);
   // The mic band-pass smears the impulse; check energy near the echo tap.
   double near_echo = 0.0;
   for (std::size_t i = d1 - 3; i <= d1 + 3; ++i) {

@@ -75,37 +75,6 @@ TEST(Tuner, BlockSizeValidation) {
   EXPECT_THROW(tuner.process_into(bad, out), std::invalid_argument);
 }
 
-// The scene renderer tunes each receiver a sub-block at a time, mixing its
-// scratch superposition in place: the stream must match one whole-block
-// call bit for bit, on a shifted channel and on one already at DC.
-TEST(Tuner, ProcessIntoSubBlocksIsBitIdentical) {
-  for (const double offset_hz : {600000.0, 0.0}) {
-    TunerConfig cfg;
-    cfg.offset_hz = offset_hz;
-    Tuner whole(cfg);
-    Tuner chunked(cfg);
-    dsp::Oscillator a(590000.0, cfg.rf_rate);
-    dsp::Oscillator b(-230000.0, cfg.rf_rate);
-    dsp::cvec rf(48000);
-    for (dsp::cfloat& v : rf) v = a.next_complex() + 0.3F * b.next_complex();
-    const dsp::cvec ref = test::run_stage(whole, rf);
-    dsp::cvec got(ref.size());
-    constexpr std::size_t kChunk = 4800;
-    dsp::cvec scratch(kChunk);
-    for (std::size_t at = 0; at < rf.size(); at += kChunk) {
-      std::copy_n(rf.begin() + static_cast<std::ptrdiff_t>(at), kChunk,
-                  scratch.begin());
-      chunked.process_into(scratch,
-                           std::span<dsp::cfloat>(got).subspan(at / 10,
-                                                               kChunk / 10));
-    }
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          ref.size() * sizeof(dsp::cfloat)),
-              0)
-        << "offset " << offset_hz;
-  }
-}
-
 TEST(Tuner, RateValidation) {
   TunerConfig cfg;
   cfg.output_rate = 210000.0;  // not an integer divisor

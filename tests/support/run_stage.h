@@ -35,10 +35,9 @@ std::size_t output_length(const dsp::FirInterpolator<Sample>& s,
 inline std::size_t output_length(const rx::Tuner& s, std::size_t n) {
   return n / s.decimation();
 }
-inline std::size_t output_length(const tag::SubcarrierGenerator& s,
+inline std::size_t output_length(const tag::SubcarrierGenerator& /*s*/,
                                  std::size_t n) {
-  return n * static_cast<std::size_t>(
-                 s.config().rf_rate / s.config().baseband_rate + 0.5);
+  return n * tag::kSubcarrierUpFactor;
 }
 
 namespace detail {

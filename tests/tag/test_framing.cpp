@@ -82,17 +82,6 @@ TEST(Frame, TruncatedFrameRejected) {
   EXPECT_FALSE(decode_frame(bits).has_value());
 }
 
-TEST(RepeatBits, TilesForMrc) {
-  const std::vector<std::uint8_t> bits{1, 0, 1};
-  const auto tiled = repeat_bits(bits, 3);
-  ASSERT_EQ(tiled.size(), 9U);
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(tiled[r * 3 + 0], 1);
-    EXPECT_EQ(tiled[r * 3 + 1], 0);
-    EXPECT_EQ(tiled[r * 3 + 2], 1);
-  }
-}
-
 TEST(Frame, FindsFrameInLongBitstream) {
   // Multiple frames: decoder returns the first intact one.
   const auto p1 = bytes_of("first");
