@@ -4,7 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,116 +36,134 @@ double pair_distance_m(const ScenarioTag& tag, const ScenePosition& tag_at,
                                    tag_at.y_m - rx_at.y_m));
 }
 
-/// Rejects a receiver whose stereo decoder or device chain cannot run. NaN
-/// fails every comparison, so each check passes only on good values.
-void validate_receiver_chain(const ScenarioReceiver& rx) {
-  const double rate = rx.stereo_decoder.audio_rate;
-  const double ratio = fm::kMpxRate / rate;
-  const bool car = rx.kind == ReceiverKind::kCar;
-  // The device chain's top corner: the car's microphone or the phone's codec.
-  const double corner = car ? rx::kMicLowpassHz : rx::kPhoneCutoffHz;
-  const double noise = rx.cabin.engine_noise_rms;
-  if (!(ratio >= 1.0 && std::abs(ratio - std::round(ratio)) <= 1e-9) ||
-      !(corner < rate / 2.0) ||
-      (car && !(noise >= 0.0 && std::isfinite(noise)))) {
-    throw std::invalid_argument(
-        "ScenarioEngine: receiver \"" + rx.name +
-        "\" needs an audio rate dividing the MPX rate with its device "
-        "chain's corners below Nyquist, and a finite, non-negative engine "
-        "noise level");
+/// An input domain: an interval with open or closed ends, and its text for
+/// error messages. Every infinite end is open, so no domain holds +-inf, and
+/// NaN fails every comparison, so it lies in none.
+struct Domain {
+  double lo, hi;
+  bool lo_open, hi_open;
+  const char* text;
+  bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
-}
+};
 
-/// Rejects a non-finite station offset, power or deviation (the legacy
-/// station's too), tag power, start, subcarrier shift or deviation,
-/// distance, antenna or fading input, receiver tune, set receiver power,
-/// noise floor, antenna gain or link input, and any non-finite position or
-/// waypoint coordinate. units.h checks finiteness only with assert(), and
-/// NaN would slip past every range check after this.
-void validate_finite_inputs(const Scenario& sc) {
-  const auto finite = [](std::initializer_list<double> values) {
-    return std::all_of(values.begin(), values.end(),
-                       [](double v) { return std::isfinite(v); });
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Domain kFinite{-kInf, kInf, true, true, "finite"};
+constexpr Domain kPositive{0.0, kInf, true, true, "finite and > 0"};
+constexpr Domain kNonNegative{0.0, kInf, false, true, "finite and >= 0"};
+constexpr Domain kAtLeastOne{1.0, kInf, false, true, ">= 1"};
+constexpr Domain kLevel{0.0, 1.0, true, false, "in (0, 1]"};
+constexpr Domain kInjection{0.0, 1.0, false, false, "in [0, 1]"};
+/// What fm::FmModulator accepts at the MPX rate.
+constexpr Domain kDeviation{0.0, fm::kMpxRate / 2.0, true, true,
+                            "in (0, kMpxRate/2)"};
+constexpr Domain kInScene{-fm::kRfRate / 2.0, fm::kRfRate / 2.0, false, false,
+                          "inside +-kRfRate/2"};
+/// 1 uHz of slack for offsets computed as channel multiples.
+constexpr Domain kStationOffset{-kMaxStationOffsetHz - 1e-6,
+                                kMaxStationOffsetHz + 1e-6, false, false,
+                                "inside +-kMaxStationOffsetHz"};
+
+/// One scenario input: its entity, field path, value and domain.
+struct InputRow {
+  const char* entity;
+  const std::string* name;
+  const char* path;
+  double value;
+  const Domain* domain;
+};
+
+/// The domain table: one row per single-input range rule of `sc`, for the
+/// inputs the engines read. units.h checks finiteness only with assert(), so
+/// a Release build hands NaN and +-inf straight to here.
+std::vector<InputRow> input_rows(const Scenario& sc) {
+  std::vector<InputRow> rows;
+  const char* entity = "scenario";
+  const std::string* name = &sc.name;
+  const auto row = [&](const char* path, double value, const Domain& domain) {
+    rows.push_back({entity, name, path, value, &domain});
   };
-  const auto finite_path = [&](const ScenePosition& at,
-                               std::span<const ScenePosition> waypoints) {
-    return finite({at.x_m, at.y_m}) &&
-           std::all_of(waypoints.begin(), waypoints.end(),
-                       [&](const ScenePosition& w) {
-                         return finite({w.x_m, w.y_m});
-                       });
+  const auto if_set = [&](const char* path, const auto& value) {
+    if (value) row(path, value->raw(), kFinite);
   };
-  const auto unset_or_finite = [](const auto& value) {
-    return !value || std::isfinite(value->raw());
-  };
-  const auto check = [](bool ok, const char* kind, const std::string& name) {
-    if (!ok) {
-      throw std::invalid_argument(
-          std::string("ScenarioEngine: ") + kind + " \"" + name +
-          "\" has a non-finite power, offset, gain, deviation, shift, start, "
-          "distance or coordinate");
+  const auto positions = [&](const ScenePosition& at,
+                             std::span<const ScenePosition> waypoints) {
+    row("position.x_m", at.x_m, kFinite);
+    row("position.y_m", at.y_m, kFinite);
+    for (const ScenePosition& w : waypoints) {
+      row("waypoints.x_m", w.x_m, kFinite);
+      row("waypoints.y_m", w.y_m, kFinite);
     }
   };
-  check(finite({sc.station.deviation.raw()}), "station", "legacy");
+  row("receivers.size()", static_cast<double>(sc.receivers.size()),
+      kAtLeastOne);
+  row("duration", sc.duration.raw(), kPositive);
+  row("settle", sc.settle.raw(), kNonNegative);
+  row("timeline.segment", sc.timeline.segment.raw(), kNonNegative);
+  row("station.deviation", sc.station.deviation.raw(), kDeviation);
+  row("station.rds_level", sc.station.rds_level, kInjection);
+  entity = "station";
   for (const ScenarioStation& st : sc.stations) {
-    check(finite({st.offset.raw(), st.power.raw(),
-                  st.config.deviation.raw()}) &&
-              finite_path(st.position.value_or(ScenePosition{}), {}),
-          "station", st.name);
+    name = &st.name;
+    row("offset", st.offset.raw(), kStationOffset);
+    row("power", st.power.raw(), kFinite);
+    if (st.position) positions(*st.position, {});
+    row("config.deviation", st.config.deviation.raw(), kDeviation);
+    row("config.rds_level", st.config.rds_level, kInjection);
   }
-  const auto finite_fading = [&](const channel::FadingConfig& f) {
-    return finite({f.carrier.raw(), f.speed_mps, f.rician_k.raw(),
-                   f.shadow_sigma.raw(), f.shadow_rate.raw()});
-  };
+  entity = "tag";
   for (const ScenarioTag& t : sc.tags) {
-    const tag::AntennaModel& a = t.antenna;
-    check(finite({t.tag_power.raw(), t.start.raw(), t.subcarrier.shift.raw(),
-                  t.subcarrier.deviation.raw(), a.gain_dbi, a.efficiency_db,
-                  a.body_loss_db}) &&
-              unset_or_finite(t.distance_override) &&
-              (!t.fading || finite_fading(*t.fading)) &&
-              finite_path(t.position, t.waypoints),
-          "tag", t.name);
+    name = &t.name;
+    const bool payload = t.custom_baseband.empty();
+    const bool rds = payload && !t.rds_radiotext.empty();
+    row("tag_power", t.tag_power.raw(), kFinite);
+    row("start", t.start.raw(), payload ? kNonNegative : kFinite);
+    if (payload && !rds) row("level", t.level, kLevel);
+    if (rds) row("rds_level", t.rds_level, kLevel);
+    row("subcarrier.shift", t.subcarrier.shift.raw(), kFinite);
+    row("subcarrier.deviation", t.subcarrier.deviation.raw(), kFinite);
+    row("subcarrier.dco_bits", t.subcarrier.dco_bits, kNonNegative);
+    row("antenna.gain_dbi", t.antenna.gain_dbi, kFinite);
+    row("antenna.efficiency_db", t.antenna.efficiency_db, kFinite);
+    row("antenna.body_loss_db", t.antenna.body_loss_db, kFinite);
+    row("mac.slot", t.mac.slot.raw(), kNonNegative);
+    row("mac.cs_threshold", t.mac.cs_threshold.raw(), kFinite);
+    if_set("distance_override", t.distance_override);
+    if (const auto& f = t.fading) {
+      row("fading.carrier", f->carrier.raw(), kFinite);
+      row("fading.speed_mps", f->speed_mps, kFinite);
+      row("fading.rician_k", f->rician_k.raw(), kFinite);
+      row("fading.shadow_sigma", f->shadow_sigma.raw(), kFinite);
+      row("fading.shadow_rate", f->shadow_rate.raw(), kFinite);
+    }
+    positions(t.position, t.waypoints);
   }
+  entity = "receiver";
   for (const ScenarioReceiver& rx : sc.receivers) {
+    name = &rx.name;
     const channel::LinkBudgetConfig& l = rx.link;
-    check(finite({rx.tune_offset.raw(), l.carrier.raw(),
-                  l.tag_antenna_gain.raw(), l.rx_antenna_gain.raw(),
-                  l.reflection_amplitude, l.implementation_loss.raw(),
-                  l.tag_height.raw(), l.rx_height.raw()}) &&
-              unset_or_finite(rx.direct_power) &&
-              unset_or_finite(rx.noise_200khz) &&
-              unset_or_finite(rx.rx_antenna_gain) &&
-              finite_path(rx.position, rx.waypoints),
-          "receiver", rx.name);
-  }
-}
-
-/// Every station's deviation must lie in (0, kMpxRate / 2), the range its
-/// fm::FmModulator accepts, and every tag's subcarrier must pass
-/// tag::subcarrier_fits, the rule its tag::SubcarrierGenerator applies.
-/// Checked in the plan so that FleetEngine, whose analytic links build
-/// neither, rejects what ScenarioEngine does.
-void validate_modulators(const Scenario& sc) {
-  const auto check = [](units::Hertz deviation, const std::string& name) {
-    if (!(deviation.raw() > 0.0 && deviation.raw() < fm::kMpxRate / 2.0)) {
-      throw std::invalid_argument(
-          "ScenarioEngine: station \"" + name +
-          "\" deviation must lie between 0 and half the MPX rate");
+    row("tune_offset", rx.tune_offset.raw(), kInScene);
+    if_set("direct_power", rx.direct_power);
+    if_set("noise_200khz", rx.noise_200khz);
+    if_set("rx_antenna_gain", rx.rx_antenna_gain);
+    row("link.carrier", l.carrier.raw(), kFinite);
+    row("link.tag_antenna_gain", l.tag_antenna_gain.raw(), kFinite);
+    row("link.rx_antenna_gain", l.rx_antenna_gain.raw(), kFinite);
+    row("link.reflection_amplitude", l.reflection_amplitude, kFinite);
+    row("link.implementation_loss", l.implementation_loss.raw(), kFinite);
+    row("link.tag_height", l.tag_height.raw(), kFinite);
+    row("link.rx_height", l.rx_height.raw(), kFinite);
+    if (rx.kind == ReceiverKind::kCar) {
+      row("cabin.engine_noise_rms", rx.cabin.engine_noise_rms, kNonNegative);
+    } else if (rx.phone.enable_agc) {
+      row("phone.agc.target_rms", rx.phone.agc.target_rms, kPositive);
+      row("phone.agc.attack_seconds", rx.phone.agc.attack_seconds, kFinite);
+      row("phone.agc.release_seconds", rx.phone.agc.release_seconds, kFinite);
     }
-  };
-  check(sc.station.deviation, "legacy");
-  for (const ScenarioStation& st : sc.stations) {
-    check(st.config.deviation, st.name);
+    positions(rx.position, rx.waypoints);
   }
-  for (const ScenarioTag& t : sc.tags) {
-    if (!tag::subcarrier_fits(t.subcarrier)) {
-      throw std::invalid_argument(
-          "ScenarioEngine: tag \"" + t.name +
-          "\" subcarrier needs a nonzero shift and a positive deviation "
-          "whose sum fits below the RF Nyquist rate");
-    }
-  }
+  return rows;
 }
 
 }  // namespace
@@ -345,25 +363,39 @@ std::pair<double, double> ScenarioPlan::segment_bounds(std::size_t k) const {
 }
 
 ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
-  // units.h checks finiteness only with assert(), so a Release build lets
-  // NaN and +-inf through to here; every comparison below is false on NaN.
-  if (!std::isfinite(sc.duration.raw()) || !std::isfinite(sc.settle.raw()) ||
-      !std::isfinite(sc.timeline.segment.raw())) {
-    throw std::invalid_argument(
-        "ScenarioEngine: duration, settle and segment must be finite");
+  for (const InputRow& r : input_rows(sc)) {
+    if (!r.domain->contains(r.value)) {
+      throw std::invalid_argument(std::string("ScenarioEngine: ") + r.entity +
+                                  " \"" + *r.name + "\" " + r.path +
+                                  " must be " + r.domain->text);
+    }
   }
-  if (sc.duration.raw() <= 0.0) {
-    throw std::invalid_argument("ScenarioEngine: duration must be > 0");
+  // Rules that relate two inputs. The stereo decoder needs an audio rate
+  // dividing the MPX rate, with the device chain's top corner (the car's
+  // microphone or the phone's codec) below its Nyquist rate.
+  for (const ScenarioReceiver& rx : sc.receivers) {
+    const double rate = rx.stereo_decoder.audio_rate;
+    const double ratio = fm::kMpxRate / rate;
+    const double corner =
+        rx.kind == ReceiverKind::kCar ? rx::kMicLowpassHz : rx::kPhoneCutoffHz;
+    if (!(ratio >= 1.0 && std::abs(ratio - std::round(ratio)) <= 1e-9) ||
+        !(corner < rate / 2.0)) {
+      throw std::invalid_argument(
+          "ScenarioEngine: receiver \"" + rx.name +
+          "\" needs an audio rate dividing the MPX rate with its device "
+          "chain's corners below Nyquist");
+    }
   }
-  if (sc.settle.raw() < 0.0) {
-    throw std::invalid_argument("ScenarioEngine: negative settle window");
+  // Checked here so that FleetEngine, whose analytic links build no
+  // tag::SubcarrierGenerator, rejects what ScenarioEngine does.
+  for (const ScenarioTag& t : sc.tags) {
+    if (!tag::subcarrier_fits(t.subcarrier)) {
+      throw std::invalid_argument(
+          "ScenarioEngine: tag \"" + t.name +
+          "\" subcarrier needs a nonzero shift and a positive deviation "
+          "whose sum fits below the RF Nyquist rate");
+    }
   }
-  if (sc.receivers.empty()) {
-    throw std::invalid_argument("ScenarioEngine: scenario needs a receiver");
-  }
-  for (const ScenarioReceiver& rx : sc.receivers) validate_receiver_chain(rx);
-  validate_finite_inputs(sc);
-  validate_modulators(sc);
   ScenarioPlan plan;
   plan.total_seconds = sc.settle.raw() + sc.duration.raw();
   const double total_seconds = plan.total_seconds;
@@ -374,9 +406,6 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   // segment boundaries, so captures — and the bursts demodulated out of
   // them — are seam-free by construction.
   const double seg_len = sc.timeline.segment.raw();
-  if (seg_len < 0.0) {
-    throw std::invalid_argument("ScenarioEngine: negative segment length");
-  }
   if (seg_len > 0.0) {
     const double blocks = seg_len / kBlockSeconds;
     if (blocks < 1.0 - 1e-9 ||
@@ -399,15 +428,8 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
   plan.num_stations = multi ? sc.stations.size() : 1;
   const std::size_t num_stations = plan.num_stations;
   plan.station_offset.assign(num_stations, 0.0);
-  if (multi) {
-    for (std::size_t s = 0; s < num_stations; ++s) {
-      plan.station_offset[s] = sc.stations[s].offset.raw();
-      if (std::abs(plan.station_offset[s]) > kMaxStationOffsetHz + 1e-6) {
-        throw std::invalid_argument(
-            "ScenarioEngine: station \"" + sc.stations[s].name +
-            "\" carrier offset falls outside the 2.4 MHz scene");
-      }
-    }
+  for (std::size_t s = 0; multi && s < num_stations; ++s) {
+    plan.station_offset[s] = sc.stations[s].offset.raw();
   }
 
   // ---- Per-segment entity positions along their waypoint paths. -----------
@@ -486,18 +508,10 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
       tp.custom_baseband = true;
       continue;
     }
-    if (t.start.raw() < 0.0) {
-      throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
-                                  "\" burst does not fit the scenario");
-    }
     if (!t.rds_radiotext.empty()) {
       // RDS data mode: the RadioText compiles to group-2A blocks whose
       // serialized bitstream becomes the burst (one pass over the groups at
       // the standard 1187.5 bps).
-      if (!(t.rds_level > 0.0 && t.rds_level <= 1.0)) {  // NaN fails too
-        throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
-                                    "\" rds_level must be in (0, 1]");
-      }
       tp.rds = true;
       tp.rds_bits =
           fm::serialize_groups(fm::make_radiotext_groups(t.rds_radiotext));
@@ -508,10 +522,6 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
     if (t.num_bits == 0) {
       throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
                                   "\" has no payload");
-    }
-    if (!(t.level > 0.0 && t.level <= 1.0)) {  // NaN fails too
-      throw std::invalid_argument("ScenarioEngine: tag \"" + t.name +
-                                  "\" level must be in (0, 1]");
     }
     tp.content_seed =
         t.seed ? *t.seed : derive_seed(sc.seed, kTagContentStream + i);

@@ -487,7 +487,8 @@ struct ScenarioPlan {
 };
 
 /// Resolves a scenario's pre-render plan. Performs the engine's full
-/// validation (throws std::invalid_argument on inconsistent scenarios) and
+/// validation (throws std::invalid_argument, naming the entity and field,
+/// on an input outside its domain or an inconsistent scenario) and
 /// the complete MAC resolution — carrier-sense tags listen against the same
 /// analytic channel model the engine uses — without synthesizing a sample.
 ScenarioPlan resolve_scenario_plan(const Scenario& scenario);
@@ -530,11 +531,8 @@ class ScenarioEngine {
  public:
   explicit ScenarioEngine(ScenarioEngineConfig config = {}) : config_(config) {}
 
-  const ScenarioEngineConfig& config() const { return config_; }
-
-  /// Runs one scenario. Throws std::invalid_argument on an inconsistent
-  /// scenario (no receivers, burst past the end, bad rates, station offsets
-  /// outside the scene).
+  /// Runs one scenario. Throws std::invalid_argument where
+  /// resolve_scenario_plan does.
   ScenarioResult run(const Scenario& scenario) const;
 
  private:

@@ -95,8 +95,6 @@ class StreamingEngine {
   /// non-positive horizon, or a non-finite horizon or decision window.
   explicit StreamingEngine(StreamingConfig config = {});
 
-  const StreamingConfig& config() const { return config_; }
-
   /// Renders, streams and decodes one scenario. Throws
   /// std::invalid_argument on inconsistent scenarios (same validation as the
   /// batch engine) and propagates any worker-thread failure after shutting

@@ -7,9 +7,11 @@
 namespace fmbs::dsp {
 
 namespace {
+/// A time constant <= 0 is instant; NaN fails both comparisons.
 double smoothing_alpha(double seconds, double sample_rate) {
+  if (seconds > 0.0) return 1.0 - std::exp(-1.0 / (seconds * sample_rate));
   if (seconds <= 0.0) return 1.0;
-  return 1.0 - std::exp(-1.0 / (seconds * sample_rate));
+  throw std::invalid_argument("Agc: NaN time constant");
 }
 }  // namespace
 
@@ -17,8 +19,9 @@ Agc::Agc(const Config& config, double sample_rate)
     : cfg_(config),
       attack_alpha_(smoothing_alpha(config.attack_seconds, sample_rate)),
       release_alpha_(smoothing_alpha(config.release_seconds, sample_rate)) {
-  if (sample_rate <= 0.0) throw std::invalid_argument("Agc: bad sample rate");
-  if (config.target_rms <= 0.0) throw std::invalid_argument("Agc: bad target");
+  // NaN fails every comparison, so each check passes only on good values.
+  if (!(sample_rate > 0.0)) throw std::invalid_argument("Agc: bad sample rate");
+  if (!(config.target_rms > 0.0)) throw std::invalid_argument("Agc: bad target");
 }
 
 float Agc::process_sample(float x) {

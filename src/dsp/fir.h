@@ -127,9 +127,6 @@ class FirFilter {
 
   std::size_t num_taps() const { return taps_.size(); }
 
-  /// Group delay in samples ((N-1)/2 for these linear-phase designs).
-  double group_delay() const { return (static_cast<double>(taps_.size()) - 1.0) / 2.0; }
-
   /// Filters a block into a caller-provided buffer of equal length.
   void process_into(std::span<const Sample> in, std::span<Sample> out) {
     if (out.size() != in.size()) throw std::invalid_argument("FirFilter: size mismatch");

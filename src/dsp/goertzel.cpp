@@ -32,16 +32,16 @@ double goertzel_power(std::span<const float> block, double frequency_hz,
   return goertzel_with_coeff(block, coeff);
 }
 
-GoertzelBank::GoertzelBank(std::vector<double> tones_hz, double sample_rate)
-    : tones_hz_(std::move(tones_hz)), sample_rate_(sample_rate) {
-  if (tones_hz_.empty()) throw std::invalid_argument("GoertzelBank: no tones");
-  if (sample_rate_ <= 0.0) throw std::invalid_argument("GoertzelBank: bad rate");
-  coeffs_.reserve(tones_hz_.size());
-  for (const double f : tones_hz_) {
-    if (f <= 0.0 || f >= sample_rate_ / 2.0) {
+GoertzelBank::GoertzelBank(const std::vector<double>& tones_hz,
+                           double sample_rate) {
+  if (tones_hz.empty()) throw std::invalid_argument("GoertzelBank: no tones");
+  if (sample_rate <= 0.0) throw std::invalid_argument("GoertzelBank: bad rate");
+  coeffs_.reserve(tones_hz.size());
+  for (const double f : tones_hz) {
+    if (f <= 0.0 || f >= sample_rate / 2.0) {
       throw std::invalid_argument("GoertzelBank: tone outside (0, fs/2)");
     }
-    coeffs_.push_back(2.0 * std::cos(kTwoPi * f / sample_rate_));
+    coeffs_.push_back(2.0 * std::cos(kTwoPi * f / sample_rate));
   }
 }
 

@@ -21,10 +21,7 @@ class GoertzelBank {
  public:
   /// tones are in Hz; sample_rate in Hz. Throws if a tone is outside
   /// (0, sample_rate/2).
-  GoertzelBank(std::vector<double> tones_hz, double sample_rate);
-
-  std::size_t num_tones() const { return coeffs_.size(); }
-  const std::vector<double>& tones_hz() const { return tones_hz_; }
+  GoertzelBank(const std::vector<double>& tones_hz, double sample_rate);
 
   /// Powers of each tone over the block (normalized as goertzel_power).
   std::vector<double> powers(std::span<const float> block) const;
@@ -33,9 +30,7 @@ class GoertzelBank {
   std::size_t detect(std::span<const float> block) const;
 
  private:
-  std::vector<double> tones_hz_;
   std::vector<double> coeffs_;  // 2 cos(2 pi f / fs)
-  double sample_rate_;
 };
 
 }  // namespace fmbs::dsp

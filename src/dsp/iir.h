@@ -78,8 +78,6 @@ class OnePoleLowpass {
     for (float& v : data) v = process_sample(v);
   }
 
-  double alpha() const { return alpha_; }
-
  private:
   double alpha_;
   double state_ = 0.0;

@@ -11,8 +11,7 @@ namespace fmbs::dsp {
 
 Oscillator::Oscillator(double frequency_hz, double sample_rate,
                        double initial_phase)
-    : frequency_hz_(frequency_hz),
-      step_(kTwoPi * frequency_hz / sample_rate),
+    : step_(kTwoPi * frequency_hz / sample_rate),
       acc_(initial_phase) {
   if (sample_rate <= 0.0) throw std::invalid_argument("Oscillator: bad sample rate");
 }

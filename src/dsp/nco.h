@@ -44,8 +44,6 @@ class Oscillator {
   /// frequency may be negative (complex conjugate rotation).
   Oscillator(double frequency_hz, double sample_rate, double initial_phase = 0.0);
 
-  double frequency_hz() const { return frequency_hz_; }
-
   /// Next complex sample e^{j phase}.
   cfloat next_complex() {
     const double ph = acc_.advance(step_);
@@ -64,7 +62,6 @@ class Oscillator {
   rvec block_real(std::size_t n);
 
  private:
-  double frequency_hz_;
   double step_;
   PhaseAccumulator acc_;
 };

@@ -22,8 +22,6 @@ class FmModulator {
  public:
   FmModulator(units::Hertz deviation, double sample_rate);
 
-  units::Hertz deviation() const { return units::Hertz{deviation_hz_}; }
-
   /// Modulates a block of composite baseband into a caller-provided buffer
   /// of mpx.size() unit-amplitude IQ samples: the one block method.
   void process_into(std::span<const float> mpx, std::span<dsp::cfloat> out);

@@ -8,17 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/fleet.h"
 #include "core/streaming.h"
 #include "fm/station_cache.h"
-#include "tag/baseband.h"
 #include "tag/channel_plan.h"
 
 namespace fmbs::core {
@@ -429,75 +430,11 @@ TEST(ScenarioEngine, RejectsInconsistentScenarios) {
   EXPECT_THROW(engine.run(bad_index), std::invalid_argument);
 }
 
-// Unit validation at the config boundary: durations and windows that the
-// strong types can represent but the engine cannot honor are rejected before
-// any rendering starts (previously a negative settle silently corrupted the
-// timeline; a zero duration divided the goodput by zero).
-TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
-  Scenario base;
-  base.receivers.emplace_back();
-  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
-                                       audio::ProgramGenre::kSilence));
-
-  Scenario zero_duration = base;
-  zero_duration.duration = units::Seconds{0.0};
-  EXPECT_THROW(resolve_scenario_plan(zero_duration), std::invalid_argument);
-
-  Scenario negative_duration = base;
-  negative_duration.duration = units::Seconds{-0.5};
-  EXPECT_THROW(resolve_scenario_plan(negative_duration), std::invalid_argument);
-
-  Scenario negative_settle = base;
-  negative_settle.duration = units::Seconds{0.2};
-  negative_settle.settle = units::Seconds{-0.05};
-  EXPECT_THROW(resolve_scenario_plan(negative_settle), std::invalid_argument);
-
-  // The same shape with a legal settle resolves fine.
-  Scenario ok = base;
-  ok.duration = units::Seconds{0.2};
-  ok.settle = units::Seconds{0.05};
-  EXPECT_NO_THROW(resolve_scenario_plan(ok));
-}
-
-// units.h checks finiteness only with assert(), so a Release build hands a
-// NaN or infinite time straight to the engines. NaN slipped past every `<=`
-// check (a NaN duration gave total_seconds = nan, a NaN segment silently
-// became one segment). std::bit_cast skips the asserting constructor, so
-// Debug builds reach the engines' check too.
-TEST(ScenarioEngine, RejectsNonFiniteTimesInBothEngines) {
-  Scenario base;
-  base.receivers.emplace_back();
-  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
-                                       audio::ProgramGenre::kSilence));
-  const ScenarioEngine batch;
-  const StreamingEngine streaming;
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
-    const auto bad = std::bit_cast<units::Seconds>(v);
-    Scenario duration = base;
-    duration.duration = bad;
-    Scenario settle = base;
-    settle.settle = bad;
-    Scenario segment = base;
-    segment.timeline.segment = bad;
-    for (const auto& [field, sc] : {std::pair{"duration", &duration},
-                                    std::pair{"settle", &settle},
-                                    std::pair{"segment", &segment}}) {
-      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
-          << field << " = " << v;
-      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
-          << field << " = " << v;
-    }
-  }
-}
-
-// A receiver's device chain and stereo decoder are validated up front, like
-// the scene times: a NaN engine noise level would otherwise decode to silent
-// garbage, and an audio rate whose Nyquist rate lies below the device
-// chain's fixed corners (the phone's 13 kHz codec, the car's 14 kHz
-// microphone) designs an unstable filter. Every field here is a plain
-// double, so no units.h assert stands between the value and the engine's
-// check in a Debug build.
+// A receiver's stereo decoder is validated up front: an audio rate whose
+// Nyquist rate lies below the device chain's fixed corners (the phone's
+// 13 kHz codec, the car's 14 kHz microphone) designs an unstable filter. The
+// field is a plain double, so no units.h assert stands between the value and
+// the engine's check in a Debug build.
 TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
   Scenario base;
   base.duration = units::Seconds{0.2};
@@ -514,11 +451,6 @@ TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
     std::function<void(ScenarioReceiver&)> spoil;
   };
   std::vector<Case> cases;
-  for (const double v : {nan, inf, -1e-3}) {
-    cases.push_back(
-        {"cabin.engine_noise_rms = " + std::to_string(v), ReceiverKind::kCar,
-         [v](ScenarioReceiver& r) { r.cabin.engine_noise_rms = v; }});
-  }
   // 24 kHz divides the MPX rate, but its 12 kHz Nyquist rate lies below
   // both device chains' corners.
   for (const ReceiverKind kind : {ReceiverKind::kPhone, ReceiverKind::kCar}) {
@@ -537,275 +469,309 @@ TEST(ScenarioEngine, RejectsMalformedReceiverChainsInBothEngines) {
   }
 }
 
-// units.h checks finiteness only with assert(), so a Release build hands a
-// NaN or infinite power, offset or coordinate straight to the plan, where
-// NaN fails every comparison: a NaN station offset passed the scene-width
-// bound and was silently pruned, a NaN station power decoded to a BER, and a
-// NaN tune offset made the receiver hear nothing, all without an error.
-// std::bit_cast skips the asserting constructors, so Debug builds reach the
-// plan's check too.
+// ---- Input domains ---------------------------------------------------------
+
+// Every single-input range rule of the plan is one row of its domain table.
+// units.h checks finiteness only with assert(), so a Release build hands NaN
+// and +-inf straight to the plan, where NaN fails every comparison. Before
+// the table a NaN station offset was silently pruned, a NaN tune offset or
+// carrier-sense threshold left a receiver with no link, a NaN fading speed
+// decoded at a BER near 0.6 and a NaN AGC target at 0.5, a station injecting
+// RDS at 5x full deviation drowned its tag's link (BER 0.48), a negative
+// slot was silently derived and a negative DCO width meant an ideal DCO.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A row's domain as this test states it: an interval with open or closed
+/// ends.
+struct Edges {
+  double lo = -kInf, hi = kInf;
+  bool lo_open = true, hi_open = true;
+};
+constexpr Edges kFinite{};
+constexpr Edges kPositive{0.0, kInf, true, true};
+constexpr Edges kNonNegative{0.0, kInf, false, true};
+constexpr Edges kLevel{0.0, 1.0, true, false};
+constexpr Edges kInjection{0.0, 1.0, false, false};
+constexpr Edges kDeviation{0.0, fm::kMpxRate / 2.0, true, true};
+constexpr Edges kInScene{-fm::kRfRate / 2.0, fm::kRfRate / 2.0, false, false};
+constexpr Edges kStationOffset{-kMaxStationOffsetHz - 1e-6,
+                               kMaxStationOffsetHz + 1e-6, false, false};
+
 struct SceneSpoil {
-  std::string what;
+  std::string path;  // entity, name and field, as the plan's error names them
   std::function<void(Scenario&, double)> apply;
+  std::vector<double> outside;  // the plan must reject each
+  std::vector<double> edges;    // closed finite ends: the plan accepts each
 };
 
-void expect_rejects_non_finite(const Scenario& base,
-                               const std::vector<SceneSpoil>& spoils) {
-  ASSERT_NO_THROW(resolve_scenario_plan(base));
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
-    for (const SceneSpoil& spoil : spoils) {
-      Scenario sc = base;
-      spoil.apply(sc, v);
-      EXPECT_THROW((void)resolve_scenario_plan(sc), std::invalid_argument)
-          << spoil.what << " = " << v;
-    }
-  }
+/// Spoils the field `field(sc)` refers to: NaN, +-inf, and the value just
+/// outside each finite end (the end itself where it is open).
+/// std::bit_cast skips units.h's asserting constructors, so Debug builds
+/// reach the plan's check too.
+template <class Field>
+SceneSpoil spoil(std::string path, Field field, Edges e) {
+  SceneSpoil s{std::move(path),
+               [field](Scenario& sc, double v) {
+                 auto& f = field(sc);
+                 f = std::bit_cast<std::remove_cvref_t<decltype(f)>>(v);
+               },
+               {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf},
+               {}};
+  const auto edge = [&s](double end, bool open, double away) {
+    if (!std::isfinite(end)) return;
+    s.outside.push_back(open ? end : std::nextafter(end, away));
+    if (!open) s.edges.push_back(end);
+  };
+  edge(e.lo, e.lo_open, -kInf);
+  edge(e.hi, e.hi_open, kInf);
+  return s;
 }
 
-TEST(ScenarioEngine, RejectsNonFiniteStationInputs) {
-  Scenario base;
-  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
-                                       audio::ProgramGenre::kSilence));
-  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
-                                       audio::ProgramGenre::kSilence));
-  base.stations[1].position = ScenePosition{300.0, 0.0};
-  base.receivers.emplace_back();
-  expect_rejects_non_finite(
-      base,
-      {{"offset",
-        [](Scenario& sc, double v) {
-          sc.stations[1].offset = std::bit_cast<units::Hertz>(v);
-        }},
-       {"power",
-        [](Scenario& sc, double v) {
-          sc.stations[0].power = std::bit_cast<units::Dbm>(v);
-        }},
-       {"position.x",
-        [](Scenario& sc, double v) { sc.stations[1].position->x_m = v; }},
-       {"position.y",
-        [](Scenario& sc, double v) { sc.stations[1].position->y_m = v; }},
-       {"config.deviation",
-        [](Scenario& sc, double v) {
-          sc.stations[1].config.deviation = std::bit_cast<units::Hertz>(v);
-        }},
-       {"station.deviation", [](Scenario& sc, double v) {
-          sc.station.deviation = std::bit_cast<units::Hertz>(v);
-        }}});
-}
-
-// A finite deviation outside (0, kMpxRate / 2) used to pass the plan and
-// fail only where SceneRenderer built the station's modulator, which
-// FleetEngine's analytic path never does.
-TEST(ScenarioEngine, RejectsOutOfRangeStationDeviation) {
-  Scenario base;
-  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
-                                       audio::ProgramGenre::kSilence));
-  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
-                                       audio::ProgramGenre::kSilence));
-  base.receivers.emplace_back();
-  ASSERT_NO_THROW(resolve_scenario_plan(base));
-  for (const double v : {-75e3, 0.0, fm::kMpxRate / 2.0, 200e3}) {
-    Scenario legacy = base;
-    legacy.station.deviation = units::Hertz{v};
-    EXPECT_THROW((void)resolve_scenario_plan(legacy), std::invalid_argument)
-        << "station.deviation = " << v;
-    Scenario multi = base;
-    multi.stations[1].config.deviation = units::Hertz{v};
-    EXPECT_THROW((void)resolve_scenario_plan(multi), std::invalid_argument)
-        << "config.deviation = " << v;
-  }
-}
-
-TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
-  Scenario base;
-  ScenarioTag t;
-  t.custom_baseband = dsp::rvec(1, 0.0F);
-  t.waypoints = {ScenePosition{2.0, 0.0}, ScenePosition{2.0, 2.0}};
-  t.distance_override = units::Feet{4.0};
-  base.tags.push_back(std::move(t));
-  // Only a payload burst has a start to plan.
+/// One scene that reaches every row: two stations (one positioned), an FSK
+/// tag with fading, waypoints and a distance override under slotted ALOHA,
+/// an RDS tag, an always-on custom-baseband tag (last, so FleetEngine can
+/// drop it), a phone with its AGC on and every optional input set, and a
+/// car.
+Scenario rich_scenario() {
+  Scenario sc;
+  sc.name = "rich";
+  sc.duration = units::Seconds{0.2};
+  sc.timeline.segment = units::Seconds{0.1};
+  sc.stations = {
+      make_station("st", 0.0, -30.0, 1, audio::ProgramGenre::kSilence),
+      make_station("next", 400e3, -35.0, 2, audio::ProgramGenre::kSilence)};
+  sc.stations[1].position = ScenePosition{300.0, 0.0};
   ScenarioTag fsk;
   fsk.name = "fsk";
-  fsk.num_bits = 64;
-  base.tags.push_back(fsk);
-  base.duration = units::Seconds{0.2};
-  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
-  expect_rejects_non_finite(
-      base,
-      {{"tag_power",
-        [](Scenario& sc, double v) {
-          sc.tags[0].tag_power = std::bit_cast<units::Dbm>(v);
-        }},
-       {"position.x",
-        [](Scenario& sc, double v) { sc.tags[0].position.x_m = v; }},
-       {"waypoint.y",
-        [](Scenario& sc, double v) { sc.tags[0].waypoints[1].y_m = v; }},
-       {"distance_override",
-        [](Scenario& sc, double v) {
-          sc.tags[0].distance_override = std::bit_cast<units::Feet>(v);
-        }},
-       {"start",
-        [](Scenario& sc, double v) {
-          sc.tags[1].start = std::bit_cast<units::Seconds>(v);
-        }},
-       {"subcarrier.shift",
-        [](Scenario& sc, double v) {
-          sc.tags[1].subcarrier.shift = std::bit_cast<units::Hertz>(v);
-        }},
-       {"subcarrier.deviation", [](Scenario& sc, double v) {
-          sc.tags[1].subcarrier.deviation = std::bit_cast<units::Hertz>(v);
-        }}});
-}
-
-TEST(ScenarioEngine, RejectsNonFiniteReceiverInputs) {
-  Scenario base;
-  ScenarioTag t;
-  t.custom_baseband = dsp::rvec(1, 0.0F);
-  base.tags.push_back(std::move(t));
-  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
-  base.receivers[0].waypoints = {ScenePosition{1.0, 1.0}};
-  expect_rejects_non_finite(
-      base,
-      {{"tune_offset",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].tune_offset = std::bit_cast<units::Hertz>(v);
-        }},
-       {"position.y",
-        [](Scenario& sc, double v) { sc.receivers[0].position.y_m = v; }},
-       {"waypoint.x",
-        [](Scenario& sc, double v) { sc.receivers[0].waypoints[0].x_m = v; }},
-       {"direct_power",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].direct_power = std::bit_cast<units::Dbm>(v);
-        }},
-       {"noise_200khz",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].noise_200khz = std::bit_cast<units::Dbm>(v);
-        }},
-       {"rx_antenna_gain", [](Scenario& sc, double v) {
-          sc.receivers[0].rx_antenna_gain = std::bit_cast<units::Db>(v);
-        }}});
-}
-
-// Link-budget, antenna and fading inputs sit one struct deeper and used to
-// slip past the finite-input check: a NaN reflection amplitude,
-// implementation loss or antenna gain reported a NaN backscatter power, a
-// NaN fading speed or Rician K decoded to a BER near 0.6 without an error,
-// and FleetEngine, whose analytic links ignore fading, reported a delivered
-// link.
-TEST(ScenarioEngine, RejectsNonFiniteLinkAntennaAndFadingInputs) {
-  Scenario base;
-  base.duration = units::Seconds{0.2};
-  ScenarioTag t;
-  t.name = "fsk";
-  t.num_bits = 64;
-  t.fading = channel::FadingConfig{};
-  base.tags.push_back(t);
-  base.receivers.push_back(phone_listening_to(t.subcarrier));
-  expect_rejects_non_finite(
-      base,
-      {{"link.carrier",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.carrier = std::bit_cast<units::Hertz>(v);
-        }},
-       {"link.tag_antenna_gain",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.tag_antenna_gain = std::bit_cast<units::Db>(v);
-        }},
-       {"link.rx_antenna_gain",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.rx_antenna_gain = std::bit_cast<units::Db>(v);
-        }},
-       {"link.reflection_amplitude",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.reflection_amplitude = v;
-        }},
-       {"link.implementation_loss",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.implementation_loss =
-              std::bit_cast<units::Db>(v);
-        }},
-       {"link.tag_height",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.tag_height = std::bit_cast<units::Meters>(v);
-        }},
-       {"link.rx_height",
-        [](Scenario& sc, double v) {
-          sc.receivers[0].link.rx_height = std::bit_cast<units::Meters>(v);
-        }},
-       {"antenna.gain_dbi",
-        [](Scenario& sc, double v) { sc.tags[0].antenna.gain_dbi = v; }},
-       {"antenna.efficiency_db",
-        [](Scenario& sc, double v) { sc.tags[0].antenna.efficiency_db = v; }},
-       {"antenna.body_loss_db",
-        [](Scenario& sc, double v) { sc.tags[0].antenna.body_loss_db = v; }},
-       {"fading.carrier",
-        [](Scenario& sc, double v) {
-          sc.tags[0].fading->carrier = std::bit_cast<units::Hertz>(v);
-        }},
-       {"fading.speed_mps",
-        [](Scenario& sc, double v) { sc.tags[0].fading->speed_mps = v; }},
-       {"fading.rician_k",
-        [](Scenario& sc, double v) {
-          sc.tags[0].fading->rician_k = std::bit_cast<units::Db>(v);
-        }},
-       {"fading.shadow_sigma",
-        [](Scenario& sc, double v) {
-          sc.tags[0].fading->shadow_sigma = std::bit_cast<units::Db>(v);
-        }},
-       {"fading.shadow_rate", [](Scenario& sc, double v) {
-          sc.tags[0].fading->shadow_rate = std::bit_cast<units::Hertz>(v);
-        }}});
-  Scenario fading = base;
-  fading.tags[0].fading->speed_mps = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)FleetEngine().run(fading), std::invalid_argument);
-}
-
-// A tag's payload level scales its baseband, so a NaN or infinite level
-// decoded to BER 0.5 and zero goodput without an error, and a NaN RDS level
-// slipped through `x <= 0 || x > 1`, which NaN fails on both sides, to run at
-// BLER 1. Both levels must lie in (0, 1] and are checked so that NaN fails.
-TEST(ScenarioEngine, RejectsNonFiniteOrOutOfRangeTagLevels) {
-  Scenario base;
-  base.duration = units::Seconds{0.2};
-  ScenarioTag fsk;
-  fsk.name = "fsk";
-  fsk.num_bits = 64;
+  fsk.mac.kind = tag::MacKind::kSlottedAloha;
+  fsk.fading = channel::FadingConfig{};
+  fsk.waypoints = {ScenePosition{2.0, 0.0}, ScenePosition{2.0, 2.0}};
+  fsk.distance_override = units::Feet{4.0};
   ScenarioTag rds;
   rds.name = "rds";
   rds.subcarrier.shift = units::Hertz{-600e3};
   rds.rds_radiotext = "AD";
-  base.tags = {fsk, rds};
-  base.receivers.push_back(phone_listening_to(fsk.subcarrier));
-  ASSERT_NO_THROW(resolve_scenario_plan(base));
-  Scenario full = base;
-  full.tags[0].level = 1.0;
-  full.tags[1].rds_level = 1.0;
-  EXPECT_NO_THROW(resolve_scenario_plan(full));
+  ScenarioTag poster;
+  poster.name = "poster";
+  poster.custom_baseband = dsp::rvec(1, 0.0F);
+  sc.tags = {fsk, rds, poster};
+  ScenarioReceiver phone = phone_listening_to(fsk.subcarrier);
+  phone.name = "phone";
+  phone.waypoints = {ScenePosition{1.0, 1.0}};
+  phone.direct_power = units::Dbm{-30.0};
+  phone.noise_200khz = units::Dbm{-100.0};
+  phone.rx_antenna_gain = units::Db{-3.0};
+  phone.phone.enable_agc = true;
+  ScenarioReceiver car = car_listening_to(rds.subcarrier);
+  car.name = "car";
+  sc.receivers = {phone, car};
+  return sc;
+}
 
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const ScenarioEngine batch;
+/// One spoil per row of the plan's domain table.
+std::vector<SceneSpoil> scene_spoils() {
+  using S = Scenario&;
+  std::vector<SceneSpoil> spoils = {
+      spoil("scenario \"rich\" duration",
+            [](S sc) -> auto& { return sc.duration; }, kPositive),
+      spoil("scenario \"rich\" settle",
+            [](S sc) -> auto& { return sc.settle; }, kNonNegative),
+      spoil("scenario \"rich\" timeline.segment",
+            [](S sc) -> auto& { return sc.timeline.segment; }, kNonNegative),
+      spoil("scenario \"rich\" station.deviation",
+            [](S sc) -> auto& { return sc.station.deviation; }, kDeviation),
+      spoil("scenario \"rich\" station.rds_level",
+            [](S sc) -> auto& { return sc.station.rds_level; }, kInjection),
+      spoil("station \"next\" offset",
+            [](S sc) -> auto& { return sc.stations[1].offset; },
+            kStationOffset),
+      spoil("station \"st\" power",
+            [](S sc) -> auto& { return sc.stations[0].power; }, kFinite),
+      spoil("station \"next\" position.x_m",
+            [](S sc) -> auto& { return sc.stations[1].position->x_m; },
+            kFinite),
+      spoil("station \"next\" position.y_m",
+            [](S sc) -> auto& { return sc.stations[1].position->y_m; },
+            kFinite),
+      spoil("station \"next\" config.deviation",
+            [](S sc) -> auto& { return sc.stations[1].config.deviation; },
+            kDeviation),
+      spoil("station \"next\" config.rds_level",
+            [](S sc) -> auto& { return sc.stations[1].config.rds_level; },
+            kInjection),
+      spoil("tag \"fsk\" tag_power",
+            [](S sc) -> auto& { return sc.tags[0].tag_power; }, kFinite),
+      spoil("tag \"fsk\" start",
+            [](S sc) -> auto& { return sc.tags[0].start; }, kNonNegative),
+      spoil("tag \"poster\" start",
+            [](S sc) -> auto& { return sc.tags[2].start; }, kFinite),
+      spoil("tag \"fsk\" level",
+            [](S sc) -> auto& { return sc.tags[0].level; }, kLevel),
+      spoil("tag \"rds\" rds_level",
+            [](S sc) -> auto& { return sc.tags[1].rds_level; }, kLevel),
+      spoil("tag \"fsk\" subcarrier.shift",
+            [](S sc) -> auto& { return sc.tags[0].subcarrier.shift; },
+            kFinite),
+      spoil("tag \"fsk\" subcarrier.deviation",
+            [](S sc) -> auto& { return sc.tags[0].subcarrier.deviation; },
+            kFinite),
+      spoil("tag \"fsk\" antenna.gain_dbi",
+            [](S sc) -> auto& { return sc.tags[0].antenna.gain_dbi; },
+            kFinite),
+      spoil("tag \"fsk\" antenna.efficiency_db",
+            [](S sc) -> auto& { return sc.tags[0].antenna.efficiency_db; },
+            kFinite),
+      spoil("tag \"fsk\" antenna.body_loss_db",
+            [](S sc) -> auto& { return sc.tags[0].antenna.body_loss_db; },
+            kFinite),
+      spoil("tag \"fsk\" mac.slot",
+            [](S sc) -> auto& { return sc.tags[0].mac.slot; }, kNonNegative),
+      spoil("tag \"rds\" mac.cs_threshold",
+            [](S sc) -> auto& { return sc.tags[1].mac.cs_threshold; },
+            kFinite),
+      spoil("tag \"fsk\" distance_override",
+            [](S sc) -> auto& { return *sc.tags[0].distance_override; },
+            kFinite),
+      spoil("tag \"fsk\" fading.carrier",
+            [](S sc) -> auto& { return sc.tags[0].fading->carrier; }, kFinite),
+      spoil("tag \"fsk\" fading.speed_mps",
+            [](S sc) -> auto& { return sc.tags[0].fading->speed_mps; },
+            kFinite),
+      spoil("tag \"fsk\" fading.rician_k",
+            [](S sc) -> auto& { return sc.tags[0].fading->rician_k; },
+            kFinite),
+      spoil("tag \"fsk\" fading.shadow_sigma",
+            [](S sc) -> auto& { return sc.tags[0].fading->shadow_sigma; },
+            kFinite),
+      spoil("tag \"fsk\" fading.shadow_rate",
+            [](S sc) -> auto& { return sc.tags[0].fading->shadow_rate; },
+            kFinite),
+      spoil("tag \"fsk\" position.x_m",
+            [](S sc) -> auto& { return sc.tags[0].position.x_m; }, kFinite),
+      spoil("tag \"fsk\" position.y_m",
+            [](S sc) -> auto& { return sc.tags[0].position.y_m; }, kFinite),
+      spoil("tag \"fsk\" waypoints.x_m",
+            [](S sc) -> auto& { return sc.tags[0].waypoints[0].x_m; },
+            kFinite),
+      spoil("tag \"fsk\" waypoints.y_m",
+            [](S sc) -> auto& { return sc.tags[0].waypoints[1].y_m; },
+            kFinite),
+      spoil("receiver \"phone\" tune_offset",
+            [](S sc) -> auto& { return sc.receivers[0].tune_offset; },
+            kInScene),
+      spoil("receiver \"phone\" direct_power",
+            [](S sc) -> auto& { return *sc.receivers[0].direct_power; },
+            kFinite),
+      spoil("receiver \"phone\" noise_200khz",
+            [](S sc) -> auto& { return *sc.receivers[0].noise_200khz; },
+            kFinite),
+      spoil("receiver \"phone\" rx_antenna_gain",
+            [](S sc) -> auto& { return *sc.receivers[0].rx_antenna_gain; },
+            kFinite),
+      spoil("receiver \"phone\" link.carrier",
+            [](S sc) -> auto& { return sc.receivers[0].link.carrier; },
+            kFinite),
+      spoil("receiver \"phone\" link.tag_antenna_gain",
+            [](S sc) -> auto& { return sc.receivers[0].link.tag_antenna_gain; },
+            kFinite),
+      spoil("receiver \"phone\" link.rx_antenna_gain",
+            [](S sc) -> auto& { return sc.receivers[0].link.rx_antenna_gain; },
+            kFinite),
+      spoil("receiver \"phone\" link.reflection_amplitude",
+            [](S sc) -> auto& {
+              return sc.receivers[0].link.reflection_amplitude;
+            },
+            kFinite),
+      spoil("receiver \"phone\" link.implementation_loss",
+            [](S sc) -> auto& {
+              return sc.receivers[0].link.implementation_loss;
+            },
+            kFinite),
+      spoil("receiver \"car\" link.tag_height",
+            [](S sc) -> auto& { return sc.receivers[1].link.tag_height; },
+            kFinite),
+      spoil("receiver \"car\" link.rx_height",
+            [](S sc) -> auto& { return sc.receivers[1].link.rx_height; },
+            kFinite),
+      spoil("receiver \"car\" cabin.engine_noise_rms",
+            [](S sc) -> auto& { return sc.receivers[1].cabin.engine_noise_rms; },
+            kNonNegative),
+      spoil("receiver \"phone\" phone.agc.target_rms",
+            [](S sc) -> auto& { return sc.receivers[0].phone.agc.target_rms; },
+            kPositive),
+      spoil("receiver \"phone\" phone.agc.attack_seconds",
+            [](S sc) -> auto& {
+              return sc.receivers[0].phone.agc.attack_seconds;
+            },
+            kFinite),
+      spoil("receiver \"phone\" phone.agc.release_seconds",
+            [](S sc) -> auto& {
+              return sc.receivers[0].phone.agc.release_seconds;
+            },
+            kFinite),
+      spoil("receiver \"phone\" position.x_m",
+            [](S sc) -> auto& { return sc.receivers[0].position.x_m; },
+            kFinite),
+      spoil("receiver \"phone\" position.y_m",
+            [](S sc) -> auto& { return sc.receivers[0].position.y_m; },
+            kFinite),
+      spoil("receiver \"phone\" waypoints.x_m",
+            [](S sc) -> auto& { return sc.receivers[0].waypoints[0].x_m; },
+            kFinite),
+      spoil("receiver \"phone\" waypoints.y_m",
+            [](S sc) -> auto& { return sc.receivers[0].waypoints[0].y_m; },
+            kFinite)};
+  spoils.push_back({"scenario \"rich\" receivers.size()",
+                    [](S sc, double) { sc.receivers.clear(); },
+                    {0.0},
+                    {}});
+  // The DCO width is an int: only integers lie outside its domain.
+  spoils.push_back({"tag \"fsk\" subcarrier.dco_bits",
+                    [](S sc, double v) {
+                      sc.tags[0].subcarrier.dco_bits = static_cast<int>(v);
+                    },
+                    {-1.0, static_cast<double>(INT_MIN)},
+                    {0.0}});
+  return spoils;
+}
+
+// The plan, both signal-level engines and FleetEngine, whose analytic links
+// render nothing, all reject a value outside its row's domain and name the
+// row; a closed end itself passes.
+TEST(ScenarioEngine, RejectsEveryInputOutsideItsDomain) {
+  const Scenario base = rich_scenario();
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  const ScenarioEngine batch({.keep_captures = false});
   const StreamingEngine streaming;
-  for (const double v : {nan, inf, -inf, 0.0, -0.5, 1.5}) {
-    Scenario level = base;
-    level.tags[0].level = v;
-    Scenario rds_level = base;
-    rds_level.tags[1].rds_level = v;
-    for (const auto& [field, sc] : {std::pair{"level", &level},
-                                    std::pair{"rds_level", &rds_level}}) {
-      EXPECT_THROW((void)resolve_scenario_plan(*sc), std::invalid_argument)
-          << field << " = " << v;
-      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
-          << field << " = " << v;
-      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
-          << field << " = " << v;
+  const FleetEngine fleet;
+  const auto expect_rejects = [](const SceneSpoil& s, double v,
+                                 const char* by, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << by << " accepted " << s.path << " = " << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(s.path), std::string::npos)
+          << by << " on " << s.path << " = " << v << ": " << e.what();
     }
-    const std::vector<unsigned char> bits(26, 1);
-    EXPECT_THROW((void)tag::compose_rds_baseband(bits, 2400, v),
-                 std::invalid_argument)
-        << "compose_rds_baseband level = " << v;
+  };
+  for (const SceneSpoil& s : scene_spoils()) {
+    for (const double v : s.edges) {
+      Scenario sc = base;
+      s.apply(sc, v);
+      EXPECT_NO_THROW(resolve_scenario_plan(sc)) << s.path << " = " << v;
+    }
+    for (const double v : s.outside) {
+      Scenario sc = base;
+      s.apply(sc, v);
+      expect_rejects(s, v, "plan", [&] { (void)resolve_scenario_plan(sc); });
+      expect_rejects(s, v, "ScenarioEngine", [&] { (void)batch.run(sc); });
+      expect_rejects(s, v, "StreamingEngine",
+                     [&] { (void)streaming.run(sc); });
+      if (s.path.starts_with("tag \"poster\"")) continue;
+      sc.tags.pop_back();  // FleetEngine rejects custom-baseband tags
+      expect_rejects(s, v, "FleetEngine", [&] { (void)fleet.run(sc); });
+    }
   }
 }
 

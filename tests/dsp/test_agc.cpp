@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dsp/math_util.h"
 #include "support/run_stage.h"
@@ -80,11 +81,33 @@ TEST(Agc, ResetRestoresInitialState) {
   EXPECT_NEAR(agc.gain(), 1.0, 1e-12);
 }
 
+// `x <= 0` is false for NaN, so a NaN target or sample rate used to pass,
+// and a NaN time constant became a NaN smoothing factor: the output went NaN.
 TEST(Agc, Validation) {
   Agc::Config cfg;
   EXPECT_THROW(Agc(cfg, 0.0), std::invalid_argument);
   cfg.target_rms = 0.0;
   EXPECT_THROW(Agc(cfg, 48000.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Agc(Agc::Config{}, nan), std::invalid_argument);
+  for (double Agc::Config::*field :
+       {&Agc::Config::target_rms, &Agc::Config::attack_seconds,
+        &Agc::Config::release_seconds}) {
+    Agc::Config spoiled;
+    spoiled.*field = nan;
+    EXPECT_THROW(Agc(spoiled, 48000.0), std::invalid_argument);
+  }
+}
+
+TEST(Agc, NonPositiveTimeConstantIsInstant) {
+  Agc::Config instant;
+  instant.attack_seconds = 0.0;
+  instant.release_seconds = -1.0;
+  Agc agc(instant, 48000.0);
+  (void)agc.process_sample(0.5F);  // attack: the envelope jumps up
+  EXPECT_NEAR(agc.gain(), instant.target_rms / 0.5, 1e-12);
+  (void)agc.process_sample(0.125F);  // release: and straight back down
+  EXPECT_NEAR(agc.gain(), instant.target_rms / 0.125, 1e-12);
 }
 
 }  // namespace

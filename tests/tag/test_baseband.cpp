@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "audio/tone.h"
 #include "dsp/spectrum.h"
 #include "fm/constants.h"
@@ -23,6 +26,20 @@ TEST(OverlayBaseband, UpsamplesAndScales) {
 TEST(OverlayBaseband, RateValidation) {
   audio::MonoBuffer odd(std::vector<float>(100, 0.0F), 44100.0);
   EXPECT_THROW(compose_overlay_baseband(odd, 1.0), std::invalid_argument);
+}
+
+// NaN fails `x <= 0 || x > 1` on both sides, so the check is written to
+// pass only on good levels.
+TEST(RdsBaseband, RejectsLevelsOutsideTheUnitInterval) {
+  const std::vector<unsigned char> bits(26, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -inf, 0.0, -0.5, 1.5}) {
+    EXPECT_THROW((void)compose_rds_baseband(bits, 2400, v),
+                 std::invalid_argument)
+        << "level = " << v;
+  }
+  EXPECT_NO_THROW((void)compose_rds_baseband(bits, 2400, 1.0));
 }
 
 TEST(StereoBaseband, ContentAppearsAt38k) {
