@@ -202,6 +202,17 @@ TEST(FleetEngine, RejectsCustomBasebandTags) {
   EXPECT_THROW((void)FleetEngine().run(sc), std::invalid_argument);
 }
 
+// The analytic links never build a station modulator, so only the plan can
+// reject a deviation the signal-level engine cannot modulate.
+TEST(FleetEngine, RejectsOutOfRangeStationDeviation) {
+  for (const double v : {-75e3, 0.0, 200e3}) {
+    Scenario sc = spread_scenario(25);
+    sc.station.deviation = units::Hertz{v};
+    EXPECT_THROW((void)FleetEngine().run(sc), std::invalid_argument)
+        << "station.deviation = " << v;
+  }
+}
+
 // A tag subcarrier the generator cannot synthesize used to pass the plan:
 // ScenarioEngine threw only after it had rendered the stations, and
 // FleetEngine's analytic path, which builds no generator, reported a

@@ -20,6 +20,7 @@
 #include "core/fleet.h"
 #include "core/streaming.h"
 #include "fm/station_cache.h"
+#include "tag/baseband.h"
 #include "tag/channel_plan.h"
 
 namespace fmbs::core {
@@ -772,6 +773,345 @@ TEST(ScenarioEngine, RejectsEveryInputOutsideItsDomain) {
       sc.tags.pop_back();  // FleetEngine rejects custom-baseband tags
       expect_rejects(s, v, "FleetEngine", [&] { (void)fleet.run(sc); });
     }
+  }
+}
+
+// ---- Hand-written rejections ----------------------------------------------
+
+// These predate the domain table and pin the same rules field by field, with
+// the reasons each rule was added.
+
+// Unit validation at the config boundary: durations and windows that the
+// strong types can represent but the engine cannot honor are rejected before
+// any rendering starts (previously a negative settle silently corrupted the
+// timeline; a zero duration divided the goodput by zero).
+TEST(ScenarioEngine, RejectsNonPositiveDurationAndNegativeSettle) {
+  Scenario base;
+  base.receivers.emplace_back();
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+
+  Scenario zero_duration = base;
+  zero_duration.duration = units::Seconds{0.0};
+  EXPECT_THROW(resolve_scenario_plan(zero_duration), std::invalid_argument);
+
+  Scenario negative_duration = base;
+  negative_duration.duration = units::Seconds{-0.5};
+  EXPECT_THROW(resolve_scenario_plan(negative_duration), std::invalid_argument);
+
+  Scenario negative_settle = base;
+  negative_settle.duration = units::Seconds{0.2};
+  negative_settle.settle = units::Seconds{-0.05};
+  EXPECT_THROW(resolve_scenario_plan(negative_settle), std::invalid_argument);
+
+  // The same shape with a legal settle resolves fine.
+  Scenario ok = base;
+  ok.duration = units::Seconds{0.2};
+  ok.settle = units::Seconds{0.05};
+  EXPECT_NO_THROW(resolve_scenario_plan(ok));
+}
+
+// units.h checks finiteness only with assert(), so a Release build hands a
+// NaN or infinite time straight to the engines. NaN slipped past every `<=`
+// check (a NaN duration gave total_seconds = nan, a NaN segment silently
+// became one segment). std::bit_cast skips the asserting constructor, so
+// Debug builds reach the engines' check too.
+TEST(ScenarioEngine, RejectsNonFiniteTimesInBothEngines) {
+  Scenario base;
+  base.receivers.emplace_back();
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  const ScenarioEngine batch;
+  const StreamingEngine streaming;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const auto bad = std::bit_cast<units::Seconds>(v);
+    Scenario duration = base;
+    duration.duration = bad;
+    Scenario settle = base;
+    settle.settle = bad;
+    Scenario segment = base;
+    segment.timeline.segment = bad;
+    for (const auto& [field, sc] : {std::pair{"duration", &duration},
+                                    std::pair{"settle", &settle},
+                                    std::pair{"segment", &segment}}) {
+      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+    }
+  }
+}
+
+// units.h checks finiteness only with assert(), so a Release build hands a
+// NaN or infinite power, offset or coordinate straight to the plan, where
+// NaN fails every comparison: a NaN station offset passed the scene-width
+// bound and was silently pruned, a NaN station power decoded to a BER, and a
+// NaN tune offset made the receiver hear nothing, all without an error.
+// std::bit_cast skips the asserting constructors, so Debug builds reach the
+// plan's check too.
+struct NonFiniteSpoil {
+  std::string what;
+  std::function<void(Scenario&, double)> apply;
+};
+
+void expect_rejects_non_finite(const Scenario& base,
+                               const std::vector<NonFiniteSpoil>& spoils) {
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const NonFiniteSpoil& spoil : spoils) {
+      Scenario sc = base;
+      spoil.apply(sc, v);
+      EXPECT_THROW((void)resolve_scenario_plan(sc), std::invalid_argument)
+          << spoil.what << " = " << v;
+    }
+  }
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteStationInputs) {
+  Scenario base;
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
+                                       audio::ProgramGenre::kSilence));
+  base.stations[1].position = ScenePosition{300.0, 0.0};
+  base.receivers.emplace_back();
+  expect_rejects_non_finite(
+      base,
+      {{"offset",
+        [](Scenario& sc, double v) {
+          sc.stations[1].offset = std::bit_cast<units::Hertz>(v);
+        }},
+       {"power",
+        [](Scenario& sc, double v) {
+          sc.stations[0].power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"position.x",
+        [](Scenario& sc, double v) { sc.stations[1].position->x_m = v; }},
+       {"position.y",
+        [](Scenario& sc, double v) { sc.stations[1].position->y_m = v; }},
+       {"config.deviation",
+        [](Scenario& sc, double v) {
+          sc.stations[1].config.deviation = std::bit_cast<units::Hertz>(v);
+        }},
+       {"station.deviation", [](Scenario& sc, double v) {
+          sc.station.deviation = std::bit_cast<units::Hertz>(v);
+        }}});
+}
+
+// A finite deviation outside (0, kMpxRate / 2) used to pass the plan and
+// fail only where SceneRenderer built the station's modulator, which
+// FleetEngine's analytic path never does.
+TEST(ScenarioEngine, RejectsOutOfRangeStationDeviation) {
+  Scenario base;
+  base.stations.push_back(make_station("st", 0.0, -30.0, 1,
+                                       audio::ProgramGenre::kSilence));
+  base.stations.push_back(make_station("next", 400e3, -35.0, 2,
+                                       audio::ProgramGenre::kSilence));
+  base.receivers.emplace_back();
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  for (const double v : {-75e3, 0.0, fm::kMpxRate / 2.0, 200e3}) {
+    Scenario legacy = base;
+    legacy.station.deviation = units::Hertz{v};
+    EXPECT_THROW((void)resolve_scenario_plan(legacy), std::invalid_argument)
+        << "station.deviation = " << v;
+    Scenario multi = base;
+    multi.stations[1].config.deviation = units::Hertz{v};
+    EXPECT_THROW((void)resolve_scenario_plan(multi), std::invalid_argument)
+        << "config.deviation = " << v;
+  }
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteTagInputs) {
+  Scenario base;
+  ScenarioTag t;
+  t.custom_baseband = dsp::rvec(1, 0.0F);
+  t.waypoints = {ScenePosition{2.0, 0.0}, ScenePosition{2.0, 2.0}};
+  t.distance_override = units::Feet{4.0};
+  base.tags.push_back(std::move(t));
+  // Only a payload burst has a start to plan.
+  ScenarioTag fsk;
+  fsk.name = "fsk";
+  fsk.num_bits = 64;
+  base.tags.push_back(fsk);
+  base.duration = units::Seconds{0.2};
+  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
+  expect_rejects_non_finite(
+      base,
+      {{"tag_power",
+        [](Scenario& sc, double v) {
+          sc.tags[0].tag_power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"position.x",
+        [](Scenario& sc, double v) { sc.tags[0].position.x_m = v; }},
+       {"waypoint.y",
+        [](Scenario& sc, double v) { sc.tags[0].waypoints[1].y_m = v; }},
+       {"distance_override",
+        [](Scenario& sc, double v) {
+          sc.tags[0].distance_override = std::bit_cast<units::Feet>(v);
+        }},
+       {"start",
+        [](Scenario& sc, double v) {
+          sc.tags[1].start = std::bit_cast<units::Seconds>(v);
+        }},
+       {"subcarrier.shift",
+        [](Scenario& sc, double v) {
+          sc.tags[1].subcarrier.shift = std::bit_cast<units::Hertz>(v);
+        }},
+       {"subcarrier.deviation", [](Scenario& sc, double v) {
+          sc.tags[1].subcarrier.deviation = std::bit_cast<units::Hertz>(v);
+        }}});
+}
+
+TEST(ScenarioEngine, RejectsNonFiniteReceiverInputs) {
+  Scenario base;
+  ScenarioTag t;
+  t.custom_baseband = dsp::rvec(1, 0.0F);
+  base.tags.push_back(std::move(t));
+  base.receivers.push_back(phone_listening_to(base.tags[0].subcarrier));
+  base.receivers[0].waypoints = {ScenePosition{1.0, 1.0}};
+  expect_rejects_non_finite(
+      base,
+      {{"tune_offset",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].tune_offset = std::bit_cast<units::Hertz>(v);
+        }},
+       {"position.y",
+        [](Scenario& sc, double v) { sc.receivers[0].position.y_m = v; }},
+       {"waypoint.x",
+        [](Scenario& sc, double v) { sc.receivers[0].waypoints[0].x_m = v; }},
+       {"direct_power",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].direct_power = std::bit_cast<units::Dbm>(v);
+        }},
+       {"noise_200khz",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].noise_200khz = std::bit_cast<units::Dbm>(v);
+        }},
+       {"rx_antenna_gain", [](Scenario& sc, double v) {
+          sc.receivers[0].rx_antenna_gain = std::bit_cast<units::Db>(v);
+        }}});
+}
+
+// Link-budget, antenna and fading inputs sit one struct deeper and used to
+// slip past the finite-input check: a NaN reflection amplitude,
+// implementation loss or antenna gain reported a NaN backscatter power, a
+// NaN fading speed or Rician K decoded to a BER near 0.6 without an error,
+// and FleetEngine, whose analytic links ignore fading, reported a delivered
+// link.
+TEST(ScenarioEngine, RejectsNonFiniteLinkAntennaAndFadingInputs) {
+  Scenario base;
+  base.duration = units::Seconds{0.2};
+  ScenarioTag t;
+  t.name = "fsk";
+  t.num_bits = 64;
+  t.fading = channel::FadingConfig{};
+  base.tags.push_back(t);
+  base.receivers.push_back(phone_listening_to(t.subcarrier));
+  expect_rejects_non_finite(
+      base,
+      {{"link.carrier",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.carrier = std::bit_cast<units::Hertz>(v);
+        }},
+       {"link.tag_antenna_gain",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.tag_antenna_gain = std::bit_cast<units::Db>(v);
+        }},
+       {"link.rx_antenna_gain",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.rx_antenna_gain = std::bit_cast<units::Db>(v);
+        }},
+       {"link.reflection_amplitude",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.reflection_amplitude = v;
+        }},
+       {"link.implementation_loss",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.implementation_loss =
+              std::bit_cast<units::Db>(v);
+        }},
+       {"link.tag_height",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.tag_height = std::bit_cast<units::Meters>(v);
+        }},
+       {"link.rx_height",
+        [](Scenario& sc, double v) {
+          sc.receivers[0].link.rx_height = std::bit_cast<units::Meters>(v);
+        }},
+       {"antenna.gain_dbi",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.gain_dbi = v; }},
+       {"antenna.efficiency_db",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.efficiency_db = v; }},
+       {"antenna.body_loss_db",
+        [](Scenario& sc, double v) { sc.tags[0].antenna.body_loss_db = v; }},
+       {"fading.carrier",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->carrier = std::bit_cast<units::Hertz>(v);
+        }},
+       {"fading.speed_mps",
+        [](Scenario& sc, double v) { sc.tags[0].fading->speed_mps = v; }},
+       {"fading.rician_k",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->rician_k = std::bit_cast<units::Db>(v);
+        }},
+       {"fading.shadow_sigma",
+        [](Scenario& sc, double v) {
+          sc.tags[0].fading->shadow_sigma = std::bit_cast<units::Db>(v);
+        }},
+       {"fading.shadow_rate", [](Scenario& sc, double v) {
+          sc.tags[0].fading->shadow_rate = std::bit_cast<units::Hertz>(v);
+        }}});
+  Scenario fading = base;
+  fading.tags[0].fading->speed_mps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)FleetEngine().run(fading), std::invalid_argument);
+}
+
+// A tag's payload level scales its baseband, so a NaN or infinite level
+// decoded to BER 0.5 and zero goodput without an error, and a NaN RDS level
+// slipped through `x <= 0 || x > 1`, which NaN fails on both sides, to run at
+// BLER 1. Both levels must lie in (0, 1] and are checked so that NaN fails.
+TEST(ScenarioEngine, RejectsNonFiniteOrOutOfRangeTagLevels) {
+  Scenario base;
+  base.duration = units::Seconds{0.2};
+  ScenarioTag fsk;
+  fsk.name = "fsk";
+  fsk.num_bits = 64;
+  ScenarioTag rds;
+  rds.name = "rds";
+  rds.subcarrier.shift = units::Hertz{-600e3};
+  rds.rds_radiotext = "AD";
+  base.tags = {fsk, rds};
+  base.receivers.push_back(phone_listening_to(fsk.subcarrier));
+  ASSERT_NO_THROW(resolve_scenario_plan(base));
+  Scenario full = base;
+  full.tags[0].level = 1.0;
+  full.tags[1].rds_level = 1.0;
+  EXPECT_NO_THROW(resolve_scenario_plan(full));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const ScenarioEngine batch;
+  const StreamingEngine streaming;
+  for (const double v : {nan, inf, -inf, 0.0, -0.5, 1.5}) {
+    Scenario level = base;
+    level.tags[0].level = v;
+    Scenario rds_level = base;
+    rds_level.tags[1].rds_level = v;
+    for (const auto& [field, sc] : {std::pair{"level", &level},
+                                    std::pair{"rds_level", &rds_level}}) {
+      EXPECT_THROW((void)resolve_scenario_plan(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)batch.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+      EXPECT_THROW((void)streaming.run(*sc), std::invalid_argument)
+          << field << " = " << v;
+    }
+    const std::vector<unsigned char> bits(26, 1);
+    EXPECT_THROW((void)tag::compose_rds_baseband(bits, 2400, v),
+                 std::invalid_argument)
+        << "compose_rds_baseband level = " << v;
   }
 }
 
