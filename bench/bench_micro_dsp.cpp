@@ -4,6 +4,7 @@
 // which FIR kernel set (avx2, sse2 or scalar) the process selected.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
 
 #include "audio/tone.h"
@@ -16,12 +17,14 @@
 #include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "dsp/goertzel.h"
+#include "dsp/nco.h"
 #include "dsp/simd.h"
 #include "fm/constants.h"
 #include "fm/demodulator.h"
 #include "fm/modulator.h"
 #include "rx/tuner.h"
 #include "tag/baseband.h"
+#include "tag/fsk.h"
 #include "tag/subcarrier.h"
 
 namespace {
@@ -219,6 +222,64 @@ void BM_EngineRdsLowpass(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
 }
 BENCHMARK(BM_EngineRdsLowpass);
+
+// The FSK receiver's tone bank on one 1.6 kbps symbol: 16 tones over the
+// 240 samples of a 200 symbol/s symbol at 48 kHz.
+void BM_EngineGoertzel16(benchmark::State& state) {
+  const tag::FskParams params =
+      tag::FskParams::for_rate(tag::DataRate::k1600bps);
+  constexpr double kAudioRate = 48000.0;
+  dsp::GoertzelBank bank(params.tones_hz, kAudioRate);
+  std::vector<float> block(
+      static_cast<std::size_t>(kAudioRate / params.symbol_rate));
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<float>(std::sin(0.37 * static_cast<double>(i)));
+  }
+  for (auto _ : state) {
+    auto p = bank.powers(block);
+    benchmark::DoNotOptimize(p.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_EngineGoertzel16);
+
+// A tag's SSB subcarrier on one 480-sample baseband sub-block: the x10
+// interpolator, the phase accumulator and the vector sincos to 4,800 RF
+// samples.
+void BM_EngineSubcarrierSsb(benchmark::State& state) {
+  tag::SubcarrierConfig cfg;
+  cfg.mode = tag::SubcarrierMode::kSingleSideband;
+  tag::SubcarrierGenerator gen(cfg);
+  std::vector<float> bb(480);
+  for (std::size_t i = 0; i < bb.size(); ++i) {
+    bb[i] = static_cast<float>(0.8 * std::sin(0.05 * static_cast<double>(i)));
+  }
+  dsp::cvec out(bb.size() * tag::kSubcarrierUpFactor);
+  for (auto _ : state) {
+    gen.process_into(bb, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_EngineSubcarrierSsb);
+
+// A station's offset mixer on one 4,800-sample RF sub-block. The mix is in
+// place, so the block is rotated again each iteration; its magnitude stays
+// put.
+void BM_EngineMixer(benchmark::State& state) {
+  dsp::Mixer mixer(400000.0, fm::kRfRate);
+  dsp::cvec rf(4800, dsp::cfloat(0.1F, 0.1F));
+  for (auto _ : state) {
+    mixer.process_inplace(rf);
+    benchmark::DoNotOptimize(rf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4800);
+}
+BENCHMARK(BM_EngineMixer);
 
 void BM_FmModulator(benchmark::State& state) {
   fm::FmModulator mod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);

@@ -160,6 +160,8 @@ std::vector<InputRow> input_rows(const Scenario& sc) {
       row("phone.agc.target_rms", rx.phone.agc.target_rms, kPositive);
       row("phone.agc.attack_seconds", rx.phone.agc.attack_seconds, kFinite);
       row("phone.agc.release_seconds", rx.phone.agc.release_seconds, kFinite);
+      row("phone.agc.min_gain", rx.phone.agc.min_gain, kNonNegative);
+      row("phone.agc.max_gain", rx.phone.agc.max_gain, kPositive);
     }
     positions(rx.position, rx.waypoints);
   }
@@ -384,6 +386,14 @@ ScenarioPlan resolve_scenario_plan(const Scenario& sc) {
           "ScenarioEngine: receiver \"" + rx.name +
           "\" needs an audio rate dividing the MPX rate with its device "
           "chain's corners below Nyquist");
+    }
+    // std::clamp(gain, min_gain, max_gain) needs the bounds in order.
+    const dsp::Agc::Config& agc = rx.phone.agc;
+    if (rx.kind != ReceiverKind::kCar && rx.phone.enable_agc &&
+        agc.min_gain > agc.max_gain) {
+      throw std::invalid_argument(
+          "ScenarioEngine: receiver \"" + rx.name +
+          "\" phone.agc.min_gain must be <= phone.agc.max_gain");
     }
   }
   // Checked here so that FleetEngine, whose analytic links build no

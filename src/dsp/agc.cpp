@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace fmbs::dsp {
@@ -22,6 +23,12 @@ Agc::Agc(const Config& config, double sample_rate)
   // NaN fails every comparison, so each check passes only on good values.
   if (!(sample_rate > 0.0)) throw std::invalid_argument("Agc: bad sample rate");
   if (!(config.target_rms > 0.0)) throw std::invalid_argument("Agc: bad target");
+  // std::clamp(gain, min_gain, max_gain) needs 0 <= min_gain <= max_gain,
+  // here finite too.
+  if (!(config.min_gain >= 0.0 && config.min_gain <= config.max_gain &&
+        config.max_gain <= std::numeric_limits<double>::max())) {
+    throw std::invalid_argument("Agc: gains must be finite, 0 <= min <= max");
+  }
 }
 
 float Agc::process_sample(float x) {

@@ -15,8 +15,9 @@ namespace fmbs::dsp {
 double goertzel_power(std::span<const float> block, double frequency_hz,
                       double sample_rate);
 
-/// Precomputed Goertzel detector bank for a fixed tone set — evaluates all
-/// tones over the same block in one pass per tone.
+/// Precomputed Goertzel detector bank for a fixed tone set. With AVX2 it
+/// walks the block once for all tones (simd::avx2::goertzel), otherwise once
+/// per tone; both give goertzel_power's bits.
 class GoertzelBank {
  public:
   /// tones are in Hz; sample_rate in Hz. Throws if a tone is outside

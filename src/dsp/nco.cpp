@@ -7,6 +7,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/simd.h"
+
 namespace fmbs::dsp {
 
 Oscillator::Oscillator(double frequency_hz, double sample_rate,
@@ -93,9 +95,16 @@ void Mixer::process_inplace(std::span<cfloat> data) {
     const double* tre = table_re_.data() + k0;
     const double* tim = table_im_.data() + k0;
     float* v = d + 2 * i;
+    std::size_t k = 0;
+#if FMBS_SIMD_ENABLED
+    if (simd::avx2_available()) {  // the loop below, byte for byte
+      k = len & ~std::size_t{3};
+      simd::avx2::mix_cx(v, k, sr, si, tre, tim);
+    }
+#endif
     // Plain real arithmetic, the same rounding as std::complex's product on
     // finite values without its NaN-recovery branch, so it vectorizes.
-    for (std::size_t k = 0; k < len; ++k) {
+    for (; k < len; ++k) {
       const auto cr = static_cast<float>(sr * tre[k] - si * tim[k]);
       const auto ci = static_cast<float>(sr * tim[k] + si * tre[k]);
       const float xr = v[2 * k];

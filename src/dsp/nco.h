@@ -26,11 +26,25 @@ class PhaseAccumulator {
   double phase() const { return phase_; }
 
   /// Advances by `delta` radians and returns the phase *before* the advance.
+  ///
+  /// The wrap is phase - kTwoPi * floor(phase / kTwoPi) (or + kTwoPi *
+  /// ceil(-phase / kTwoPi) below zero), but the common one-turn wraps skip
+  /// the division: on [kTwoPi, 2 kTwoPi) the floor is exactly 1 and on
+  /// [-kTwoPi, -2^-1000] the ceil is exactly 1 (closer to zero the quotient
+  /// can underflow to a ceil of 0), so subtracting or adding kTwoPi gives the
+  /// formula's double.
   double advance(double delta) {
     const double current = phase_;
     phase_ += delta;
-    if (phase_ >= kTwoPi) phase_ -= kTwoPi * std::floor(phase_ / kTwoPi);
-    if (phase_ < 0.0) phase_ += kTwoPi * std::ceil(-phase_ / kTwoPi);
+    if (phase_ >= kTwoPi) {
+      phase_ -= phase_ < 2.0 * kTwoPi ? kTwoPi
+                                      : kTwoPi * std::floor(phase_ / kTwoPi);
+    }
+    if (phase_ < 0.0) {
+      phase_ += phase_ >= -kTwoPi && phase_ <= -0x1p-1000
+                    ? kTwoPi
+                    : kTwoPi * std::ceil(-phase_ / kTwoPi);
+    }
     return current;
   }
 

@@ -1,9 +1,5 @@
 #include "dsp/simd.h"
 
-#if FMBS_SIMD_ENABLED
-#include <immintrin.h>
-#endif
-
 namespace fmbs::dsp::simd {
 
 #if FMBS_SIMD_ENABLED
@@ -17,12 +13,6 @@ bool avx2_available() {
 }
 
 const char* kernel_isa() { return avx2_available() ? "avx2" : "sse2"; }
-
-// Each AVX2 kernel is compiled for AVX2 alone, never for the whole file: a
-// file-wide target would also emit the inline helpers it includes with AVX2
-// encodings, and the linker may keep those copies for baseline callers.
-// "fma" stays off the list (see the contract in simd.h).
-#define FMBS_TARGET_AVX2 __attribute__((target("avx2")))
 
 namespace avx2 {
 
@@ -163,6 +153,123 @@ FMBS_TARGET_AVX2 void fir_cx(const float* x, std::size_t phases,
   }
   sse2::fir_cx(x + 2 * i, phases, row_len, rt, nt, out + 2 * (i * out_stride),
                out_stride, n - i);
+}
+
+namespace {
+
+/// The Goertzel recurrence of up to 4 * NV tones in NV interleaved vectors,
+/// so the NV chains' adds overlap. Lanes past `tones` run with coefficient
+/// 0 and are dropped.
+template <std::size_t NV>
+FMBS_TARGET_AVX2 void goertzel_group(const float* x, std::size_t n,
+                                     const double* coeff, std::size_t tones,
+                                     double* s1_out, double* s2_out) {
+  alignas(32) double lanes[4 * NV] = {};
+  for (std::size_t t = 0; t < tones; ++t) lanes[t] = coeff[t];
+  __m256d c[NV];
+  __m256d s1[NV];
+  __m256d s2[NV];
+  for (std::size_t v = 0; v < NV; ++v) {
+    c[v] = _mm256_load_pd(lanes + 4 * v);
+    s1[v] = _mm256_setzero_pd();
+    s2[v] = s1[v];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256d xv = _mm256_set1_pd(static_cast<double>(x[i]));
+    for (std::size_t v = 0; v < NV; ++v) {
+      const __m256d s0 =
+          _mm256_sub_pd(_mm256_add_pd(xv, _mm256_mul_pd(c[v], s1[v])), s2[v]);
+      s2[v] = s1[v];
+      s1[v] = s0;
+    }
+  }
+  for (std::size_t v = 0; v < NV; ++v) {
+    _mm256_store_pd(lanes + 4 * v, s1[v]);
+  }
+  for (std::size_t t = 0; t < tones; ++t) s1_out[t] = lanes[t];
+  for (std::size_t v = 0; v < NV; ++v) {
+    _mm256_store_pd(lanes + 4 * v, s2[v]);
+  }
+  for (std::size_t t = 0; t < tones; ++t) s2_out[t] = lanes[t];
+}
+
+/// The mixer's rotator at samples k..k+3, rounded to float.
+FMBS_TARGET_AVX2 void rotator_x4(__m256d sr, __m256d si, const double* tre,
+                                 const double* tim, __m128* cr, __m128* ci) {
+  const __m256d re = _mm256_loadu_pd(tre);
+  const __m256d im = _mm256_loadu_pd(tim);
+  *cr = _mm256_cvtpd_ps(
+      _mm256_sub_pd(_mm256_mul_pd(sr, re), _mm256_mul_pd(si, im)));
+  *ci = _mm256_cvtpd_ps(
+      _mm256_add_pd(_mm256_mul_pd(sr, im), _mm256_mul_pd(si, re)));
+}
+
+}  // namespace
+
+FMBS_TARGET_AVX2 void goertzel(const float* x, std::size_t n,
+                               const double* coeff, std::size_t tones,
+                               double* s1, double* s2) {
+  for (std::size_t t = 0; t < tones; t += 16) {
+    const std::size_t group = tones - t < 16 ? tones - t : 16;
+    switch ((group + 3) / 4) {
+      case 1:
+        goertzel_group<1>(x, n, coeff + t, group, s1 + t, s2 + t);
+        break;
+      case 2:
+        goertzel_group<2>(x, n, coeff + t, group, s1 + t, s2 + t);
+        break;
+      case 3:
+        goertzel_group<3>(x, n, coeff + t, group, s1 + t, s2 + t);
+        break;
+      default:
+        goertzel_group<4>(x, n, coeff + t, group, s1 + t, s2 + t);
+        break;
+    }
+  }
+}
+
+FMBS_TARGET_AVX2 void mix_cx(float* v, std::size_t n, double sr, double si,
+                             const double* tre, const double* tim) {
+  const __m256d vsr = _mm256_set1_pd(sr);
+  const __m256d vsi = _mm256_set1_pd(si);
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    __m128 cr_lo;
+    __m128 ci_lo;
+    __m128 cr_hi;
+    __m128 ci_hi;
+    rotator_x4(vsr, vsi, tre + k, tim + k, &cr_lo, &ci_lo);
+    rotator_x4(vsr, vsi, tre + k + 4, tim + k + 4, &cr_hi, &ci_hi);
+    // shuffle_ps deinterleaves the input as samples 0 1 4 5 | 2 3 6 7;
+    // the rotator takes the same order, and unpacklo/hi restore it.
+    const __m256 cr = _mm256_set_m128(_mm_movehl_ps(cr_hi, cr_lo),
+                                      _mm_movelh_ps(cr_lo, cr_hi));
+    const __m256 ci = _mm256_set_m128(_mm_movehl_ps(ci_hi, ci_lo),
+                                      _mm_movelh_ps(ci_lo, ci_hi));
+    const __m256 a = _mm256_loadu_ps(v + 2 * k);
+    const __m256 b = _mm256_loadu_ps(v + 2 * k + 8);
+    const __m256 xr = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+    const __m256 xi = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+    const __m256 yr =
+        _mm256_sub_ps(_mm256_mul_ps(xr, cr), _mm256_mul_ps(xi, ci));
+    const __m256 yi =
+        _mm256_add_ps(_mm256_mul_ps(xr, ci), _mm256_mul_ps(xi, cr));
+    _mm256_storeu_ps(v + 2 * k, _mm256_unpacklo_ps(yr, yi));
+    _mm256_storeu_ps(v + 2 * k + 8, _mm256_unpackhi_ps(yr, yi));
+  }
+  if (k < n) {  // four samples left
+    __m128 cr;
+    __m128 ci;
+    rotator_x4(vsr, vsi, tre + k, tim + k, &cr, &ci);
+    const __m128 a = _mm_loadu_ps(v + 2 * k);
+    const __m128 b = _mm_loadu_ps(v + 2 * k + 4);
+    const __m128 xr = _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+    const __m128 xi = _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+    const __m128 yr = _mm_sub_ps(_mm_mul_ps(xr, cr), _mm_mul_ps(xi, ci));
+    const __m128 yi = _mm_add_ps(_mm_mul_ps(xr, ci), _mm_mul_ps(xi, cr));
+    _mm_storeu_ps(v + 2 * k, _mm_unpacklo_ps(yr, yi));
+    _mm_storeu_ps(v + 2 * k + 4, _mm_unpackhi_ps(yr, yi));
+  }
 }
 
 }  // namespace avx2

@@ -5,24 +5,35 @@
 // Two kernel sets, one contract. The SSE2 kernels (namespace sse2, 4 lanes)
 // are baseline x86-64 and are defined inline below. The AVX2 kernels
 // (namespace avx2, 8 lanes) live in simd.cpp, each compiled with
-// __attribute__((target("avx2"))), so the library still runs on any
-// x86-64 CPU; no -march flag is involved. The unqualified entry points
-// (simd::fir_f32, fir_cx, scale_f32, axpy_f32) call the AVX2 kernels when
-// avx2_available() — a CPU check made once per process — and the SSE2
+// FMBS_TARGET_AVX2 (__attribute__((target("avx2")))), so the library still
+// runs on any x86-64 CPU; no -march flag is involved. The unqualified entry
+// points (simd::fir_f32, fir_cx, scale_f32, axpy_f32) call the AVX2 kernels
+// when avx2_available() — a CPU check made once per process — and the SSE2
 // ones otherwise. The AVX2 kernels hand their last few outputs to the SSE2
 // kernels, and FMBS_SIMD=OFF keeps the scalar loops as the reference.
+//
+// Three AVX2 kernels have no entry point; their callers check
+// avx2_available() themselves:
+//  * avx2::goertzel, the dsp::GoertzelBank recurrence over all its tones,
+//    and avx2::mix_cx, the dsp::Mixer span product (DDS rotator times
+//    input); without AVX2 the callers run their scalar loops;
+//  * avx2::sincos_ps, sincos_ps at eight lanes for the tag subcarrier
+//    (subcarrier.cpp), which then runs one four-lane group and libm on the
+//    rest; without AVX2 the four-lane sincos_ps takes every group.
 //
 // Bit-compatibility contract: every kernel here vectorizes ACROSS OUTPUTS —
 // each SIMD lane accumulates its output's taps serially, in exactly the
 // scalar loop's order — so no floating-point reassociation happens and the
 // results are bit-identical to the scalar implementations, whatever the
 // lane count. (Vectorizing across taps would reassociate the accumulation
-// and is deliberately avoided.) Every multiply and add stays a separate
-// instruction: SSE2 has no FMA, target("avx2") does not enable it (never add
-// "fma" to the target list; tools/check_no_fma.py fails CI on any fused
-// multiply-add in libfmbs.a), and the build passes -ffp-contract=off, since
-// GCC would otherwise fuse the scalar loops' a * b + c wherever FMA is
-// enabled, even in ISO C++ mode.
+// and is deliberately avoided.) Goertzel vectorizes across independent
+// recurrences, one tone per lane, which is the same contract: each lane runs
+// its tone's recurrence sample by sample, as the scalar loop does. Every
+// multiply and add stays a separate instruction: SSE2 has no FMA,
+// target("avx2") does not enable it (never add "fma" to the target list;
+// tools/check_no_fma.py fails CI on any fused multiply-add in libfmbs.a),
+// and the build passes -ffp-contract=off, since GCC would otherwise fuse
+// the scalar loops' a * b + c wherever FMA is enabled, even in ISO C++ mode.
 //
 // The FIR kernels read their input in a phase layout: `phases` rows of
 // row_len samples, tap t of output i at row t % phases, column i +
@@ -37,13 +48,15 @@
 //
 // Two approximations live outside this header, each justified at its call
 // site and pinned by tests:
-//  * dsp::Mixer (nco.cpp) is a DDS in plain C++ that both builds compile
-//    alike: an exact 64-bit phase word re-seeds a double rotator by one
-//    libm cos/sin pair every 1024 absolute samples, with a 16-entry phasor
-//    table in between. Its output stays within 6e-8 of an exact phasor
-//    (float rounding is 4.2e-8) over 100 simulated seconds
-//    (tests/dsp/test_nco.cpp);
+//  * dsp::Mixer (nco.cpp) is a DDS: an exact 64-bit phase word re-seeds a
+//    double rotator by one libm cos/sin pair every 1024 absolute samples,
+//    with a 16-entry phasor table in between. Its span product runs in
+//    avx2::mix_cx or in the scalar loop, byte for byte alike. Its output
+//    stays within 6e-8 of an exact phasor (float rounding is 4.2e-8) over
+//    100 simulated seconds (tests/dsp/test_nco.cpp);
 //  * the tag subcarrier's vector sincos (subcarrier.cpp, sincos_ps below).
+//    It is not libm, but the eight-lane avx2::sincos_ps is bit-identical to
+//    the four-lane sincos_ps, so the kernel set does not change its output.
 //
 // std::complex<float> arrays are addressed through reinterpret_cast<float*>:
 // the standard guarantees array-of-complex is layout-compatible with
@@ -54,7 +67,7 @@
 
 #if defined(FMBS_SIMD) && defined(__SSE2__)
 #define FMBS_SIMD_ENABLED 1
-#include <emmintrin.h>
+#include <immintrin.h>
 #else
 #define FMBS_SIMD_ENABLED 0
 #endif
@@ -99,6 +112,12 @@ class TapWalk {
 
 /// True when this CPU runs the AVX2 kernels; checked once per process.
 bool avx2_available();
+
+// Compiles one function for AVX2 alone, never a whole file: a file-wide
+// target would also emit the inline helpers it includes with AVX2
+// encodings, and the linker may keep those copies for baseline callers.
+// "fma" stays off the list (see the contract above).
+#define FMBS_TARGET_AVX2 __attribute__((target("avx2")))
 
 namespace sse2 {
 
@@ -276,6 +295,20 @@ void fir_f32(const float* x, std::size_t phases, std::size_t row_len,
 void fir_cx(const float* x, std::size_t phases, std::size_t row_len,
             const float* rt, std::size_t nt, float* out,
             std::size_t out_stride, std::size_t n);
+
+/// The Goertzel recurrence s = (x[i] + coeff[t] * s1) - s2 of each of
+/// `tones` tones over the n samples of x, across tones: four tones per
+/// vector, up to four vectors interleaved. Writes each tone's last two
+/// states, s1[t] and s2[t] (zero when n == 0).
+void goertzel(const float* x, std::size_t n, const double* coeff,
+              std::size_t tones, double* s1, double* s2);
+
+/// The dsp::Mixer span product over n interleaved complex samples of v,
+/// n a multiple of 4: v[k] *= float(sr * tre[k] - si * tim[k]) +
+/// j float(sr * tim[k] + si * tre[k]), four rotator values per double
+/// vector and eight samples per float step.
+void mix_cx(float* v, std::size_t n, double sr, double si, const double* tre,
+            const double* tim);
 }  // namespace avx2
 
 // The entry points: the AVX2 kernel when avx2_available(), the SSE2 kernel
@@ -354,6 +387,66 @@ inline void sincos_ps(__m128 x, __m128* s, __m128* c) {
   *s = _mm_xor_ps(sin_sel, sign_bit_sin);
   *c = _mm_xor_ps(cos_sel, sign_bit_cos);
 }
+
+namespace avx2 {
+
+/// sincos_ps at eight lanes: the same constants and the same operations in
+/// the same order, so every lane's bits equal the four-lane result. Call it
+/// only from FMBS_TARGET_AVX2 code, when avx2_available().
+FMBS_TARGET_AVX2 inline void sincos_ps(__m256 x, __m256* s, __m256* c) {
+  const __m256 sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(
+      static_cast<int>(0x80000000U)));
+  __m256 sign_bit_sin = _mm256_and_ps(x, sign_mask);
+  x = _mm256_andnot_ps(sign_mask, x);
+
+  __m256 y = _mm256_mul_ps(x, _mm256_set1_ps(1.27323954473516F));
+  __m256i j = _mm256_cvttps_epi32(y);
+  j = _mm256_add_epi32(j, _mm256_set1_epi32(1));
+  j = _mm256_and_si256(j, _mm256_set1_epi32(~1));
+  y = _mm256_cvtepi32_ps(j);
+
+  const __m256 flip_sin = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_and_si256(j, _mm256_set1_epi32(4)), 29));
+  sign_bit_sin = _mm256_xor_ps(sign_bit_sin, flip_sin);
+  const __m256 sign_bit_cos = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_and_si256(
+          _mm256_andnot_si256(_mm256_sub_epi32(j, _mm256_set1_epi32(2)),
+                              _mm256_set1_epi32(4)),
+          _mm256_set1_epi32(4)),
+      29));
+  const __m256 poly_mask = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+      _mm256_and_si256(j, _mm256_set1_epi32(2)), _mm256_setzero_si256()));
+
+  x = _mm256_add_ps(x, _mm256_mul_ps(y, _mm256_set1_ps(-0.78515625F)));
+  x = _mm256_add_ps(
+      x, _mm256_mul_ps(y, _mm256_set1_ps(-2.4187564849853515625e-4F)));
+  x = _mm256_add_ps(
+      x, _mm256_mul_ps(y, _mm256_set1_ps(-3.77489497744594108e-8F)));
+
+  const __m256 z = _mm256_mul_ps(x, x);
+  __m256 yc = _mm256_set1_ps(2.443315711809948e-5F);
+  yc = _mm256_add_ps(_mm256_mul_ps(yc, z),
+                     _mm256_set1_ps(-1.388731625493765e-3F));
+  yc = _mm256_add_ps(_mm256_mul_ps(yc, z),
+                     _mm256_set1_ps(4.166664568298827e-2F));
+  yc = _mm256_mul_ps(_mm256_mul_ps(yc, z), z);
+  yc = _mm256_sub_ps(yc, _mm256_mul_ps(z, _mm256_set1_ps(0.5F)));
+  yc = _mm256_add_ps(yc, _mm256_set1_ps(1.0F));
+  __m256 ys = _mm256_set1_ps(-1.9515295891e-4F);
+  ys = _mm256_add_ps(_mm256_mul_ps(ys, z), _mm256_set1_ps(8.3321608736e-3F));
+  ys = _mm256_add_ps(_mm256_mul_ps(ys, z),
+                     _mm256_set1_ps(-1.6666654611e-1F));
+  ys = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(ys, z), x), x);
+
+  const __m256 sin_sel = _mm256_or_ps(_mm256_and_ps(poly_mask, ys),
+                                      _mm256_andnot_ps(poly_mask, yc));
+  const __m256 cos_sel = _mm256_or_ps(_mm256_and_ps(poly_mask, yc),
+                                      _mm256_andnot_ps(poly_mask, ys));
+  *s = _mm256_xor_ps(sin_sel, sign_bit_sin);
+  *c = _mm256_xor_ps(cos_sel, sign_bit_cos);
+}
+
+}  // namespace avx2
 
 #endif  // FMBS_SIMD_ENABLED
 

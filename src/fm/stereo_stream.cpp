@@ -44,29 +44,25 @@ StereoStreamDecoder::StereoStreamDecoder(const StereoDecoderConfig& config,
 void StereoStreamDecoder::decide() {
   const double rate = cfg_.mpx_rate;
   const std::span<const float> mpx(decision_buf_);
-  // Pilot measurement, verbatim from the one-shot decoder — over the
-  // decision window instead of the whole capture (identical whenever the
-  // window covers the capture, which it does for every golden scenario).
-  const double flank_lo = kPilotHz - 600.0;
-  const double flank_hi = kPilotHz + 600.0;
+  // Pilot measurement, the one-shot decoder's — over the decision window
+  // instead of the whole capture (identical whenever the window covers the
+  // capture, which it does for every golden scenario). One bank pass per
+  // block gives the pilot and both noise flanks; the bank's coefficients
+  // and recurrence are goertzel_power's, so the SNRs keep their bits.
+  const dsp::GoertzelBank bank({kPilotHz, kPilotHz - 600.0, kPilotHz + 600.0},
+                               rate);
+  const auto pilot_snr = [&bank](std::span<const float> block) {
+    const std::vector<double> p = bank.powers(block);
+    return dsp::db_from_power_ratio(p[0] /
+                                    std::max(0.5 * (p[1] + p[2]), 1e-30));
+  };
   const auto window = static_cast<std::size_t>(0.008 * rate);
   std::vector<double> window_snr;
   for (std::size_t start = 0; start + window <= mpx.size(); start += window) {
-    const auto block = mpx.subspan(start, window);
-    const double p_pilot = dsp::goertzel_power(block, kPilotHz, rate);
-    const double p_noise = 0.5 * (dsp::goertzel_power(block, flank_lo, rate) +
-                                  dsp::goertzel_power(block, flank_hi, rate));
-    window_snr.push_back(
-        dsp::db_from_power_ratio(p_pilot / std::max(p_noise, 1e-30)));
+    window_snr.push_back(pilot_snr(mpx.subspan(start, window)));
   }
-  pilot_snr_db_ =
-      window_snr.empty()
-          ? dsp::db_from_power_ratio(
-                dsp::goertzel_power(mpx, kPilotHz, rate) /
-                std::max(0.5 * (dsp::goertzel_power(mpx, flank_lo, rate) +
-                                dsp::goertzel_power(mpx, flank_hi, rate)),
-                         1e-30))
-          : dsp::quantile(window_snr, 0.5);
+  pilot_snr_db_ = window_snr.empty() ? pilot_snr(mpx)
+                                     : dsp::quantile(window_snr, 0.5);
   stereo_mode_ =
       !cfg_.force_mono && pilot_snr_db_ >= kPilotDetectThreshold.raw();
 

@@ -19,6 +19,56 @@ dsp::FirInterpolator<float> make_interpolator() {
       kSubcarrierUpFactor);
 }
 
+#if FMBS_SIMD_ENABLED
+// The AVX2 bodies of process_into's vector loops: the four-lane loops' own
+// operations at eight lanes (dsp::simd::avx2::sincos_ps is bit-identical to
+// sincos_ps). Each returns how many samples it wrote, n rounded down to 8.
+
+/// SSB: amp * (cos, sin)(ph[i]) into interleaved out.
+FMBS_TARGET_AVX2 std::size_t ssb_avx2(const float* ph, std::size_t n,
+                                      float amp, float* out) {
+  const __m256 a = _mm256_set1_ps(amp);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 s;
+    __m256 c;
+    dsp::simd::avx2::sincos_ps(_mm256_loadu_ps(ph + i), &s, &c);
+    c = _mm256_mul_ps(c, a);
+    s = _mm256_mul_ps(s, a);
+    const __m256 lo = _mm256_unpacklo_ps(c, s);  // samples 0 1 | 4 5
+    const __m256 hi = _mm256_unpackhi_ps(c, s);  // samples 2 3 | 6 7
+    _mm256_storeu_ps(out + 2 * i, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(out + 2 * i + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  return i;
+}
+
+/// Band-limited square: sum over odd k <= harmonics of
+/// float(4 / (pi k)) * cos(k ph[i]), with a zero imaginary part.
+FMBS_TARGET_AVX2 std::size_t square_avx2(const float* ph, std::size_t n,
+                                         int harmonics, float* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 phv = _mm256_loadu_ps(ph + i);
+    __m256 acc = _mm256_setzero_ps();
+    for (int k = 1; k <= harmonics; k += 2) {
+      __m256 s;
+      __m256 c;
+      dsp::simd::avx2::sincos_ps(
+          _mm256_mul_ps(phv, _mm256_set1_ps(static_cast<float>(k))), &s, &c);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(c, _mm256_set1_ps(static_cast<float>(
+                                                    4.0 / (dsp::kPi * k)))));
+    }
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 lo = _mm256_unpacklo_ps(acc, zero);
+    const __m256 hi = _mm256_unpackhi_ps(acc, zero);
+    _mm256_storeu_ps(out + 2 * i, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(out + 2 * i + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  return i;
+}
+#endif
+
 }  // namespace
 
 bool subcarrier_fits(const SubcarrierConfig& config) {
@@ -72,8 +122,10 @@ void SubcarrierGenerator::process_into(std::span<const float> baseband,
 #if FMBS_SIMD_ENABLED
   // The phase accumulation is inherently serial (each step depends on the
   // previous phase), but the waveform synthesis is not: run the accumulator
-  // alone, then evaluate cos/sin four phases at a time with the vector
-  // sincos. The phase SEQUENCE is identical to the scalar path — same
+  // alone, then evaluate cos/sin eight phases at a time with the AVX2
+  // sincos, four at a time with the SSE2 one (after the AVX2 loop, at most
+  // one group) and libm on the last n % 4, so both kernel sets write the
+  // same bytes. The phase SEQUENCE is identical to the scalar path — same
   // advance() calls in the same order — so streaming state is unaffected by
   // the gate; only the per-sample waveform values differ, at the ~1e-7
   // level of the Cephes float polynomials (tolerance pinned by
@@ -93,7 +145,11 @@ void SubcarrierGenerator::process_into(std::span<const float> baseband,
     auto* of = reinterpret_cast<float*>(out.data());
     const std::size_t n = up.size();
     std::size_t i = 0;
+    const bool avx2 = dsp::simd::avx2_available();
     if (cfg_.mode == SubcarrierMode::kSingleSideband) {
+      if (avx2) {
+        i = ssb_avx2(ph.data(), n, static_cast<float>(2.0 / dsp::kPi), of);
+      }
       const __m128 amp = _mm_set1_ps(static_cast<float>(2.0 / dsp::kPi));
       for (; i + 4 <= n; i += 4) {
         __m128 s;
@@ -110,6 +166,7 @@ void SubcarrierGenerator::process_into(std::span<const float> baseband,
             static_cast<float>(2.0 / dsp::kPi) * std::sin(ph[i]));
       }
     } else {  // kBandlimitedSquare
+      if (avx2) i = square_avx2(ph.data(), n, harmonics_, of);
       for (; i + 4 <= n; i += 4) {
         const __m128 phv = _mm_loadu_ps(ph.data() + i);
         __m128 acc = _mm_setzero_ps();

@@ -711,6 +711,12 @@ std::vector<SceneSpoil> scene_spoils() {
               return sc.receivers[0].phone.agc.release_seconds;
             },
             kFinite),
+      spoil("receiver \"phone\" phone.agc.min_gain",
+            [](S sc) -> auto& { return sc.receivers[0].phone.agc.min_gain; },
+            kNonNegative),
+      spoil("receiver \"phone\" phone.agc.max_gain",
+            [](S sc) -> auto& { return sc.receivers[0].phone.agc.max_gain; },
+            kPositive),
       spoil("receiver \"phone\" position.x_m",
             [](S sc) -> auto& { return sc.receivers[0].position.x_m; },
             kFinite),
@@ -772,6 +778,29 @@ TEST(ScenarioEngine, RejectsEveryInputOutsideItsDomain) {
       if (s.path.starts_with("tag \"poster\"")) continue;
       sc.tags.pop_back();  // FleetEngine rejects custom-baseband tags
       expect_rejects(s, v, "FleetEngine", [&] { (void)fleet.run(sc); });
+    }
+  }
+}
+
+// The AGC clamps its gain with std::clamp(g, min_gain, max_gain), whose
+// bounds out of order are undefined behaviour; the plan accepted them.
+TEST(ScenarioEngine, RejectsAgcMinGainAboveMaxGain) {
+  Scenario sc = rich_scenario();
+  sc.receivers[0].phone.agc.min_gain = 5.0;
+  sc.receivers[0].phone.agc.max_gain = 2.0;
+  const ScenarioEngine batch({.keep_captures = false});
+  const StreamingEngine streaming;
+  for (const auto& run : std::vector<std::function<void()>>{
+           [&] { (void)resolve_scenario_plan(sc); },
+           [&] { (void)batch.run(sc); }, [&] { (void)streaming.run(sc); }}) {
+    try {
+      run();
+      ADD_FAILURE() << "accepted min_gain 5 > max_gain 2";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("phone.agc.min_gain must be <= "
+                                           "phone.agc.max_gain"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

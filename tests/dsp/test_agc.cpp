@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "dsp/math_util.h"
 #include "support/run_stage.h"
@@ -90,13 +91,32 @@ TEST(Agc, Validation) {
   EXPECT_THROW(Agc(cfg, 48000.0), std::invalid_argument);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(Agc(Agc::Config{}, nan), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
   for (double Agc::Config::*field :
        {&Agc::Config::target_rms, &Agc::Config::attack_seconds,
-        &Agc::Config::release_seconds}) {
+        &Agc::Config::release_seconds, &Agc::Config::min_gain,
+        &Agc::Config::max_gain}) {
     Agc::Config spoiled;
     spoiled.*field = nan;
     EXPECT_THROW(Agc(spoiled, 48000.0), std::invalid_argument);
   }
+  // std::clamp's precondition: finite gains, 0 <= min_gain <= max_gain.
+  for (const auto& [min_gain, max_gain] :
+       {std::pair{0.01, inf}, std::pair{-inf, 100.0},
+        std::pair{-std::numeric_limits<double>::denorm_min(), 100.0},
+        std::pair{5.0, 2.0}}) {
+    Agc::Config spoiled;
+    spoiled.min_gain = min_gain;
+    spoiled.max_gain = max_gain;
+    EXPECT_THROW(Agc(spoiled, 48000.0), std::invalid_argument)
+        << "min_gain " << min_gain << ", max_gain " << max_gain;
+  }
+  Agc::Config edges;  // the closed ends pass
+  edges.min_gain = 0.0;
+  edges.max_gain = 0.0;
+  EXPECT_NO_THROW(Agc(edges, 48000.0));
+  edges.min_gain = edges.max_gain = 2.0;
+  EXPECT_NO_THROW(Agc(edges, 48000.0));
 }
 
 TEST(Agc, NonPositiveTimeConstantIsInstant) {

@@ -86,6 +86,38 @@ TEST(GoertzelBank, SixteenToneFdmSet) {
   }
 }
 
+// The bank (one pass for all tones where the CPU has AVX2) gives each
+// tone's goertzel_power to the bit: the stereo pilot detector's three tones
+// at the MPX rate over an 8 ms window and a short tail, and the 16-tone
+// FSK set over one 1.6 kbps symbol.
+TEST(GoertzelBank, PowersEqualGoertzelPowerBitForBit) {
+  std::mt19937 rng(9);
+  std::normal_distribution<float> noise(0.0F, 0.3F);
+  const auto noisy = [&](std::vector<float> x) {
+    for (auto& v : x) v += noise(rng);
+    return x;
+  };
+  std::vector<double> fsk;
+  for (int i = 1; i <= 16; ++i) fsk.push_back(800.0 * i);
+  struct Case {
+    std::vector<double> tones;
+    double fs;
+    std::vector<float> block;
+  };
+  const std::vector<Case> cases = {
+      {{19000.0, 18400.0, 19600.0}, 240000.0, noisy(tone(19000.0, 240000.0, 1920))},
+      {{19000.0, 18400.0, 19600.0}, 240000.0, noisy(tone(19000.0, 240000.0, 77))},
+      {fsk, 48000.0, noisy(tone(4000.0, 48000.0, 240))}};
+  for (const Case& c : cases) {
+    const std::vector<double> p = GoertzelBank(c.tones, c.fs).powers(c.block);
+    ASSERT_EQ(p.size(), c.tones.size());
+    for (std::size_t t = 0; t < c.tones.size(); ++t) {
+      EXPECT_EQ(p[t], goertzel_power(c.block, c.tones[t], c.fs))
+          << c.tones[t] << " Hz over " << c.block.size() << " samples";
+    }
+  }
+}
+
 TEST(GoertzelBank, Validation) {
   EXPECT_THROW(GoertzelBank({}, 48000.0), std::invalid_argument);
   EXPECT_THROW(GoertzelBank({100.0}, 0.0), std::invalid_argument);

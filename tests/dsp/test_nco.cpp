@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numbers>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "dsp/goertzel.h"
@@ -45,6 +50,81 @@ TEST(PhaseAccumulator, LongRunStaysAccurate) {
   const double p = acc.phase();
   const double dist = std::min(p, kTwoPi - p);
   EXPECT_LT(dist, 1e-5);
+}
+
+// PhaseAccumulator::advance as it was written before its one-turn fast
+// paths: the floor/ceil formula whose doubles they must reproduce.
+double advance_reference(double& phase, double delta) {
+  const double current = phase;
+  phase += delta;
+  if (phase >= kTwoPi) phase -= kTwoPi * std::floor(phase / kTwoPi);
+  if (phase < 0.0) phase += kTwoPi * std::ceil(-phase / kTwoPi);
+  return current;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// The fast paths' ends (kTwoPi and 2 kTwoPi above zero, -kTwoPi and -2^-1000
+// below it), a few ulp either side of each, denormals, huge and non-finite
+// phases, each wrapped from rest.
+TEST(PhaseAccumulator, WrapEdgesMatchFloorCeilFormulaBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values;
+  for (const double edge :
+       {0.0, -0.0, kTwoPi, -kTwoPi, 2.0 * kTwoPi, -2.0 * kTwoPi, 3.0 * kTwoPi,
+        0x1p-1000, -0x1p-1000, -0x1p-1010, -0x1p-1022, denorm, -denorm,
+        -4.0 * denorm, 1e300, -1e300, inf, -inf}) {
+    for (const double toward : {-inf, inf}) {
+      double v = edge;
+      for (int k = 0; k < 4; ++k, v = std::nextafter(v, toward)) {
+        values.push_back(v);
+      }
+    }
+  }
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (const double v : values) {
+    for (const double delta : {0.0, -0.0}) {
+      PhaseAccumulator acc(v);
+      double ref = v;
+      ASSERT_TRUE(same_bits(acc.advance(delta), advance_reference(ref, delta)));
+      ASSERT_TRUE(same_bits(acc.phase(), ref))
+          << std::hexfloat << v << " + " << delta << ": " << acc.phase()
+          << " against " << ref;
+    }
+  }
+}
+
+// Ten million steps of the sizes the library takes: the tag subcarrier's
+// (shift +- deviation at the RF rate, both signs of shift) and the FM
+// modulator's (+-75 kHz at the MPX rate, so backward wraps too).
+TEST(PhaseAccumulator, RandomStepsMatchFloorCeilFormulaBitForBit) {
+  std::mt19937_64 rng(71);
+  std::uniform_real_distribution<double> m(-1.2, 1.2);
+  std::uniform_real_distribution<double> shift(100e3, 1.1e6);
+  const double dev = kTwoPi * 75e3;
+  struct Regime {
+    double base;   // radians per sample at m = 0
+    double scale;  // radians per sample per unit of m
+  };
+  const std::vector<Regime> regimes = {
+      {kTwoPi * shift(rng) / 2.4e6, dev / 2.4e6},
+      {-kTwoPi * shift(rng) / 2.4e6, dev / 2.4e6},
+      {0.0, dev / 240e3}};
+  for (const Regime& r : regimes) {
+    PhaseAccumulator acc;
+    double ref = 0.0;
+    for (int i = 0; i < 10'000'000 / 3; ++i) {
+      const double delta = r.base + r.scale * m(rng);
+      if (!same_bits(acc.advance(delta), advance_reference(ref, delta)) ||
+          !same_bits(acc.phase(), ref)) {
+        FAIL() << "step " << i << " base " << r.base << ": " << acc.phase()
+               << " against " << ref;
+      }
+    }
+  }
 }
 
 TEST(Oscillator, GeneratesRequestedFrequency) {
@@ -144,6 +224,40 @@ TEST(Mixer, TracksExactPhasorOverLongRuns) {
   }
   EXPECT_LE(max_rotator_error(57000.0, 240000.0), 6e-8);
   EXPECT_LE(max_rotator_error(12345.6, 240000.0), 6e-8);
+}
+
+// A call may start at any offset k0 of the mixer's 16-sample span and run
+// any length: the span product then takes the vector kernel for whole
+// groups of four and the scalar loop for the rest, and must give the bytes
+// of one sample per call (the scalar loop alone). 1024 - 20 puts the runs
+// across a re-seed.
+TEST(Mixer, EverySpanOffsetAndLengthMatchesSampleBySample) {
+  const cvec x = [] {
+    std::mt19937 rng(72);
+    std::uniform_real_distribution<float> u(-1.0F, 1.0F);
+    cvec v(1100);
+    for (auto& s : v) s = cfloat(u(rng), u(rng));
+    return v;
+  }();
+  for (const std::size_t start : {std::size_t{0}, std::size_t{1024 - 20}}) {
+    for (std::size_t k0 = 0; k0 < 16; ++k0) {
+      for (std::size_t len = 0; len <= 16; ++len) {
+        const std::size_t total = start + k0 + len;
+        Mixer one_by_one(437123.5, 2.4e6, 0.3);
+        cvec ref(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(total));
+        for (auto& s : ref) one_by_one.process_inplace({&s, 1});
+        Mixer mixer(437123.5, 2.4e6, 0.3);
+        cvec got(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(total));
+        for (std::size_t i = 0; i < start + k0; ++i) {
+          mixer.process_inplace({&got[i], 1});
+        }
+        mixer.process_inplace(std::span(got).subspan(start + k0));
+        ASSERT_TRUE(total == 0 || std::memcmp(got.data(), ref.data(),
+                                              total * sizeof(cfloat)) == 0)
+            << "start " << start << " k0 " << k0 << " len " << len;
+      }
+    }
+  }
 }
 
 TEST(Mixer, Validation) {

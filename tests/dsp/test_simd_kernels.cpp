@@ -4,7 +4,9 @@
 //    its input, FirInterpolator) are BIT-IDENTICAL to scalar references —
 //    they vectorize across outputs and never reassociate an accumulation;
 //  * both kernel sets, SSE2 and AVX2, called directly, match the scalar
-//    loops byte for byte (the AVX2 cases skip on CPUs without AVX2);
+//    loops byte for byte (the AVX2 cases skip on CPUs without AVX2), and so
+//    do the AVX2-only kernels: the Goertzel bank, the mixer's span product
+//    and the eight-lane sincos (against the four-lane one);
 //  * the tolerance-pinned exception (the subcarrier's vector sincos) stays
 //    within its justified bound. The Mixer's rotator is one plain C++ path
 //    in every build; tests/dsp/test_nco.cpp pins its accuracy.
@@ -236,6 +238,152 @@ TEST(SimdKernels, Avx2KernelsMatchScalarByteForByte) {
   const KernelSet k = avx2_kernels();
   if (!k.available) GTEST_SKIP() << "this CPU has no AVX2";
   expect_kernels_match_scalar(k);
+}
+
+// The Goertzel recurrence of one tone, as GoertzelBank's scalar loop runs it.
+void goertzel_reference(std::span<const float> x, double coeff, double& s1,
+                        double& s2) {
+  double s0 = 0.0;
+  s1 = 0.0;
+  s2 = 0.0;
+  for (const float v : x) {
+    s0 = static_cast<double>(v) + coeff * s1 - s2;
+    s2 = s1;
+    s1 = s0;
+  }
+}
+
+// 1-20 tones cross every lane tail of one to four vectors and a second
+// 16-tone group (2 tones is the 100 bps set, 16 the 1.6 and 3.2 kbps set);
+// lengths 0-300 cover the 240-sample 1.6 kbps symbol. Slots past the last
+// tone keep their sentinel.
+TEST(SimdKernels, Avx2GoertzelMatchesScalarByteForByte) {
+  if (!dsp::simd::avx2_available()) GTEST_SKIP() << "this CPU has no AVX2";
+  const std::vector<float> x = random_floats(300, 61);
+  std::mt19937 rng(62);
+  std::uniform_real_distribution<double> cycles(0.001, 0.499);
+  for (std::size_t tones = 1; tones <= 20; ++tones) {
+    std::vector<double> coeff(tones);
+    for (auto& c : coeff) c = 2.0 * std::cos(dsp::kTwoPi * cycles(rng));
+    for (std::size_t n = 0; n <= x.size(); ++n) {
+      std::vector<double> s1(tones + 1, 42.0);
+      std::vector<double> s2(tones + 1, 42.0);
+      dsp::simd::avx2::goertzel(x.data(), n, coeff.data(), tones, s1.data(),
+                                s2.data());
+      for (std::size_t t = 0; t < tones; ++t) {
+        double r1 = 0.0;
+        double r2 = 0.0;
+        goertzel_reference(std::span(x.data(), n), coeff[t], r1, r2);
+        ASSERT_TRUE(same_bytes(s1[t], r1) && same_bytes(s2[t], r2))
+            << "tones=" << tones << " n=" << n << " tone " << t;
+      }
+      ASSERT_EQ(s1[tones], 42.0) << "tones=" << tones << " n=" << n;
+      ASSERT_EQ(s2[tones], 42.0) << "tones=" << tones << " n=" << n;
+    }
+  }
+}
+
+// dsp::Mixer's span loop (nco.cpp) as the scalar build runs it.
+void mix_reference(float* v, std::size_t n, double sr, double si,
+                   const double* tre, const double* tim) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto cr = static_cast<float>(sr * tre[k] - si * tim[k]);
+    const auto ci = static_cast<float>(sr * tim[k] + si * tre[k]);
+    const float xr = v[2 * k];
+    const float xi = v[2 * k + 1];
+    v[2 * k] = xr * cr - xi * ci;
+    v[2 * k + 1] = xr * ci + xi * cr;
+  }
+}
+
+// Every table offset k0 of the mixer's 16-sample span and every length
+// 0-16; the kernel takes the whole groups of four (as Mixer calls it) and
+// leaves the rest of the input alone.
+TEST(SimdKernels, Avx2MixerSpanMatchesScalarByteForByte) {
+  if (!dsp::simd::avx2_available()) GTEST_SKIP() << "this CPU has no AVX2";
+  std::mt19937 rng(63);
+  std::uniform_real_distribution<double> angle(-dsp::kPi, dsp::kPi);
+  std::vector<double> tre(32);
+  std::vector<double> tim(32);
+  for (std::size_t k = 0; k < tre.size(); ++k) {
+    const double a = angle(rng);
+    tre[k] = std::cos(a);
+    tim[k] = std::sin(a);
+  }
+  const double seed = angle(rng);
+  const double sr = std::cos(seed);
+  const double si = std::sin(seed);
+  const dsp::cvec x = random_complex(16, 64);
+  for (std::size_t k0 = 0; k0 < 16; ++k0) {
+    for (std::size_t len = 0; len <= 16; ++len) {
+      const std::size_t n = len & ~std::size_t{3};
+      dsp::cvec got = x;
+      dsp::cvec ref = x;
+      dsp::simd::avx2::mix_cx(reinterpret_cast<float*>(got.data()), n, sr, si,
+                              tre.data() + k0, tim.data() + k0);
+      mix_reference(reinterpret_cast<float*>(ref.data()), n, sr, si,
+                    tre.data() + k0, tim.data() + k0);
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        ASSERT_TRUE(same_bytes(got[k], ref[k]))
+            << "k0=" << k0 << " len=" << len << " sample " << k;
+      }
+    }
+  }
+}
+
+// Calls avx2::sincos_ps, which only AVX2 code may inline.
+FMBS_TARGET_AVX2 void sincos_avx2(const float* x, float* s, float* c) {
+  __m256 sv;
+  __m256 cv;
+  dsp::simd::avx2::sincos_ps(_mm256_loadu_ps(x), &sv, &cv);
+  _mm256_storeu_ps(s, sv);
+  _mm256_storeu_ps(c, cv);
+}
+
+// Every phase the subcarrier feeds it (+-100 rad), and a few ulp around
+// every multiple of pi/4 there, where the quadrant counter and the
+// polynomial choice switch; zeros and denormals too.
+TEST(SimdKernels, Avx2SincosMatchesSse2ByteForByte) {
+  if (!dsp::simd::avx2_available()) GTEST_SKIP() << "this CPU has no AVX2";
+  std::vector<float> xs;
+  for (double x = -100.0; x <= 100.0; x += 0.00137) {
+    xs.push_back(static_cast<float>(x));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int j = -128; j <= 128; ++j) {
+    const auto q = static_cast<float>(j * dsp::kPi / 4.0);
+    for (const float toward : {-inf, inf}) {
+      float v = q;
+      for (int k = 0; k < 4; ++k, v = std::nextafter(v, toward)) {
+        xs.push_back(v);
+      }
+    }
+  }
+  for (const float v : {0.0F, -0.0F, std::numeric_limits<float>::denorm_min(),
+                        -std::numeric_limits<float>::denorm_min(),
+                        std::numeric_limits<float>::min()}) {
+    xs.push_back(v);
+  }
+  xs.resize((xs.size() + 7) / 8 * 8, 1.0F);
+  for (std::size_t i = 0; i < xs.size(); i += 8) {
+    alignas(32) float s8[8];
+    alignas(32) float c8[8];
+    sincos_avx2(xs.data() + i, s8, c8);
+    for (std::size_t half = 0; half < 8; half += 4) {
+      __m128 s;
+      __m128 c;
+      dsp::simd::sincos_ps(_mm_loadu_ps(xs.data() + i + half), &s, &c);
+      alignas(16) float s4[4];
+      alignas(16) float c4[4];
+      _mm_store_ps(s4, s);
+      _mm_store_ps(c4, c);
+      for (std::size_t lane = 0; lane < 4; ++lane) {
+        ASSERT_TRUE(same_bytes(s8[half + lane], s4[lane]) &&
+                    same_bytes(c8[half + lane], c4[lane]))
+            << "x=" << xs[i + half + lane];
+      }
+    }
+  }
 }
 #endif
 
