@@ -295,6 +295,21 @@ void BM_FmModulator(benchmark::State& state) {
 }
 BENCHMARK(BM_FmModulator);
 
+// One station's modulator on one 480-sample MPX sub-block.
+void BM_EngineFmModulator(benchmark::State& state) {
+  fm::FmModulator mod(units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
+  const auto tone = audio::make_tone(1000.0, 0.8, 0.002, fm::kMpxRate);
+  dsp::cvec iq(tone.size());
+  for (auto _ : state) {
+    mod.process_into(tone.samples, iq);
+    benchmark::DoNotOptimize(iq.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tone.size()));
+}
+BENCHMARK(BM_EngineFmModulator);
+
 void BM_QuadratureDemodulator(benchmark::State& state) {
   fm::FmModulator mod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
   fm::QuadratureDemodulator demod( units::Hertz{fm::kMaxDeviationHz}, fm::kMpxRate);
@@ -339,16 +354,22 @@ void BM_Tuner(benchmark::State& state) {
 }
 BENCHMARK(BM_Tuner);
 
-void BM_AwgnSource(benchmark::State& state) {
-  channel::AwgnSource src( units::Dbm{-90.0}, units::Hertz{200000.0}, 2400000.0, 7);
-  dsp::cvec block(240000);
+// A receiver's noise on one 480-sample MPX sub-block at the 240 kHz tuned
+// rate, coloured by the tuner's noise-shaping taps, as
+// core::ReceiverDecoder::push adds it: 960 Gaussian draws and the shaper.
+void BM_EngineAwgn(benchmark::State& state) {
+  channel::AwgnSource src(units::Dbm{-100.0}, units::Hertz{200000.0},
+                          fm::kMpxRate, 7,
+                          rx::Tuner{rx::TunerConfig{}}.noise_shaping_taps());
+  dsp::cvec block(480);
   for (auto _ : state) {
     src.add_to(block);
     benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 240000);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 480);
 }
-BENCHMARK(BM_AwgnSource);
+BENCHMARK(BM_EngineAwgn);
 
 void BM_GoertzelBank16(benchmark::State& state) {
   std::vector<double> tones;

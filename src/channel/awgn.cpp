@@ -1,5 +1,6 @@
 #include "channel/awgn.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,7 +11,7 @@ namespace fmbs::channel {
 AwgnSource::AwgnSource(units::Dbm noise_in_ref_bw, units::Hertz reference_bandwidth,
                        double sample_rate, std::uint64_t seed,
                        std::vector<float> shaping_taps)
-    : rng_(seed), dist_(0.0F, 1.0F) {
+    : gauss_(seed) {
   if (!shaping_taps.empty()) shaper_.emplace(std::move(shaping_taps));
   if (reference_bandwidth.raw() <= 0.0 || sample_rate <= 0.0) {
     throw std::invalid_argument("AwgnSource: bad bandwidth or rate");
@@ -21,20 +22,26 @@ AwgnSource::AwgnSource(units::Dbm noise_in_ref_bw, units::Hertz reference_bandwi
 }
 
 void AwgnSource::add_to(std::span<dsp::cfloat> block) {
-  if (!shaper_) {
-    for (auto& v : block) {
-      v += dsp::cfloat(sigma_per_component_ * dist_(rng_),
-                       sigma_per_component_ * dist_(rng_));
-    }
-    return;
+  for (std::size_t at = 0; at < block.size(); at += kChunk) {
+    const std::span<dsp::cfloat> noise(chunk_.data(),
+                                       std::min(kChunk, block.size() - at));
+    draw(noise);
+    if (shaper_) shaper_->process_into(noise, noise);  // stages its input first
+    for (std::size_t i = 0; i < noise.size(); ++i) block[at + i] += noise[i];
   }
-  colored_.resize(block.size());
-  for (auto& v : colored_) {
-    v = dsp::cfloat(sigma_per_component_ * dist_(rng_),
-                    sigma_per_component_ * dist_(rng_));
+}
+
+void AwgnSource::draw(std::span<dsp::cfloat> out) {
+  // Sample i takes draws 2i and 2i + 1 as imag = 2i, real = 2i + 1. That is
+  // the order GCC gave the earlier cfloat(sigma * dist(rng), sigma *
+  // dist(rng)), whose arguments it evaluates right to left; C++ leaves that
+  // order unspecified, so it is spelled out here and every seed keeps its
+  // noise on any compiler.
+  gauss_.fill({reinterpret_cast<float*>(out.data()), 2 * out.size()});
+  for (auto& v : out) {
+    v = dsp::cfloat(sigma_per_component_ * v.imag(),
+                    sigma_per_component_ * v.real());
   }
-  shaper_->process_into(colored_, colored_);  // stages its input first
-  for (std::size_t i = 0; i < block.size(); ++i) block[i] += colored_[i];
 }
 
 }  // namespace fmbs::channel

@@ -2,12 +2,14 @@
 // quoted: dBm within a reference bandwidth (the 200 kHz FM channel).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <span>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/units.h"
 #include "dsp/fir.h"
 #include "dsp/types.h"
@@ -35,12 +37,16 @@ class AwgnSource {
   double variance() const { return variance_; }
 
  private:
+  static constexpr std::size_t kChunk = 512;
+
+  /// Writes the next out.size() white samples.
+  void draw(std::span<dsp::cfloat> out);
+
   double variance_;
   float sigma_per_component_;
-  std::mt19937_64 rng_;
-  std::normal_distribution<float> dist_;
+  core::NormalStream gauss_;
   std::optional<dsp::FirFilter<dsp::cfloat>> shaper_;
-  dsp::cvec colored_;  // per-block draws, shaped in place
+  std::array<dsp::cfloat, kChunk> chunk_;  // draws, shaped in place
 };
 
 }  // namespace fmbs::channel

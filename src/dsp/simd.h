@@ -12,11 +12,15 @@
 // ones otherwise. The AVX2 kernels hand their last few outputs to the SSE2
 // kernels, and FMBS_SIMD=OFF keeps the scalar loops as the reference.
 //
-// Three AVX2 kernels have no entry point; their callers check
+// Six AVX2 kernels have no entry point; their callers check
 // avx2_available() themselves:
 //  * avx2::goertzel, the dsp::GoertzelBank recurrence over all its tones,
 //    and avx2::mix_cx, the dsp::Mixer span product (DDS rotator times
 //    input); without AVX2 the callers run their scalar loops;
+//  * avx2::mt64_refill and avx2::mt64_polar, core::NormalStream's refill
+//    (core/rng.cpp); without AVX2 it runs their plain C++ twins;
+//  * avx2::cos_sin, fm::FmModulator's cos/sin; without AVX2 the modulator
+//    calls libm per sample;
 //  * avx2::sincos_ps, sincos_ps at eight lanes for the tag subcarrier
 //    (subcarrier.cpp), which then runs one four-lane group and libm on the
 //    rest; without AVX2 the four-lane sincos_ps takes every group.
@@ -34,6 +38,21 @@
 // tools/check_no_fma.py fails CI on any fused multiply-add in libfmbs.a),
 // and the build passes -ffp-contract=off, since GCC would otherwise fuse
 // the scalar loops' a * b + c wherever FMA is enabled, even in ISO C++ mode.
+//
+// The mt19937_64 kernels keep the same contract by construction: integer
+// work, then IEEE multiply, add, divide, square root and conversions, each
+// rounding as its scalar twin's operation does, with std::log(float) still
+// called once per accepted pair.
+//
+// A second contract, a rounding-tested approximation with a libm
+// fallback, covers avx2::cos_sin. It evaluates cos and sin in double, far
+// closer to the exact values than float resolution, and keeps a lane only
+// if v * (1 - 2^-40) and v * (1 + 2^-40) round to the same float for both
+// values. Any libm within 2^-41 of the exact value, relative, lies between
+// those two, so a kept lane is float(libm) bit for bit; every other lane
+// calls libm. Its output is the libm loop's, with or without AVX2 and
+// under FMBS_SIMD=OFF alike; tests/dsp/test_simd_kernels.cpp checks it
+// against libm around every multiple of pi/4 it accepts.
 //
 // The FIR kernels read their input in a phase layout: `phases` rows of
 // row_len samples, tap t of output i at row t % phases, column i +
@@ -64,6 +83,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #if defined(FMBS_SIMD) && defined(__SSE2__)
 #define FMBS_SIMD_ENABLED 1
@@ -309,6 +329,26 @@ void goertzel(const float* x, std::size_t n, const double* coeff,
 /// vector and eight samples per float step.
 void mix_cx(float* v, std::size_t n, double sr, double si, const double* tre,
             const double* tim);
+
+/// core::mt64::refill at four words per vector: twists the 312 mt19937_64
+/// state words in place and writes their tempered outputs to words.
+void mt64_refill(std::uint64_t* state, std::uint64_t* words);
+
+/// core::mt64::polar at four word pairs per step, n a multiple of 8: the
+/// canonical conversion, the pair test and mult's multiply, divide and
+/// square root run in vectors, each rounding as the scalar operation does;
+/// the accepted pairs are packed in order and std::log(float) runs per
+/// pair. Returns the number of normals written to out.
+std::size_t mt64_polar(const std::uint64_t* words, std::size_t n, float* out);
+
+/// out[2i] = float(std::cos(phase[i])), out[2i + 1] = float(std::sin(
+/// phase[i])), with libm's bits. Four phases at a time are reduced by pi/2
+/// and evaluated by polynomials in double; a lane keeps that result only if
+/// its phase lies in (0, 256] in magnitude and v * (1 - 2^-40) and
+/// v * (1 + 2^-40) round to the same float for both values v. Every other
+/// lane, and the last n % 4, call libm. Returns the number of phases that
+/// called libm.
+std::size_t cos_sin(const double* phase, std::size_t n, float* out);
 }  // namespace avx2
 
 // The entry points: the AVX2 kernel when avx2_available(), the SSE2 kernel

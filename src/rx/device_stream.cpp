@@ -12,8 +12,7 @@ PhoneChainStream::PhoneChainStream(const PhoneChainConfig& config,
                                    double sample_rate,
                                    std::uint64_t noise_seed)
     : lowpass_(butterworth_lowpass(kPhoneCutoffHz / sample_rate)),
-      rng_(noise_seed),
-      noise_(0.0F, static_cast<float>(kCodecNoiseRms)) {
+      noise_(noise_seed, 0.0F, static_cast<float>(kCodecNoiseRms)) {
   if (kPhoneCutoffHz >= sample_rate / 2.0) {
     throw std::invalid_argument("PhoneChainStream: cutoff above Nyquist");
   }
@@ -22,10 +21,10 @@ PhoneChainStream::PhoneChainStream(const PhoneChainConfig& config,
 
 void PhoneChainStream::process_inplace(std::span<float> audio) {
   // Same per-index order as apply_phone_chain's three passes: the cascade
-  // never touches the RNG and the AGC sees the noise-added stream, so
+  // never touches the noise stream and the AGC sees the noise-added stream, so
   // interleaving the passes per block keeps every sequence identical.
   lowpass_.process_inplace(audio);
-  for (auto& v : audio) v += noise_(rng_);
+  for (auto& v : audio) v += noise_.next();
   if (agc_) agc_->process_inplace(audio);
 }
 
@@ -35,8 +34,7 @@ CabinAcousticsStream::CabinAcousticsStream(const CabinConfig& config,
     : d1_(static_cast<std::size_t>(kReflection1DelaySeconds * sample_rate)),
       d2_(static_cast<std::size_t>(kReflection2DelaySeconds * sample_rate)),
       engine_noise_(config.engine_noise_rms > 0.0),
-      rng_(noise_seed),
-      gauss_(0.0F, 1.0F),
+      gauss_(noise_seed),
       s1_(dsp::kTwoPi * kEngineFundamentalHz / sample_rate),
       s2_(dsp::kTwoPi * 2.0 * kEngineFundamentalHz / sample_rate),
       s3_(dsp::kTwoPi * 4.0 * kEngineFundamentalHz / sample_rate),
@@ -64,7 +62,7 @@ void CabinAcousticsStream::process_inplace(std::span<float> audio) {
       const float rumble =
           static_cast<float>(0.8 * std::sin(ph1_) + 0.5 * std::sin(ph2_) +
                              0.25 * std::sin(ph3_));
-      v += rms_ * (rumble + 0.35F * gauss_(rng_));
+      v += rms_ * (rumble + 0.35F * gauss_.next());
     }
     sample = mic_lp_.process_sample(mic_hp_.process_sample(v));
   }

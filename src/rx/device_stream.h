@@ -3,16 +3,18 @@
 // scenario engine. Both one-shot chains are strictly per-sample causal
 // (IIR filters, a sequentially drawn noise stream, delay-line reflections),
 // so a persistent-state block decomposition reproduces them bit-for-bit:
-// the filters carry their states, the RNG its position, the delay lines
-// their input history across block boundaries.
+// the filters carry their states, the noise stream its position, the delay
+// lines their input history across block boundaries. The noise is a
+// core::NormalStream, which draws the one-shot chains'
+// std::normal_distribution sequence.
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <random>
 #include <span>
 #include <vector>
 
+#include "core/rng.h"
 #include "dsp/agc.h"
 #include "dsp/iir.h"
 #include "rx/car.h"
@@ -32,8 +34,7 @@ class PhoneChainStream {
 
  private:
   dsp::BiquadCascade lowpass_;
-  std::mt19937_64 rng_;
-  std::normal_distribution<float> noise_;
+  core::NormalStream noise_;
   std::optional<dsp::Agc> agc_;
 };
 
@@ -52,8 +53,7 @@ class CabinAcousticsStream {
   std::vector<float> hist_;  // input delay line (max(d1, d2) samples)
   std::size_t index_ = 0;    // absolute stream position
   bool engine_noise_;
-  std::mt19937_64 rng_;
-  std::normal_distribution<float> gauss_;
+  core::NormalStream gauss_;
   double ph1_ = 0.0, ph2_ = 0.0, ph3_ = 0.0;
   double s1_, s2_, s3_;
   float rms_;

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
+#include "core/rng.h"
+#include "dsp/fir.h"
 #include "dsp/math_util.h"
 
 namespace fmbs::channel {
@@ -69,6 +74,45 @@ TEST(Awgn, ZeroMeanComplexAndBalanced) {
   EXPECT_NEAR(im / n, 0.0, 3.0 * std::sqrt(src.variance() / 2.0 / n));
   // I/Q power split evenly.
   EXPECT_NEAR(re2 / im2, 1.0, 0.05);
+}
+
+// Sample i of the noise takes draws 2i and 2i + 1 of the seed's Gaussian
+// stream, the imaginary part first: the order GCC gave the earlier
+// cfloat(sigma * dist(rng), sigma * dist(rng)), evaluating its arguments
+// right to left. Checked against that order spelled out, unshaped and
+// shaped, at cuts on both sides of the source's internal chunk.
+TEST(Awgn, DrawOrderIsImagFirst) {
+  const std::vector<float> taps = {0.25F, 0.5F, 0.25F};
+  for (const bool shaped : {false, true}) {
+    SCOPED_TRACE(shaped);
+    AwgnSource src(units::Dbm{-80.0}, units::Hertz{200000.0}, 240000.0, 9,
+                   shaped ? taps : std::vector<float>{});
+    const auto sigma = static_cast<float>(std::sqrt(src.variance() / 2.0));
+    core::NormalStream draws(9);
+    dsp::cvec noise(3000);
+    for (auto& v : noise) {
+      const float im = sigma * draws.next();
+      const float re = sigma * draws.next();
+      v = dsp::cfloat(re, im);
+    }
+    if (shaped) {
+      dsp::FirFilter<dsp::cfloat> shaper(taps);
+      shaper.process_into(noise, noise);
+    }
+    const dsp::cfloat signal(0.5F, -0.25F);
+    dsp::cvec want(noise.size(), signal);
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] += noise[i];
+
+    dsp::cvec got(noise.size(), signal);
+    std::size_t at = 0;
+    for (const std::size_t n : {1, 479, 480, 1000, 513, 527}) {
+      src.add_to(std::span(got).subspan(at, n));
+      at += n;
+    }
+    ASSERT_EQ(at, got.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(got[0])),
+              0);
+  }
 }
 
 TEST(Awgn, Validation) {

@@ -5,8 +5,9 @@
 //    they vectorize across outputs and never reassociate an accumulation;
 //  * both kernel sets, SSE2 and AVX2, called directly, match the scalar
 //    loops byte for byte (the AVX2 cases skip on CPUs without AVX2), and so
-//    do the AVX2-only kernels: the Goertzel bank, the mixer's span product
-//    and the eight-lane sincos (against the four-lane one);
+//    do the AVX2-only kernels: the Goertzel bank, the mixer's span product,
+//    the eight-lane sincos (against the four-lane one) and the modulator's
+//    cos/sin (against libm);
 //  * the tolerance-pinned exception (the subcarrier's vector sincos) stays
 //    within its justified bound. The Mixer's rotator is one plain C++ path
 //    in every build; tests/dsp/test_nco.cpp pins its accuracy.
@@ -383,6 +384,106 @@ TEST(SimdKernels, Avx2SincosMatchesSse2ByteForByte) {
             << "x=" << xs[i + half + lane];
       }
     }
+  }
+}
+
+// Runs avx2::cos_sin over phases and checks every output against
+// float(std::cos) and float(std::sin) byte for byte. Returns how many
+// phases called libm.
+std::size_t check_cos_sin(const std::vector<double>& phases) {
+  std::vector<float> out(2 * phases.size());
+  const std::size_t libm =
+      dsp::simd::avx2::cos_sin(phases.data(), phases.size(), out.data());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto c = static_cast<float>(std::cos(phases[i]));
+    const auto s = static_cast<float>(std::sin(phases[i]));
+    if (!same_bytes(out[2 * i], c) || !same_bytes(out[2 * i + 1], s)) {
+      ADD_FAILURE() << "phase " << phases[i] << ": (" << out[2 * i] << ", "
+                    << out[2 * i + 1] << ") vs libm (" << c << ", " << s
+                    << ")";
+      break;
+    }
+  }
+  return libm;
+}
+
+// Phases whose sin or cos lies within a few double ulp of a float rounding
+// midpoint m, in all four quadrants: there a kept lane and libm can round
+// apart unless the margin sends the lane to libm.
+std::vector<double> near_ties() {
+  std::vector<double> out;
+  for (int j = 0; j < 12000; ++j) {
+    const float f = 0.05F + 0.94F * static_cast<float>(j) / 12000.0F;
+    const double m = (static_cast<double>(f) +
+                      static_cast<double>(std::nextafter(f, 1.0F))) /
+                     2.0;
+    for (const double a : {std::asin(m), std::acos(m)}) {
+      out.insert(out.end(),
+                 {a, dsp::kPi - a, dsp::kPi + a, dsp::kTwoPi - a});
+    }
+  }
+  return out;
+}
+
+// The modulator's phases, random in [0, 2 pi); every double within 2000
+// ulp of each multiple of pi/4 up to past the kernel's 256 rad limit,
+// where the quadrant switches and sin or cos nears zero; and tiny, negative
+// and non-finite phases, which mostly call libm.
+TEST(SimdKernels, Avx2CosSinMatchesLibmByteForByte) {
+  if (!dsp::simd::avx2_available()) GTEST_SKIP() << "this CPU has no AVX2";
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> turn(0.0, dsp::kTwoPi);
+  std::vector<double> random(4'000'000);
+  for (auto& v : random) v = turn(rng);
+  const std::size_t libm = check_cos_sin(random);
+  EXPECT_LE(libm, random.size() / 10000) << "libm lanes";
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> near;
+  for (int k = -330; k <= 330; ++k) {
+    double up = k * (dsp::kPi / 4.0);
+    double down = up;
+    for (int j = 0; j <= 2000; ++j) {
+      near.push_back(up);
+      near.push_back(down);
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, -inf);
+    }
+  }
+  check_cos_sin(near);
+  check_cos_sin(near_ties());
+
+  std::vector<double> edges = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::min(),
+                               1e-300,
+                               1e-200,
+                               1e-40,
+                               0x1p-30,
+                               1e-10,
+                               1e-5,
+                               -1e-5,
+                               dsp::kTwoPi,
+                               std::nextafter(dsp::kTwoPi, 0.0),
+                               255.999,
+                               256.0,
+                               std::nextafter(256.0, inf),
+                               -256.0,
+                               1e3,
+                               1e6,
+                               1e22,
+                               -1e22,
+                               inf,
+                               -inf,
+                               std::numeric_limits<double>::quiet_NaN()};
+  // Each edge in every lane, and in the libm tail.
+  for (std::size_t shift = 0; shift < 4; ++shift) {
+    std::vector<double> shifted(shift, 1.0);
+    shifted.insert(shifted.end(), edges.begin(), edges.end());
+    check_cos_sin(shifted);
+    check_cos_sin({shifted.end() - 3, shifted.end()});
   }
 }
 #endif

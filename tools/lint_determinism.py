@@ -15,8 +15,9 @@ in a result-producing path. This lint makes those invariants mechanical:
                      (steady_clock is allowed in bench/ and
                      examples/ for *measuring* elapsed time —
                      never as a seed)
-  underived-seed     an RNG engine constructed with a numeric     src/ bench/
-                     literal or default-constructed (tests pin      examples/
+  underived-seed     an RNG engine or core::NormalStream          src/ bench/
+                     constructed with a numeric literal seed, or    examples/
+                     an engine default-constructed (tests pin
                      literal seeds deliberately, so they are
                      exempt from this rule only)
   unordered-iter     range-for over a std::unordered_map/set      everywhere
@@ -80,9 +81,11 @@ WALL_CLOCK_RE = re.compile(
     r"|high_resolution_clock\b"
 )
 STEADY_CLOCK_RE = re.compile(r"steady_clock\b")
+# core::NormalStream owns an mt19937_64 and takes its seed as the first
+# argument, so it is held to the same rule.
 RNG_CTOR_RE = re.compile(
     r"\b(?:std::)?(mt19937(?:_64)?|minstd_rand0?|default_random_engine|"
-    r"ranlux\d+(?:_base)?|knuth_b)\s+\w+\s*[({]\s*([^)}]*)\s*[)}]"
+    r"ranlux\d+(?:_base)?|knuth_b|NormalStream)\s+\w+\s*[({]\s*([^)}]*)\s*[)}]"
 )
 # Member declarations (trailing-underscore names, per the codebase's style)
 # are exempt: they are seeded in a constructor initializer list, where the
@@ -152,7 +155,7 @@ def lint_file(path, rel, text):
                  "measuring elapsed time, never in src/ or tests/")
         if check_underived:
             for m in RNG_CTOR_RE.finditer(code):
-                arg = m.group(2).strip()
+                arg = m.group(2).split(",")[0].strip()
                 if arg == "" or NUMERIC_LITERAL_RE.match(arg):
                     flag(lineno, "underived-seed",
                          f"RNG engine seeded with '{arg or '<default>'}' — library "
